@@ -6,7 +6,7 @@ from .engine import (ComparisonTable, DayStats, MluReport, SchemeSpec,
                      SweepRow, TransitSpec, ValidationError, compare_schemes,
                      run_experiment, sweep_storage_ratio)
 from .lp import (LinearProgram, LpSolution, SimplexError, build_joint_lp,
-                 build_min_mlu_lp, solve_lp, solve_lp_auto, solve_lp_scipy,
+                 build_min_mlu_lp, solve_lp, solve_lp_auto,
                  solve_min_mlu_routing, write_lp_text)
 from .placement import (CacheState, Placement, lru_access,
                         plan_placement_future, plan_placement_optimized,

@@ -32,8 +32,7 @@ def _ensure_out(path: str) -> str:
 def _echo_config(cfg: ExperimentConfig, out_dir: str) -> None:
     lines = [cfg.raw_text.rstrip("\n"), "", "# effective settings",
              f"seed = {cfg.seed}", f"jobs = {cfg.jobs}",
-             f"interval_s = {cfg.interval_s:g}",
-             f"lp_backend = {cfg.lp_backend}"]
+             f"interval_s = {cfg.interval_s:g}"]
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -130,8 +129,8 @@ def cmd_simulate(args) -> int:
         for scheme in cfg.schemes:
             rows = engine_mod.sweep_storage_ratio(
                 topo, catalog, requests, scheme, cfg.storage_ratios,
-                interval_s=cfg.interval_s, lp_backend=cfg.lp_backend,
-                jobs=cfg.jobs, tol_feas=cfg.feas_tol, tol_dual=cfg.dual_tol)
+                interval_s=cfg.interval_s, jobs=cfg.jobs,
+                tol_feas=cfg.feas_tol, tol_dual=cfg.dual_tol)
             for row in rows:
                 sweep_lines.append(f"{scheme.label()},{row.ratio:.10g},"
                                    f"{row.mean_daily_p99:.10g}")
@@ -141,8 +140,7 @@ def cmd_simulate(args) -> int:
     else:
         table = engine_mod.compare_schemes(
             topo, catalog, requests, cfg.schemes, interval_s=cfg.interval_s,
-            lp_backend=cfg.lp_backend, jobs=cfg.jobs, tol_feas=cfg.feas_tol,
-            tol_dual=cfg.dual_tol)
+            jobs=cfg.jobs, tol_feas=cfg.feas_tol, tol_dual=cfg.dual_tol)
         reports = table.reports
         with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8") as fh:
             fh.write(engine_mod.comparison_csv(table))
@@ -156,7 +154,7 @@ def cmd_simulate(args) -> int:
         # relative to keeping logs for every scheme in memory)
         rep = engine_mod.run_experiment(
             topo, catalog, requests, cfg.schemes[0], cfg.interval_s,
-            lp_backend=cfg.lp_backend, collect_decisions=args.decision_log,
+            collect_decisions=args.decision_log,
             collect_placements=args.dump_placements, tol_feas=cfg.feas_tol,
             tol_dual=cfg.dual_tol)
         if args.decision_log:
@@ -179,7 +177,7 @@ def cmd_solve_routing(args) -> int:
     for (s, t) in tm:
         if s not in topo.names or t not in topo.names:
             raise ValidationError(f"matrix references unknown pop in {(s, t)}")
-    routing = lp_mod.solve_min_mlu_routing(topo, tm, backend=args.lp_backend)
+    routing = lp_mod.solve_min_mlu_routing(topo, tm)
     value = mlu(apply_routing(routing, tm), topo)
     print(f"alpha = {value:.6g}")
     return 0
@@ -205,7 +203,7 @@ def cmd_solve_placement(args) -> int:
     from .placement import plan_placement_optimized
     placement, routing = plan_placement_optimized(
         dm, topo, budgets, chunks, origins, epoch=day,
-        storage_ratio=scheme.storage_ratio, backend=cfg.lp_backend)
+        storage_ratio=scheme.storage_ratio)
     out = _ensure_out(cfg.out_dir)
     lines = ["epoch,pop_id,chunk_id"]
     for pop in sorted(placement.stored):
@@ -278,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="min-MLU routing for a topology + traffic matrix")
     p.add_argument("topology")
     p.add_argument("matrix")
-    p.add_argument("--lp-backend", default="auto",
-                   choices=["auto", "bundled", "scipy"])
     p.set_defaults(func=cmd_solve_routing)
 
     p = sub.add_parser("solve-placement",

@@ -10,7 +10,7 @@ Schema (one key per line, `#` comments, later duplicates win except
     interval_s = 300
     seed = 42                      # feeds all randomness (synth generator)
     jobs = 1
-    lp_backend = auto              # auto | bundled | scipy
+    lp_backend = auto              # accepted for older configs; HiGHS only
     feas_tol = 1e-7
     dual_tol = 1e-6
     storage_ratios = 0.25,0.5,1,2,4   # presence switches simulate to sweep mode
@@ -58,7 +58,6 @@ class ExperimentConfig:
     out_dir: str = "results"
     seed: int = 42
     jobs: int = 1
-    lp_backend: str = "auto"
     feas_tol: float = 1e-7
     dual_tol: float = 1e-6
     raw_text: str = ""
@@ -146,9 +145,10 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
     cfg.jobs = num("jobs", int, cfg.jobs)
     cfg.feas_tol = num("feas_tol", float, cfg.feas_tol)
     cfg.dual_tol = num("dual_tol", float, cfg.dual_tol)
-    cfg.lp_backend = values.get("lp_backend", cfg.lp_backend)
-    if cfg.lp_backend not in ("auto", "bundled", "scipy"):
-        raise ConfigError(f"bad lp_backend {cfg.lp_backend!r}")
+    if values.get("lp_backend", "auto") != "auto":
+        raise ConfigError(
+            f"bad lp_backend {values['lp_backend']!r}: only auto is accepted; "
+            "the bundled simplex was removed and HiGHS solves every program")
     if "storage_ratios" in values:
         try:
             cfg.storage_ratios = [float(v) for v in

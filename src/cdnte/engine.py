@@ -156,7 +156,7 @@ class _HolderIndex:
 
 def run_experiment(topo, catalog: Catalog, requests: List[Request],
                    scheme: SchemeSpec, interval_s: float = 300.0,
-                   lp_backend: str = "auto", collect_decisions: bool = False,
+                   collect_decisions: bool = False,
                    collect_placements: bool = False,
                    collect_matrices: bool = False,
                    tol_feas: float = lp_mod.FEAS_TOL,
@@ -257,13 +257,13 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                 placement, planner_routing = plan_placement_optimized(
                     prev_dm, topo, planned_budgets, chunks, origins,
                     epoch=day, storage_ratio=scheme.storage_ratio,
-                    backend=lp_backend, ic_routes=ic_routes, dists=dists,
+                    ic_routes=ic_routes, dists=dists,
                     tol_feas=tol_feas, tol_dual=tol_dual)
         elif scheme.placement == "future":
             placement, planner_routing = plan_placement_future(
                 demand_today(), topo, planned_budgets, chunks, origins,
                 epoch=day, storage_ratio=scheme.storage_ratio,
-                backend=lp_backend, ic_routes=ic_routes, dists=dists,
+                ic_routes=ic_routes, dists=dists,
                 tol_feas=tol_feas, tol_dual=tol_dual)
         else:  # lru
             placement = Placement(day, {}, scheme.storage_ratio)
@@ -288,14 +288,13 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                     base = induced_traffic_matrix(prev_dm, placement, origins,
                                                   dists)
                     routing = lp_mod.solve_min_mlu_routing(
-                        topo, planning_tm(base), backend=lp_backend,
-                        ic_routes=ic_routes, tol_feas=tol_feas,
-                        tol_dual=tol_dual)
+                        topo, planning_tm(base), ic_routes=ic_routes,
+                        tol_feas=tol_feas, tol_dual=tol_dual)
                 else:
                     routing = planner_routing
             else:  # lru or future placement: route on yesterday's realized matrix
                 routing = lp_mod.solve_min_mlu_routing(
-                    topo, planning_tm(prev_realized or {}), backend=lp_backend,
+                    topo, planning_tm(prev_realized or {}),
                     ic_routes=ic_routes, tol_feas=tol_feas, tol_dual=tol_dual)
         else:  # min-mlu-future
             if scheme.placement == "future" and scheme.transit is None:
@@ -304,8 +303,8 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                 base = induced_traffic_matrix(demand_today(), placement,
                                               origins, dists)
                 routing = lp_mod.solve_min_mlu_routing(
-                    topo, planning_tm(base), backend=lp_backend,
-                    ic_routes=ic_routes, tol_feas=tol_feas, tol_dual=tol_dual)
+                    topo, planning_tm(base), ic_routes=ic_routes,
+                    tol_feas=tol_feas, tol_dual=tol_dual)
 
         transit_loads: LinkLoads = {}
         if scheme.transit is not None:
@@ -328,6 +327,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         for iv in range(n_intervals):
             iv_start = day * DAY_SECONDS + iv * interval_s
             iv_end = min(iv_start + interval_s, (day + 1) * DAY_SECONDS)
+            iv_len = iv_end - iv_start  # the day's last interval may be shorter
             commodity_bytes: Dict[Tuple[int, int], int] = {}
             live_loads: LinkLoads = dict(transit_loads) if use_util_aware else {}
 
@@ -349,7 +349,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                     else:
                         holders = holder_index.holders(chunk)
                         if use_util_aware:
-                            rate = nbytes * 8.0 / interval_s
+                            rate = nbytes * 8.0 / iv_len
                             decision = redirect_utilization_aware(
                                 chunk, client, holders, origin, live_loads,
                                 routing, rate, capacities, dists)
@@ -361,7 +361,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                         key = (server, client)
                         commodity_bytes[key] = commodity_bytes.get(key, 0) + nbytes
                         if use_util_aware:
-                            rate = nbytes * 8.0 / interval_s
+                            rate = nbytes * 8.0 / iv_len
                             for link_id, frac in routing[key].items():
                                 live_loads[link_id] = live_loads.get(link_id, 0.0) \
                                     + frac * rate
@@ -384,7 +384,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                             (r.timestamp, client, _chunk_label(chunk), server,
                              reason))
 
-            tm: TrafficMatrix = {k: b * 8.0 / interval_s
+            tm: TrafficMatrix = {k: b * 8.0 / iv_len
                                  for k, b in sorted(commodity_bytes.items())}
             loads = apply_routing(routing, tm)
             if scheme.transit is not None:
@@ -408,7 +408,8 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         total_local_or_replica += day_local_or_replica
         total_origin += day_origin
 
-        prev_dm = demand_today()
+        if scheme.placement in ("optimized", "hybrid"):
+            prev_dm = demand_today()
         prev_realized = {k: b * 8.0 / DAY_SECONDS
                          for k, b in sorted(realized_day.items())}
 
@@ -423,10 +424,9 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
 
 
 def _run_labelled(args):
-    topo, catalog, requests, scheme, interval_s, lp_backend, tols = args
+    topo, catalog, requests, scheme, interval_s, tols = args
     return run_experiment(topo, catalog, requests, scheme, interval_s,
-                          lp_backend=lp_backend, tol_feas=tols[0],
-                          tol_dual=tols[1])
+                          tol_feas=tols[0], tol_dual=tols[1])
 
 
 @dataclass
@@ -440,7 +440,7 @@ class ComparisonTable:
 
 def compare_schemes(topo, catalog: Catalog, requests: List[Request],
                     schemes: List[SchemeSpec], interval_s: float = 300.0,
-                    lp_backend: str = "auto", jobs: int = 1,
+                    jobs: int = 1,
                     tol_feas: float = lp_mod.FEAS_TOL,
                     tol_dual: float = lp_mod.DUAL_TOL) -> ComparisonTable:
     """Run every scheme on the identical trace and align per-day p99 MLU
@@ -452,8 +452,8 @@ def compare_schemes(topo, catalog: Catalog, requests: List[Request],
         labels = [f"{lab}#{i}" for i, lab in enumerate(labels)]
         for s, lab in zip(schemes, labels):
             s.name = lab
-    tasks = [(topo, catalog, requests, s, interval_s, lp_backend,
-              (tol_feas, tol_dual)) for s in schemes]
+    tasks = [(topo, catalog, requests, s, interval_s, (tol_feas, tol_dual))
+             for s in schemes]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -485,8 +485,8 @@ class SweepRow:
 
 def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
                         template: SchemeSpec, ratios: List[float],
-                        interval_s: float = 300.0, lp_backend: str = "auto",
-                        jobs: int = 1, tol_feas: float = lp_mod.FEAS_TOL,
+                        interval_s: float = 300.0, jobs: int = 1,
+                        tol_feas: float = lp_mod.FEAS_TOL,
                         tol_dual: float = lp_mod.DUAL_TOL) -> List[SweepRow]:
     """Run the scheme template once per storage ratio; per-PoP budget is
     ratio * total chunked catalog bytes / pop count."""
@@ -505,8 +505,8 @@ def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
                        transit=template.transit,
                        name=f"{template.label()}@r{ratio:g}")
         schemes.append(s)
-    tasks = [(topo, catalog, requests, s, interval_s, lp_backend,
-              (tol_feas, tol_dual)) for s in schemes]
+    tasks = [(topo, catalog, requests, s, interval_s, (tol_feas, tol_dual))
+             for s in schemes]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,5 +1,4 @@
-"""Linear programming core: model type, a two-phase revised simplex with a
-Bland's-rule fallback, a scipy/HiGHS backend for large instances, and the
+"""Linear programming core: model type, a certified HiGHS solve, and the
 program builders for min-MLU routing and joint placement+routing.
 
 All programs are minimizations. Variables have a finite lower bound
@@ -21,15 +20,18 @@ from .traffic import RoutingSolution, TrafficMatrix
 
 FEAS_TOL = 1e-7     # constraint satisfaction, after row scaling
 DUAL_TOL = 1e-6     # relative duality gap at reported optima
-_ENTER_TOL = 1e-9   # reduced-cost threshold
-_PIVOT_TOL = 1e-9   # smallest acceptable pivot magnitude
-_REFACTOR_EVERY = 300
+# HiGHS's own primal and dual feasibility tolerances (its default is 1e-7),
+# tightened so that its answers pass the 1e-9 absolute bound check in
+# _verify_solution and a zero optimum does not come back as 2e-8
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-9,
+                  "dual_feasibility_tolerance": 1e-9}
 
 LE, EQ, GE = "<=", "=", ">="
 
 
 class SimplexError(RuntimeError):
-    """Numeric breakdown or resource exhaustion; never a silent wrong answer."""
+    """Solver failure or a failed optimality certificate; never a silent
+    wrong answer."""
 
 
 class LinearProgram:
@@ -98,7 +100,7 @@ class LpSolution:
     names: List[str] = field(default_factory=list)
     duality_gap: Optional[float] = None
     iterations: int = 0
-    backend: str = "bundled"
+    backend: str = "highs"            # the HiGHS method that solved it
 
     @property
     def variables(self) -> Dict[str, float]:
@@ -129,300 +131,15 @@ def _verify_solution(lp: LinearProgram, x: np.ndarray, tol_feas: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# bundled revised simplex
-
-
-class _Standard:
-    """Row-scaled standard form: min c x, A x (<=|=|>=) b with b >= 0, x >= 0.
-
-    Finite lower bounds are shifted out; finite upper bounds become rows.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        n = lp.num_vars
-        self.lp = lp
-        self.n_struct = n
-        lo = np.array(lp.lo, dtype=float)
-        self.shift = lo
-        rows = []
-        for coeffs, sense, rhs in lp.rows:
-            adj = rhs - sum(c * lo[j] for j, c in coeffs.items())
-            rows.append((dict(coeffs), sense, adj))
-        for j in range(n):
-            if lp.hi[j] is not None:
-                rows.append(({j: 1.0}, LE, lp.hi[j] - lo[j]))
-
-        data, ri, ci, b, senses = [], [], [], [], []
-        m = 0
-        self.trivially_infeasible = False
-        for coeffs, sense, rhs in rows:
-            scale = max((abs(c) for c in coeffs.values()), default=0.0)
-            if scale == 0.0:
-                ok = ((sense == LE and rhs >= -FEAS_TOL)
-                      or (sense == GE and rhs <= FEAS_TOL)
-                      or (sense == EQ and abs(rhs) <= FEAS_TOL))
-                if not ok:
-                    self.trivially_infeasible = True
-                continue
-            flip = 1.0
-            rhs_s = rhs / scale
-            if rhs_s < 0:
-                flip = -1.0
-                rhs_s = -rhs_s
-                sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-            for j, c in coeffs.items():
-                data.append(flip * c / scale)
-                ri.append(m)
-                ci.append(j)
-            b.append(rhs_s)
-            senses.append(sense)
-            m += 1
-
-        self.m = m
-        self.b = np.array(b, dtype=float)
-        self.senses = senses
-        # slack (+1) for <=, surplus (-1) for >=
-        slack_col = {}
-        for i, sense in enumerate(senses):
-            if sense in (LE, GE):
-                col = n + len(slack_col)
-                slack_col[i] = col
-                data.append(1.0 if sense == LE else -1.0)
-                ri.append(i)
-                ci.append(col)
-        self.n_cols = n + len(slack_col)
-        self.slack_col = slack_col
-        self.A = sp.csc_matrix((data, (ri, ci)), shape=(m, self.n_cols))
-        self.c_struct = np.array(lp.obj, dtype=float)
-
-    def column(self, idx: int) -> np.ndarray:
-        if idx < self.n_cols:
-            return np.asarray(self.A[:, [idx]].todense()).ravel()
-        e = np.zeros(self.m)
-        e[idx - self.n_cols] = 1.0
-        return e
-
-    def drop_rows(self, keep: np.ndarray) -> None:
-        self.A = self.A.tocsr()[keep].tocsc()
-        self.b = self.b[keep]
-        self.senses = [s for s, k in zip(self.senses, keep) if k]
-        self.m = int(keep.sum())
-
-
-class _Simplex:
-    def __init__(self, std: _Standard, max_iters: int):
-        self.std = std
-        self.max_iters = max_iters
-        self.iters = 0
-        self.bland = False
-        self._stall = 0
-        m = std.m
-        # initial basis: slack for <= rows, artificial (id n_cols + row) else
-        basis = []
-        for i, sense in enumerate(std.senses):
-            if sense == LE:
-                basis.append(std.slack_col[i])
-            else:
-                basis.append(std.n_cols + i)
-        self.basis = np.array(basis, dtype=int)
-        self.binv = np.eye(m)
-        self.xb = std.b.copy()
-        self.in_basis = np.zeros(std.n_cols, dtype=bool)
-        for col in self.basis:
-            if col < std.n_cols:
-                self.in_basis[col] = True
-
-    def _basis_matrix(self) -> np.ndarray:
-        cols = [self.std.column(int(c)) for c in self.basis]
-        return np.column_stack(cols) if cols else np.zeros((0, 0))
-
-    def refactor(self) -> None:
-        if self.std.m == 0:
-            return
-        B = self._basis_matrix()
-        try:
-            self.binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            raise SimplexError("basis matrix is singular") from None
-        self.xb = self.binv @ self.std.b
-        resid = np.abs(B @ self.xb - self.std.b).max(initial=0.0)
-        if resid > 1e-6 * (1.0 + np.abs(self.std.b).max(initial=0.0)):
-            raise SimplexError(f"refactorization residual {resid:.3e}")
-        self.xb[np.abs(self.xb) < 1e-11] = 0.0
-
-    def _cb(self, cost: np.ndarray, art_cost: float) -> np.ndarray:
-        out = np.empty(len(self.basis))
-        for i, col in enumerate(self.basis):
-            out[i] = art_cost if col >= self.std.n_cols else cost[col]
-        return out
-
-
-def _run_phase(sx: _Simplex, cost: np.ndarray, art_cost: float,
-               allow_art_leave: bool) -> str:
-    """Iterate until optimal ('optimal') or unbounded ('unbounded')."""
-    std = sx.std
-    m = std.m
-    if m == 0:
-        neg = np.where(cost < -_ENTER_TOL)[0]
-        return "unbounded" if len(neg) else "optimal"
-    since_refactor = 0
-    prev_obj = math.inf
-    while True:
-        if sx.iters >= sx.max_iters:
-            raise SimplexError(f"iteration limit {sx.max_iters} exceeded")
-        cb = sx._cb(cost, art_cost)
-        y = cb @ sx.binv
-        reduced = cost - (std.A.T @ y)
-        reduced[sx.in_basis] = 0.0
-        if sx.bland:
-            cand = np.where(reduced < -_ENTER_TOL)[0]
-            if len(cand) == 0:
-                return "optimal"
-            q = int(cand[0])
-        else:
-            q = int(np.argmin(reduced))
-            if reduced[q] >= -_ENTER_TOL:
-                return "optimal"
-        aq = std.column(q)
-        d = sx.binv @ aq
-        pos = np.where(d > _PIVOT_TOL)[0]
-        if len(pos) == 0:
-            return "unbounded"
-        ratios = np.maximum(sx.xb[pos], 0.0) / d[pos]
-        t = ratios.min()
-        tied = pos[ratios <= t + 1e-12 * (1.0 + t)]
-        if sx.bland:
-            leave = int(tied[np.argmin(sx.basis[tied])])
-        else:
-            leave = int(tied[np.argmax(d[tied])])
-        piv = d[leave]
-        if abs(piv) < _PIVOT_TOL:
-            raise SimplexError("vanishing pivot")
-        old = sx.basis[leave]
-        if old >= std.n_cols and not allow_art_leave:
-            # artificials never re-enter, so this cannot happen in phase 2
-            raise SimplexError("artificial variable left in the basis")
-        # basis change
-        if old < std.n_cols:
-            sx.in_basis[old] = False
-        sx.basis[leave] = q
-        sx.in_basis[q] = True
-        # update xb and binv
-        sx.xb = sx.xb - t * d
-        sx.xb[leave] = t
-        sx.binv[leave, :] /= piv
-        dcol = d.copy()
-        dcol[leave] = 0.0
-        sx.binv -= np.outer(dcol, sx.binv[leave, :])
-        sx.iters += 1
-        since_refactor += 1
-        if since_refactor >= _REFACTOR_EVERY:
-            sx.refactor()
-            since_refactor = 0
-        # degeneracy-cycle heuristic: long stretches without progress
-        obj = sx._cb(cost, art_cost) @ sx.xb
-        if obj < prev_obj - 1e-12 * (1.0 + abs(prev_obj)):
-            sx._stall = 0
-        else:
-            sx._stall += 1
-            if not sx.bland and sx._stall > max(100, 2 * m):
-                sx.bland = True
-        prev_obj = obj
-
-
-def _drive_out_artificials(sx: _Simplex) -> None:
-    """Pivot basic artificials out or delete their (redundant) rows."""
-    std = sx.std
-    redundant = []
-    for pos in range(std.m):
-        if sx.basis[pos] < std.n_cols:
-            continue
-        row = sx.binv[pos, :]
-        # candidate pivots among nonbasic structural/slack columns
-        vals = std.A.T @ row
-        vals[sx.in_basis] = 0.0
-        j = int(np.argmax(np.abs(vals)))
-        if abs(vals[j]) > 1e-7:
-            sx.basis[pos] = j
-            sx.in_basis[j] = True
-            sx.refactor()
-        else:
-            redundant.append(pos)
-    if redundant:
-        keep = np.ones(std.m, dtype=bool)
-        keep[redundant] = False
-        std.drop_rows(keep)
-        sx.basis = sx.basis[keep]
-        sx.binv = np.eye(std.m)
-        sx.refactor()
+# HiGHS solve
 
 
 def solve_lp(lp: LinearProgram, tol_feas: float = FEAS_TOL,
-             tol_dual: float = DUAL_TOL,
-             max_iters: Optional[int] = None) -> LpSolution:
-    """Two-phase revised simplex with an explicit basis inverse.
-
-    Dantzig pricing by default; a stall heuristic switches to Bland's rule
-    to guarantee termination under degeneracy. Numeric trouble raises
-    SimplexError instead of returning a wrong answer.
-    """
-    std = _Standard(lp)
-    if std.trivially_infeasible:
-        return LpSolution("infeasible", None, None, list(lp.var_names),
-                          backend="bundled")
-    if max_iters is None:
-        max_iters = 5000 + 50 * (std.m + std.n_cols)
-    sx = _Simplex(std, max_iters)
-
-    has_artificial = any(c >= std.n_cols for c in sx.basis)
-    if has_artificial:
-        phase1_cost = np.zeros(std.n_cols)
-        status = _run_phase(sx, phase1_cost, 1.0, allow_art_leave=True)
-        if status == "unbounded":
-            raise SimplexError("phase 1 reported unbounded")
-        infeas = sx._cb(phase1_cost, 1.0) @ sx.xb
-        if infeas > tol_feas * (1.0 + np.abs(std.b).max(initial=0.0)):
-            return LpSolution("infeasible", None, None, list(lp.var_names),
-                              iterations=sx.iters, backend="bundled")
-        _drive_out_artificials(sx)
-
-    cost2 = np.concatenate([std.c_struct, np.zeros(std.n_cols - std.n_struct)])
-    sx._stall = 0
-    status = _run_phase(sx, cost2, 0.0, allow_art_leave=False)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, list(lp.var_names),
-                          iterations=sx.iters, backend="bundled")
-
-    x_std = np.zeros(std.n_cols)
-    for pos, col in enumerate(sx.basis):
-        if col < std.n_cols:
-            x_std[col] = sx.xb[pos]
-    x = x_std[:std.n_struct] + std.shift
-    _verify_solution(lp, x, tol_feas)
-    objective = float(np.dot(std.c_struct, x))
-
-    # strong-duality check in standard-form space
-    if std.m > 0:
-        y = sx._cb(cost2, 0.0) @ sx.binv
-        primal_std = float(cost2 @ x_std)
-        dual_std = float(y @ std.b)
-        gap = abs(primal_std - dual_std) / max(1.0, abs(primal_std))
-    else:
-        gap = 0.0
-    if gap > tol_dual:
-        raise SimplexError(f"duality gap {gap:.3e} exceeds {tol_dual}")
-    return LpSolution("optimal", objective, x, list(lp.var_names),
-                      duality_gap=gap, iterations=sx.iters, backend="bundled")
-
-
-# ---------------------------------------------------------------------------
-# scipy backend and dispatch
-
-
-def solve_lp_scipy(lp: LinearProgram, tol_feas: float = FEAS_TOL,
-                   tol_dual: float = DUAL_TOL,
-                   method: str = "highs") -> LpSolution:
-    """Solve with scipy.optimize.linprog (HiGHS); same contract as solve_lp."""
+             tol_dual: float = DUAL_TOL, method: str = "highs") -> LpSolution:
+    """Solve with HiGHS through scipy.optimize.linprog and certify the
+    optimum: every bound and row holds within tol_feas (after row
+    scaling), and the primal and dual objectives agree within tol_dual.
+    A failed certificate raises SimplexError, never a silent wrong answer."""
     from scipy.optimize import linprog
 
     n = lp.num_vars
@@ -450,13 +167,14 @@ def solve_lp_scipy(lp: LinearProgram, tol_feas: float = FEAS_TOL,
         if b_eq else None
     bounds = [(lp.lo[j], lp.hi[j]) for j in range(n)]
     res = linprog(np.array(lp.obj), A_ub=A_ub, b_ub=b_ub or None,
-                  A_eq=A_eq, b_eq=b_eq or None, bounds=bounds, method=method)
+                  A_eq=A_eq, b_eq=b_eq or None, bounds=bounds, method=method,
+                  options=_HIGHS_OPTIONS)
     if res.status == 2:
         return LpSolution("infeasible", None, None, list(lp.var_names),
-                          backend="scipy")
+                          backend=method)
     if res.status == 3:
         return LpSolution("unbounded", None, None, list(lp.var_names),
-                          backend="scipy")
+                          backend=method)
     if res.status != 0:
         raise SimplexError(f"linprog failed: {res.message}")
     x = np.array(res.x, dtype=float)
@@ -477,32 +195,18 @@ def solve_lp_scipy(lp: LinearProgram, tol_feas: float = FEAS_TOL,
     nit = int(getattr(res, "nit", 0))
     return LpSolution("optimal", float(np.dot(lp.obj, x)), x,
                       list(lp.var_names), duality_gap=gap, iterations=nit,
-                      backend="scipy")
+                      backend=method)
 
 
-# beyond this size the dense explicit-inverse simplex stops being sensible,
-# and very large programs solve much faster with the interior-point method
-_BUNDLED_MAX_ROWS = 600
-_BUNDLED_MAX_COLS = 4000
+# very large programs solve much faster with the interior-point method
 _IPM_MIN_ROWS = 8000
 
 
-def solve_lp_auto(lp: LinearProgram, backend: str = "auto",
-                  tol_feas: float = FEAS_TOL,
+def solve_lp_auto(lp: LinearProgram, tol_feas: float = FEAS_TOL,
                   tol_dual: float = DUAL_TOL) -> LpSolution:
-    if backend == "bundled":
-        return solve_lp(lp, tol_feas, tol_dual)
-    if backend == "scipy":
-        return solve_lp_scipy(lp, tol_feas, tol_dual)
-    if backend != "auto":
-        raise ValueError(f"unknown lp backend {backend!r}")
-    # row count after upper bounds become rows in the bundled solver
-    rows = lp.num_rows + sum(1 for h in lp.hi if h is not None)
-    if rows > _BUNDLED_MAX_ROWS or lp.num_vars > _BUNDLED_MAX_COLS:
-        method = "highs-ipm" if lp.num_rows > _IPM_MIN_ROWS else "highs"
-        return solve_lp_scipy(lp, tol_feas, tol_dual, method=method)
-    return solve_lp(lp, tol_feas, tol_dual)
-
+    """solve_lp with the HiGHS method chosen from the program's size."""
+    method = "highs-ipm" if lp.num_rows > _IPM_MIN_ROWS else "highs"
+    return solve_lp(lp, tol_feas, tol_dual, method=method)
 
 def write_lp_text(lp: LinearProgram) -> str:
     """Human-readable LP-format dump for cross-checking with other solvers."""
@@ -670,26 +374,39 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
     return lp
 
 
-def solve_min_mlu_routing(topo, tm: TrafficMatrix, backend: str = "auto",
+def solve_min_mlu_routing(topo, tm: TrafficMatrix,
                           ic_routes: Optional[RoutingSolution] = None,
                           tol_feas: float = FEAS_TOL,
                           tol_dual: float = DUAL_TOL) -> RoutingSolution:
     """Demand-aware routing: min-MLU flow fractions for positive-rate
     commodities, InverseCap shortest paths for everything else (so every
-    ordered pair has a defined route)."""
+    ordered pair has a defined route).
+
+    Two stages on one program: the first finds the least alpha; the
+    second caps alpha there and minimizes the InverseCap-weighted sum of
+    all flow fractions. The weights are positive, so the second optimum
+    sends no commodity around a cycle, every fraction stays within
+    [0, 1], and flow off the bottleneck takes InverseCap-short paths."""
+    weights = topo_mod.inverse_cap_weights(topo)
     if ic_routes is None:
-        ic_routes = topo_mod.shortest_path_routes(
-            topo, topo_mod.inverse_cap_weights(topo))
+        ic_routes = topo_mod.shortest_path_routes(topo, weights)
     routing: RoutingSolution = {k: dict(v) for k, v in ic_routes.items()}
     positive = {k: r for k, r in tm.items() if r > 0}
     if not positive:
         return routing
     lp = build_min_mlu_lp(topo, positive)
-    sol = solve_lp_auto(lp, backend=backend, tol_feas=tol_feas,
-                        tol_dual=tol_dual)
+    alpha = lp.meta["alpha"]
+    flow = lp.meta["flow"]
+    sol = solve_lp_auto(lp, tol_feas=tol_feas, tol_dual=tol_dual)
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU program ended {sol.status}")
-    flow = lp.meta["flow"]
+    lp.hi[alpha] = float(sol.array[alpha]) * (1.0 + 1e-9)
+    lp.obj = [0.0] * lp.num_vars
+    for (_, link_id), idx in flow.items():
+        lp.obj[idx] = weights[link_id]
+    sol = solve_lp_auto(lp, tol_feas=tol_feas, tol_dual=tol_dual)
+    if sol.status != "optimal":
+        raise SimplexError(f"min-MLU second stage ended {sol.status}")
     for k in lp.meta["commodities"]:
         fracs = {}
         for link in topo.links:

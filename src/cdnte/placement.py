@@ -281,7 +281,6 @@ class _SwapSearch:
 def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
                              chunks: ChunkMap, origins: Dict[str, int],
                              epoch: int = 0, storage_ratio: float = 0.0,
-                             backend: str = "auto",
                              ic_routes: Optional[RoutingSolution] = None,
                              dists: Optional[Dict] = None,
                              tol_feas: float = lp_mod.FEAS_TOL,
@@ -302,8 +301,7 @@ def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
         placement = Placement(epoch, {}, storage_ratio)
     else:
         lp = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
-        sol = lp_mod.solve_lp_auto(lp, backend=backend, tol_feas=tol_feas,
-                                   tol_dual=tol_dual)
+        sol = lp_mod.solve_lp_auto(lp, tol_feas=tol_feas, tol_dual=tol_dual)
         if sol.status != "optimal":
             raise lp_mod.SimplexError(f"joint program ended {sol.status}")
         placement = _round_placement(lp, sol, dm, budgets, chunks, epoch,
@@ -314,8 +312,7 @@ def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
                              placement.stored, x_vals, ic_routes, dists)
         placement = Placement(epoch, search.run(), storage_ratio)
     tm = induced_traffic_matrix(dm, placement, origins, dists)
-    routing = lp_mod.solve_min_mlu_routing(topo, tm, backend=backend,
-                                           ic_routes=ic_routes,
+    routing = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic_routes,
                                            tol_feas=tol_feas,
                                            tol_dual=tol_dual)
     return placement, routing
@@ -324,7 +321,6 @@ def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
 def plan_placement_future(dm_next: DemandMatrix, topo, budgets: Dict[int, int],
                           chunks: ChunkMap, origins: Dict[str, int],
                           epoch: int = 0, storage_ratio: float = 0.0,
-                          backend: str = "auto",
                           ic_routes: Optional[RoutingSolution] = None,
                           dists: Optional[Dict] = None,
                           tol_feas: float = lp_mod.FEAS_TOL,
@@ -334,6 +330,5 @@ def plan_placement_future(dm_next: DemandMatrix, topo, budgets: Dict[int, int],
     fed the upcoming epoch's demand instead of the prior epoch's."""
     return plan_placement_optimized(dm_next, topo, budgets, chunks, origins,
                                     epoch=epoch, storage_ratio=storage_ratio,
-                                    backend=backend, ic_routes=ic_routes,
-                                    dists=dists, tol_feas=tol_feas,
-                                    tol_dual=tol_dual)
+                                    ic_routes=ic_routes, dists=dists,
+                                    tol_feas=tol_feas, tol_dual=tol_dual)

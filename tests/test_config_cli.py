@@ -61,6 +61,16 @@ def test_parse_config_errors(tmp_path):
         parse_config("topology = t\ntrace = x\nscheme = lru inversecap closest zap=1\n")
 
 
+def test_lp_backend_only_auto_accepted(tmp_path, capsys):
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg = parse_config(SYNTH_CFG + "lp_backend = auto\n", base_dir=str(tmp_path))
+    assert not hasattr(cfg, "lp_backend")
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG + "lp_backend = bundled\n")
+    assert main(["simulate", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "lp_backend" in err and "bundled simplex was removed" in err
+
+
 def test_gen_trace_deterministic(tmp_path, capsys):
     _write(tmp_path, "topo.txt", TOPO)
     cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG)
@@ -94,7 +104,7 @@ def test_simulate_smoke_and_outputs(tmp_path):
     summary = open(os.path.join(out, "summary.csv")).read().splitlines()
     assert summary[0] == "scheme,day,p99_mlu,mean_mlu,hit_ratio,origin_fraction"
     assert os.path.exists(os.path.join(out, "comparison.csv"))
-    assert os.path.exists(os.path.join(out, "config.txt"))
+    assert "lp_backend" not in open(os.path.join(out, "config.txt")).read()
     assert os.path.exists(os.path.join(out, "joint_day0.lp"))
     assert os.path.exists(os.path.join(out, "minmlu_day0.lp"))
     assert "Minimize" in open(os.path.join(out, "joint_day0.lp")).read()
@@ -180,6 +190,9 @@ origin 0
     assert main(["solve-routing", topo_path, tm_path]) == 0
     out = capsys.readouterr().out
     assert "alpha = 0.5" in out
+    with pytest.raises(SystemExit):
+        main(["solve-routing", topo_path, tm_path, "--lp-backend", "bundled"])
+    capsys.readouterr()
 
     empty = _write(tmp_path, "empty.csv", "src_pop,dst_pop,rate_mbps\n")
     assert main(["solve-routing", topo_path, empty]) == 0

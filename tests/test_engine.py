@@ -318,3 +318,40 @@ def test_transit_combined_mode_runs():
     assert all(v >= 0.1 - 1e-12 for _, _, v in rep.intervals)
     day0 = [v for day, _, v in rep.intervals if day == 0]
     assert all(v >= 0.2 - 1e-12 for v in day0)
+
+
+@pytest.mark.parametrize("redirection", ["closest", "utilization-aware"])
+def test_short_tail_interval_reads_same_mlu(redirection):
+    # 1000 s intervals leave a 400 s tail at the end of the day; a constant
+    # 1000 B/s load from the origin must read the same MLU in it
+    topo = parse_topology("pop 0 A\npop 1 B\nlink 0 1 1000\norigin 0\n")
+    catalog = {"A": ContentObject("A", 10_000)}
+    reqs = [Request(float(t), 1, "A", 10_000) for t in range(0, 86_400, 10)]
+    scheme = SchemeSpec("lru", "inversecap", redirection, storage_ratio=1e-9)
+    rep = run_experiment(topo, catalog, reqs, scheme, interval_s=1000.0)
+    starts = [start for _, start, _ in rep.intervals]
+    assert starts[-1] == 86_000.0
+    values = [value for _, _, value in rep.intervals]
+    assert values[0] == pytest.approx(8e-06, rel=1e-12)
+    assert values[-1] == pytest.approx(values[0], rel=1e-12)
+
+
+def test_lru_run_aggregates_no_demand(monkeypatch):
+    import cdnte.engine as engine_mod
+    calls = []
+    real = engine_mod.aggregate_demand
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "aggregate_demand", counting)
+    topo = _origin_triangle()
+    catalog, reqs = _daily_trace(3)
+    run_experiment(topo, catalog, reqs,
+                   SchemeSpec("lru", "inversecap", storage_ratio=1.0), 3600.0)
+    assert calls == []
+    run_experiment(topo, catalog, reqs,
+                   SchemeSpec("optimized", "inversecap", storage_ratio=1.0),
+                   3600.0)
+    assert len(calls) == 3
