@@ -8,8 +8,7 @@ from .engine import (ComparisonTable, DayStats, MluReport, SchemeSpec,
 from .lp import (LinearProgram, LpSolution, SimplexError, build_joint_lp,
                  build_min_mlu_lp, solve_lp, solve_lp_auto,
                  solve_min_mlu_routing, write_lp_text)
-from .placement import (CacheState, Placement, lru_access,
-                        plan_placement_future, plan_placement_optimized,
+from .placement import (CacheState, Placement, plan_placement_optimized,
                         split_hybrid)
 from .redirection import (RedirectDecision, redirect_closest,
                           redirect_utilization_aware)

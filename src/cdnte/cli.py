@@ -15,11 +15,13 @@ from . import engine as engine_mod
 from . import lp as lp_mod
 from . import topology as topo_mod
 from .config import ConfigError, ExperimentConfig, load_config, resolve_pop_weights
-from .engine import ValidationError
+from .engine import ValidationError, scheme_inputs
 from .lp import SimplexError
+from .placement import (Placement, induced_traffic_matrix,
+                        plan_placement_optimized)
 from .topology import TopologyError
 from .traffic import apply_routing, mlu, read_traffic_matrix
-from .workload import (TraceError, aggregate_demand, chunk_objects,
+from .workload import (DAY_SECONDS, TraceError, aggregate_demand,
                        generate_synthetic_trace, parse_catalog, parse_trace,
                        write_catalog, write_trace)
 
@@ -89,24 +91,14 @@ def cmd_gen_trace(args) -> int:
 def _dump_lps(cfg: ExperimentConfig, topo, catalog, requests, out: str) -> None:
     """Debug dump: the day-0 joint program and the min-MLU program on the
     origin-to-client matrix, in LP text format."""
-    scheme = cfg.schemes[0]
-    chunks = chunk_objects(catalog, scheme.chunk_size)
-    origins = {cid: (obj.origin if obj.origin is not None else topo.origin_pop)
-               for cid, obj in catalog.items()}
-    dm = aggregate_demand(requests, (0.0, engine_mod.DAY_SECONDS), chunks)
-    n = len(topo.pops)
-    budgets = {p: int(scheme.storage_ratio * chunks.total_bytes / n)
-               for p in topo.pops}
+    chunks, origins, budgets = scheme_inputs(topo, catalog, cfg.schemes[0])
+    dm = aggregate_demand(requests, (0.0, DAY_SECONDS), chunks)
     joint = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
+    dists = topo_mod.all_pairs_distances(topo, topo_mod.inverse_cap_weights(topo))
+    tm = induced_traffic_matrix(dm, Placement(), origins, dists)
+    minmlu = lp_mod.build_min_mlu_lp(topo, tm)
     with open(os.path.join(out, "joint_day0.lp"), "w", encoding="utf-8") as fh:
         fh.write(lp_mod.write_lp_text(joint))
-    tm = {}
-    for (chunk, pop), nbytes in dm.demand.items():
-        origin = origins[chunk[0]]
-        if origin != pop and nbytes > 0:
-            key = (origin, pop)
-            tm[key] = tm.get(key, 0.0) + nbytes * 8.0 / engine_mod.DAY_SECONDS
-    minmlu = lp_mod.build_min_mlu_lp(topo, tm)
     with open(os.path.join(out, "minmlu_day0.lp"), "w", encoding="utf-8") as fh:
         fh.write(lp_mod.write_lp_text(minmlu))
 
@@ -123,14 +115,16 @@ def cmd_simulate(args) -> int:
     if args.dump_lp:
         _dump_lps(cfg, topo, catalog, requests, out)
 
+    # the decision and placement dumps describe the first run
     reports = []
     if cfg.storage_ratios:
         sweep_lines = ["scheme,storage_ratio,mean_daily_p99_mlu"]
-        for scheme in cfg.schemes:
+        for i, scheme in enumerate(cfg.schemes):
             rows = engine_mod.sweep_storage_ratio(
                 topo, catalog, requests, scheme, cfg.storage_ratios,
                 interval_s=cfg.interval_s, jobs=cfg.jobs,
-                tol_feas=cfg.feas_tol, tol_dual=cfg.dual_tol)
+                collect_decisions=args.decision_log and i == 0,
+                collect_placements=args.dump_placements and i == 0)
             for row in rows:
                 sweep_lines.append(f"{scheme.label()},{row.ratio:.10g},"
                                    f"{row.mean_daily_p99:.10g}")
@@ -140,7 +134,8 @@ def cmd_simulate(args) -> int:
     else:
         table = engine_mod.compare_schemes(
             topo, catalog, requests, cfg.schemes, interval_s=cfg.interval_s,
-            jobs=cfg.jobs, tol_feas=cfg.feas_tol, tol_dual=cfg.dual_tol)
+            jobs=cfg.jobs, collect_decisions=args.decision_log,
+            collect_placements=args.dump_placements)
         reports = table.reports
         with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8") as fh:
             fh.write(engine_mod.comparison_csv(table))
@@ -149,22 +144,12 @@ def cmd_simulate(args) -> int:
         fh.write(engine_mod.report_csv(reports))
     with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
         fh.write(engine_mod.summary_csv(reports))
-    if args.decision_log or args.dump_placements:
-        # re-run the first scheme with collection enabled (runs are cheap
-        # relative to keeping logs for every scheme in memory)
-        rep = engine_mod.run_experiment(
-            topo, catalog, requests, cfg.schemes[0], cfg.interval_s,
-            collect_decisions=args.decision_log,
-            collect_placements=args.dump_placements, tol_feas=cfg.feas_tol,
-            tol_dual=cfg.dual_tol)
-        if args.decision_log:
-            with open(os.path.join(out, "decisions.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(engine_mod.decisions_csv(rep))
-        if args.dump_placements:
-            with open(os.path.join(out, "placements.csv"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(engine_mod.placements_csv(rep))
+    if args.decision_log:
+        with open(os.path.join(out, "decisions.csv"), "w", encoding="utf-8") as fh:
+            fh.write(engine_mod.decisions_csv(reports[0]))
+    if args.dump_placements:
+        with open(os.path.join(out, "placements.csv"), "w", encoding="utf-8") as fh:
+            fh.write(engine_mod.placements_csv(reports[0]))
     print(f"wrote reports for {len(reports)} runs to {out}")
     return 0
 
@@ -190,20 +175,11 @@ def cmd_solve_placement(args) -> int:
         raise ConfigError("config declares no schemes")
     topo = _load_topology(cfg)
     catalog, requests = _load_workload(cfg, topo)
-    scheme = cfg.schemes[0]
-    chunks = chunk_objects(catalog, scheme.chunk_size)
-    origins = {cid: (obj.origin if obj.origin is not None else topo.origin_pop)
-               for cid, obj in catalog.items()}
+    chunks, origins, budgets = scheme_inputs(topo, catalog, cfg.schemes[0])
     day = args.day
-    window = (day * engine_mod.DAY_SECONDS, (day + 1) * engine_mod.DAY_SECONDS)
-    dm = aggregate_demand(requests, window, chunks)
-    n = len(topo.pops)
-    budgets = {p: int(scheme.storage_ratio * chunks.total_bytes / n)
-               for p in topo.pops}
-    from .placement import plan_placement_optimized
-    placement, routing = plan_placement_optimized(
-        dm, topo, budgets, chunks, origins, epoch=day,
-        storage_ratio=scheme.storage_ratio)
+    dm = aggregate_demand(requests, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS),
+                          chunks)
+    placement, _ = plan_placement_optimized(dm, topo, budgets, chunks, origins)
     out = _ensure_out(cfg.out_dir)
     lines = ["epoch,pop_id,chunk_id"]
     for pop in sorted(placement.stored):

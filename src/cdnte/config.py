@@ -1,7 +1,8 @@
 """Experiment configuration: a flat key = value text file.
 
-Schema (one key per line, `#` comments, later duplicates win except
-`scheme`, which is repeatable):
+Schema (one key per line, `#` comments; a key not listed here is an
+error; later duplicates win except `scheme`, which is repeatable). The LP
+certificate tolerances are the fixed `lp.FEAS_TOL` and `lp.DUAL_TOL`.
 
     topology = topo.txt            # required: topology file path
     trace = trace.csv              # exactly one of trace / synth.* block
@@ -11,8 +12,6 @@ Schema (one key per line, `#` comments, later duplicates win except
     seed = 42                      # feeds all randomness (synth generator)
     jobs = 1
     lp_backend = auto              # accepted for older configs; HiGHS only
-    feas_tol = 1e-7
-    dual_tol = 1e-6
     storage_ratios = 0.25,0.5,1,2,4   # presence switches simulate to sweep mode
 
     scheme = lru inversecap closest ratio=2
@@ -45,6 +44,22 @@ class ConfigError(ValidationError):
     pass
 
 
+_SYNTH_FIELDS = {
+    "synth.catalog_size": ("catalog_size", int),
+    "synth.zipf_alpha": ("zipf_alpha", float),
+    "synth.requests_per_day": ("requests_per_day", int),
+    "synth.days": ("days", int),
+    "synth.churn": ("churn", float),
+    "synth.size_min_mb": ("size_min", lambda v: int(float(v) * 1_000_000)),
+    "synth.size_max_mb": ("size_max", lambda v: int(float(v) * 1_000_000)),
+    "synth.diurnal_peak_ratio": ("diurnal_peak_ratio", float),
+}
+
+KEYS = frozenset({"topology", "trace", "catalog", "out", "interval_s", "seed",
+                  "jobs", "lp_backend", "storage_ratios", "scheme",
+                  "synth.pop_weights", *_SYNTH_FIELDS})
+
+
 @dataclass
 class ExperimentConfig:
     topology_path: str
@@ -58,8 +73,6 @@ class ExperimentConfig:
     out_dir: str = "results"
     seed: int = 42
     jobs: int = 1
-    feas_tol: float = 1e-7
-    dual_tol: float = 1e-6
     raw_text: str = ""
 
 
@@ -116,6 +129,9 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key not in KEYS:
+            kind = "synth key" if key.startswith("synth.") else "key"
+            raise ConfigError(f"config line {lineno}: unknown {kind} {key!r}")
         if key == "scheme":
             schemes.append(val)
         else:
@@ -143,8 +159,6 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
     cfg.interval_s = num("interval_s", float, cfg.interval_s)
     cfg.seed = num("seed", int, cfg.seed)
     cfg.jobs = num("jobs", int, cfg.jobs)
-    cfg.feas_tol = num("feas_tol", float, cfg.feas_tol)
-    cfg.dual_tol = num("dual_tol", float, cfg.dual_tol)
     if values.get("lp_backend", "auto") != "auto":
         raise ConfigError(
             f"bad lp_backend {values['lp_backend']!r}: only auto is accepted; "
@@ -159,23 +173,11 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
     synth_keys = {k: v for k, v in values.items() if k.startswith("synth.")}
     if synth_keys:
         params = SynthParams(seed=cfg.seed)
-        mapping = {
-            "synth.catalog_size": ("catalog_size", int),
-            "synth.zipf_alpha": ("zipf_alpha", float),
-            "synth.requests_per_day": ("requests_per_day", int),
-            "synth.days": ("days", int),
-            "synth.churn": ("churn", float),
-            "synth.size_min_mb": ("size_min", lambda v: int(float(v) * 1_000_000)),
-            "synth.size_max_mb": ("size_max", lambda v: int(float(v) * 1_000_000)),
-            "synth.diurnal_peak_ratio": ("diurnal_peak_ratio", float),
-        }
         for key, val in synth_keys.items():
             if key == "synth.pop_weights":
                 cfg.synth_pop_weights_raw = val
                 continue
-            if key not in mapping:
-                raise ConfigError(f"unknown synth key {key!r}")
-            attr, cast = mapping[key]
+            attr, cast = _SYNTH_FIELDS[key]
             try:
                 setattr(params, attr, cast(val))
             except ValueError:

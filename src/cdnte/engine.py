@@ -13,16 +13,13 @@ from typing import Dict, List, Optional, Set, Tuple
 from . import lp as lp_mod
 from . import topology as topo_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
-                        plan_placement_future, plan_placement_optimized,
-                        split_hybrid)
+                        plan_placement_optimized, split_hybrid)
 from .redirection import (LOCAL_HIT, REMOTE_REPLICA, RedirectDecision,
                           redirect_closest, redirect_utilization_aware)
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
                       apply_routing, mlu, validate_traffic_matrix)
-from .workload import (Catalog, ChunkId, DemandMatrix, Request,
-                       aggregate_demand, chunk_objects)
-
-DAY_SECONDS = 86_400.0
+from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
+                       Request, aggregate_demand, chunk_objects)
 
 PLACEMENTS = ("lru", "optimized", "future", "hybrid")
 ROUTINGS = ("inversecap", "min-mlu-prior-day", "min-mlu-future")
@@ -154,13 +151,28 @@ class _HolderIndex:
                 del self.cached[chunk]
 
 
+def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
+                  ) -> Tuple[ChunkMap, Dict[str, int], Dict[int, int]]:
+    """What a scheme's plans are built from: the chunk map, each object's
+    origin PoP (the catalog's, else the topology's; it must be a PoP) and
+    the per-PoP budget, ratio * total chunked catalog bytes / pop count."""
+    chunks = chunk_objects(catalog, scheme.chunk_size)
+    pop_set = set(topo.pops)
+    origins = {}
+    for cid, obj in catalog.items():
+        origin = obj.origin if obj.origin is not None else topo.origin_pop
+        if origin not in pop_set:
+            raise ValidationError(f"content {cid}: origin pop {origin} unknown")
+        origins[cid] = origin
+    budget = int(scheme.storage_ratio * chunks.total_bytes / len(topo.pops))
+    return chunks, origins, {p: budget for p in topo.pops}
+
+
 def run_experiment(topo, catalog: Catalog, requests: List[Request],
                    scheme: SchemeSpec, interval_s: float = 300.0,
                    collect_decisions: bool = False,
                    collect_placements: bool = False,
-                   collect_matrices: bool = False,
-                   tol_feas: float = lp_mod.FEAS_TOL,
-                   tol_dual: float = lp_mod.DUAL_TOL) -> MluReport:
+                   collect_matrices: bool = False) -> MluReport:
     """Replay a trace under one scheme and report per-interval MLU plus
     daily statistics. Deterministic for identical inputs.
 
@@ -182,18 +194,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         if r.content not in catalog:
             raise ValidationError(f"request content {r.content!r} not in catalog")
 
-    chunks = chunk_objects(catalog, scheme.chunk_size)
-    origins = {}
-    for cid, obj in catalog.items():
-        origin = obj.origin if obj.origin is not None else topo.origin_pop
-        if origin not in pop_set:
-            raise ValidationError(f"content {cid}: origin pop {origin} unknown")
-        origins[cid] = origin
-
-    n_pops = len(topo.pops)
-    total_bytes = chunks.total_bytes
-    budgets = {p: int(scheme.storage_ratio * total_bytes / n_pops)
-               for p in topo.pops}
+    chunks, origins, budgets = scheme_inputs(topo, catalog, scheme)
     if scheme.placement == "lru":
         planned_budgets = {p: 0 for p in topo.pops}
         cache_budgets = budgets
@@ -252,21 +253,17 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         planner_routing: Optional[RoutingSolution] = None
         if scheme.placement in ("optimized", "hybrid"):
             if day == 0 or prev_dm is None:
-                placement = Placement(day, {}, scheme.storage_ratio)
+                placement = Placement()
             else:
                 placement, planner_routing = plan_placement_optimized(
                     prev_dm, topo, planned_budgets, chunks, origins,
-                    epoch=day, storage_ratio=scheme.storage_ratio,
-                    ic_routes=ic_routes, dists=dists,
-                    tol_feas=tol_feas, tol_dual=tol_dual)
+                    ic_routes=ic_routes, dists=dists)
         elif scheme.placement == "future":
-            placement, planner_routing = plan_placement_future(
+            placement, planner_routing = plan_placement_optimized(
                 demand_today(), topo, planned_budgets, chunks, origins,
-                epoch=day, storage_ratio=scheme.storage_ratio,
-                ic_routes=ic_routes, dists=dists,
-                tol_feas=tol_feas, tol_dual=tol_dual)
+                ic_routes=ic_routes, dists=dists)
         else:  # lru
-            placement = Placement(day, {}, scheme.storage_ratio)
+            placement = Placement()
 
         # transit composition for demand-aware planning
         def planning_tm(base: TrafficMatrix) -> TrafficMatrix:
@@ -288,14 +285,13 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                     base = induced_traffic_matrix(prev_dm, placement, origins,
                                                   dists)
                     routing = lp_mod.solve_min_mlu_routing(
-                        topo, planning_tm(base), ic_routes=ic_routes,
-                        tol_feas=tol_feas, tol_dual=tol_dual)
+                        topo, planning_tm(base), ic_routes=ic_routes)
                 else:
                     routing = planner_routing
             else:  # lru or future placement: route on yesterday's realized matrix
                 routing = lp_mod.solve_min_mlu_routing(
                     topo, planning_tm(prev_realized or {}),
-                    ic_routes=ic_routes, tol_feas=tol_feas, tol_dual=tol_dual)
+                    ic_routes=ic_routes)
         else:  # min-mlu-future
             if scheme.placement == "future" and scheme.transit is None:
                 routing = planner_routing
@@ -303,8 +299,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                 base = induced_traffic_matrix(demand_today(), placement,
                                               origins, dists)
                 routing = lp_mod.solve_min_mlu_routing(
-                    topo, planning_tm(base), ic_routes=ic_routes,
-                    tol_feas=tol_feas, tol_dual=tol_dual)
+                    topo, planning_tm(base), ic_routes=ic_routes)
 
         transit_loads: LinkLoads = {}
         if scheme.transit is not None:
@@ -423,10 +418,27 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
     return report
 
 
-def _run_labelled(args):
-    topo, catalog, requests, scheme, interval_s, tols = args
+def _run_task(task) -> MluReport:
+    topo, catalog, requests, scheme, interval_s, decisions, placements = task
     return run_experiment(topo, catalog, requests, scheme, interval_s,
-                          tol_feas=tols[0], tol_dual=tols[1])
+                          collect_decisions=decisions,
+                          collect_placements=placements)
+
+
+def _run_all(topo, catalog: Catalog, requests: List[Request],
+             schemes: List[SchemeSpec], interval_s: float, jobs: int,
+             collect_decisions: bool, collect_placements: bool
+             ) -> List[MluReport]:
+    """One report per scheme, in order, from `jobs` worker processes when
+    jobs > 1. Only the first run collects decisions and placements."""
+    tasks = [(topo, catalog, requests, s, interval_s,
+              collect_decisions and i == 0, collect_placements and i == 0)
+             for i, s in enumerate(schemes)]
+    if jobs > 1:
+        from concurrent import futures
+        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_run_task, tasks))
+    return [_run_task(t) for t in tasks]
 
 
 @dataclass
@@ -440,11 +452,11 @@ class ComparisonTable:
 
 def compare_schemes(topo, catalog: Catalog, requests: List[Request],
                     schemes: List[SchemeSpec], interval_s: float = 300.0,
-                    jobs: int = 1,
-                    tol_feas: float = lp_mod.FEAS_TOL,
-                    tol_dual: float = lp_mod.DUAL_TOL) -> ComparisonTable:
+                    jobs: int = 1, collect_decisions: bool = False,
+                    collect_placements: bool = False) -> ComparisonTable:
     """Run every scheme on the identical trace and align per-day p99 MLU
-    columns plus ratios against the first scheme."""
+    columns plus ratios against the first scheme. The collect flags apply
+    to the first scheme's run."""
     if not schemes:
         raise ValidationError("need at least one scheme")
     labels = [s.label() for s in schemes]
@@ -452,14 +464,8 @@ def compare_schemes(topo, catalog: Catalog, requests: List[Request],
         labels = [f"{lab}#{i}" for i, lab in enumerate(labels)]
         for s, lab in zip(schemes, labels):
             s.name = lab
-    tasks = [(topo, catalog, requests, s, interval_s, (tol_feas, tol_dual))
-             for s in schemes]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_labelled, tasks))
-    else:
-        reports = [_run_labelled(t) for t in tasks]
+    reports = _run_all(topo, catalog, requests, schemes, interval_s, jobs,
+                       collect_decisions, collect_placements)
     days = [d.day for d in reports[0].days]
     p99 = {rep.scheme: [d.p99_mlu for d in rep.days] for rep in reports}
     base = p99[reports[0].scheme]
@@ -486,10 +492,11 @@ class SweepRow:
 def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
                         template: SchemeSpec, ratios: List[float],
                         interval_s: float = 300.0, jobs: int = 1,
-                        tol_feas: float = lp_mod.FEAS_TOL,
-                        tol_dual: float = lp_mod.DUAL_TOL) -> List[SweepRow]:
+                        collect_decisions: bool = False,
+                        collect_placements: bool = False) -> List[SweepRow]:
     """Run the scheme template once per storage ratio; per-PoP budget is
-    ratio * total chunked catalog bytes / pop count."""
+    ratio * total chunked catalog bytes / pop count. The collect flags
+    apply to the run at the first ratio."""
     if not ratios:
         raise ValidationError("storage ratio list must not be empty")
     if any(r <= 0 for r in ratios):
@@ -505,14 +512,8 @@ def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
                        transit=template.transit,
                        name=f"{template.label()}@r{ratio:g}")
         schemes.append(s)
-    tasks = [(topo, catalog, requests, s, interval_s, (tol_feas, tol_dual))
-             for s in schemes]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_labelled, tasks))
-    else:
-        reports = [_run_labelled(t) for t in tasks]
+    reports = _run_all(topo, catalog, requests, schemes, interval_s, jobs,
+                       collect_decisions, collect_placements)
     return [SweepRow(ratio, rep.mean_daily_p99(), rep)
             for ratio, rep in zip(ratios, reports)]
 

@@ -112,7 +112,7 @@ class LpSolution:
         return float(self.array[self.names.index(name)])
 
 
-def _verify_solution(lp: LinearProgram, x: np.ndarray, tol_feas: float) -> None:
+def _verify_solution(lp: LinearProgram, x: np.ndarray) -> None:
     for j in range(lp.num_vars):
         if x[j] < lp.lo[j] - 1e-9 or (lp.hi[j] is not None and x[j] > lp.hi[j] + 1e-9):
             raise SimplexError(
@@ -123,9 +123,9 @@ def _verify_solution(lp: LinearProgram, x: np.ndarray, tol_feas: float) -> None:
         scale = max(1.0, max((abs(c) for c in coeffs.values()), default=1.0),
                     abs(rhs))
         resid = act - rhs
-        bad = ((sense == LE and resid > tol_feas * scale)
-               or (sense == GE and resid < -tol_feas * scale)
-               or (sense == EQ and abs(resid) > tol_feas * scale))
+        bad = ((sense == LE and resid > FEAS_TOL * scale)
+               or (sense == GE and resid < -FEAS_TOL * scale)
+               or (sense == EQ and abs(resid) > FEAS_TOL * scale))
         if bad:
             raise SimplexError(f"row {r} violated by {resid:.3e} (sense {sense})")
 
@@ -134,11 +134,10 @@ def _verify_solution(lp: LinearProgram, x: np.ndarray, tol_feas: float) -> None:
 # HiGHS solve
 
 
-def solve_lp(lp: LinearProgram, tol_feas: float = FEAS_TOL,
-             tol_dual: float = DUAL_TOL, method: str = "highs") -> LpSolution:
+def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
     """Solve with HiGHS through scipy.optimize.linprog and certify the
-    optimum: every bound and row holds within tol_feas (after row
-    scaling), and the primal and dual objectives agree within tol_dual.
+    optimum: every bound and row holds within FEAS_TOL (after row
+    scaling), and the primal and dual objectives agree within DUAL_TOL.
     A failed certificate raises SimplexError, never a silent wrong answer."""
     from scipy.optimize import linprog
 
@@ -178,7 +177,7 @@ def solve_lp(lp: LinearProgram, tol_feas: float = FEAS_TOL,
     if res.status != 0:
         raise SimplexError(f"linprog failed: {res.message}")
     x = np.array(res.x, dtype=float)
-    _verify_solution(lp, x, tol_feas)
+    _verify_solution(lp, x)
     dual = 0.0
     if b_ub:
         dual += float(np.dot(b_ub, res.ineqlin.marginals))
@@ -190,8 +189,8 @@ def solve_lp(lp: LinearProgram, tol_feas: float = FEAS_TOL,
             dual += lp.hi[j] * float(res.upper.marginals[j])
     primal = float(res.fun)
     gap = abs(primal - dual) / max(1.0, abs(primal))
-    if gap > tol_dual:
-        raise SimplexError(f"duality gap {gap:.3e} exceeds {tol_dual}")
+    if gap > DUAL_TOL:
+        raise SimplexError(f"duality gap {gap:.3e} exceeds {DUAL_TOL}")
     nit = int(getattr(res, "nit", 0))
     return LpSolution("optimal", float(np.dot(lp.obj, x)), x,
                       list(lp.var_names), duality_gap=gap, iterations=nit,
@@ -202,11 +201,10 @@ def solve_lp(lp: LinearProgram, tol_feas: float = FEAS_TOL,
 _IPM_MIN_ROWS = 8000
 
 
-def solve_lp_auto(lp: LinearProgram, tol_feas: float = FEAS_TOL,
-                  tol_dual: float = DUAL_TOL) -> LpSolution:
+def solve_lp_auto(lp: LinearProgram) -> LpSolution:
     """solve_lp with the HiGHS method chosen from the program's size."""
     method = "highs-ipm" if lp.num_rows > _IPM_MIN_ROWS else "highs"
-    return solve_lp(lp, tol_feas, tol_dual, method=method)
+    return solve_lp(lp, method=method)
 
 def write_lp_text(lp: LinearProgram) -> str:
     """Human-readable LP-format dump for cross-checking with other solvers."""
@@ -375,9 +373,8 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
 
 
 def solve_min_mlu_routing(topo, tm: TrafficMatrix,
-                          ic_routes: Optional[RoutingSolution] = None,
-                          tol_feas: float = FEAS_TOL,
-                          tol_dual: float = DUAL_TOL) -> RoutingSolution:
+                          ic_routes: Optional[RoutingSolution] = None
+                          ) -> RoutingSolution:
     """Demand-aware routing: min-MLU flow fractions for positive-rate
     commodities, InverseCap shortest paths for everything else (so every
     ordered pair has a defined route).
@@ -397,14 +394,14 @@ def solve_min_mlu_routing(topo, tm: TrafficMatrix,
     lp = build_min_mlu_lp(topo, positive)
     alpha = lp.meta["alpha"]
     flow = lp.meta["flow"]
-    sol = solve_lp_auto(lp, tol_feas=tol_feas, tol_dual=tol_dual)
+    sol = solve_lp_auto(lp)
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU program ended {sol.status}")
     lp.hi[alpha] = float(sol.array[alpha]) * (1.0 + 1e-9)
     lp.obj = [0.0] * lp.num_vars
     for (_, link_id), idx in flow.items():
         lp.obj[idx] = weights[link_id]
-    sol = solve_lp_auto(lp, tol_feas=tol_feas, tol_dual=tol_dual)
+    sol = solve_lp_auto(lp)
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU second stage ended {sol.status}")
     for k in lp.meta["commodities"]:

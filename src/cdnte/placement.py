@@ -5,7 +5,7 @@ hybrid budget split."""
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import lp as lp_mod
@@ -51,18 +51,12 @@ class CacheState:
         return "miss", evicted
 
 
-def lru_access(state: CacheState, chunk: ChunkId, size: int) -> Tuple[str, List[ChunkId]]:
-    return state.access(chunk, size)
-
-
 @dataclass
 class Placement:
     """Integral per-PoP chunk placement for one epoch. The origin PoP of
     each chunk implicitly stores it (never materialized here, never
     counted against a budget)."""
-    epoch: int
-    stored: Dict[int, Set[ChunkId]]
-    storage_ratio: float
+    stored: Dict[int, Set[ChunkId]] = field(default_factory=dict)
 
     def holds(self, pop: int, chunk: ChunkId) -> bool:
         return chunk in self.stored.get(pop, ())
@@ -83,8 +77,12 @@ def split_hybrid(budgets: Dict[int, int], reserve: float) -> Tuple[Dict[int, int
 
 def nearest_replica(chunk: ChunkId, client: int, holders: Set[int],
                     origin: int, dists: Dict[Tuple[int, int], float]) -> int:
-    """Closest chunk holder by InverseCap distance (the origin always
-    counts as a holder); ties broken by lowest pop id."""
+    """The planner's rule: the closest of the replica holders and the
+    origin by InverseCap distance, ties broken by lowest pop id.
+
+    This differs from `redirection.redirect_closest`, which replay uses:
+    it serves from the origin only when no replica exists, so a remote
+    replica wins there even when the origin is closer."""
     if client in holders or client == origin:
         return client
     candidates = set(holders) | {origin}
@@ -118,8 +116,7 @@ def induced_traffic_matrix(dm: DemandMatrix, placement: Placement,
 
 
 def _round_placement(lp: lp_mod.LinearProgram, sol, dm: DemandMatrix,
-                     budgets: Dict[int, int], chunks: ChunkMap,
-                     epoch: int, storage_ratio: float) -> Placement:
+                     budgets: Dict[int, int], chunks: ChunkMap) -> Placement:
     """Greedy rounding of the relaxed placement: per PoP, admit chunks in
     decreasing x (ties: higher local demand, then lower chunk id) while
     they fit the budget. Never overflows a budget."""
@@ -142,7 +139,7 @@ def _round_placement(lp: lp_mod.LinearProgram, sol, dm: DemandMatrix,
                 room -= size
         if chosen:
             stored[j] = chosen
-    return Placement(epoch, stored, storage_ratio)
+    return Placement(stored)
 
 
 class _SwapSearch:
@@ -181,19 +178,13 @@ class _SwapSearch:
                 self.holders.setdefault(chunk, set()).add(pop)
         self._rebuild()
 
-    def _server(self, chunk, client, holders) -> int:
-        origin = self.origins[chunk[0]]
-        if client in holders or client == origin:
-            return client
-        candidates = set(holders) | {origin}
-        return min(candidates, key=lambda j: (self.dists[(client, j)], j))
-
     def _rebuild(self) -> None:
         self.servers: Dict[Tuple[ChunkId, int], int] = {}
         self.loads: Dict[int, float] = {}
         for (chunk, client), rate in self.rates.items():
-            server = self._server(chunk, client,
-                                  self.holders.get(chunk, set()))
+            server = nearest_replica(chunk, client,
+                                     self.holders.get(chunk, set()),
+                                     self.origins[chunk[0]], self.dists)
             self.servers[(chunk, client)] = server
             if server != client:
                 for link_id, frac in self.ic_routes[(server, client)].items():
@@ -221,10 +212,12 @@ class _SwapSearch:
                 holders.add(pop)
             else:
                 holders.discard(pop)
+            origin = self.origins[chunk[0]]
             for client in self.by_chunk.get(chunk, ()):
                 rate = self.rates[(chunk, client)]
                 old = self.servers[(chunk, client)]
-                new = self._server(chunk, client, holders)
+                new = nearest_replica(chunk, client, holders, origin,
+                                      self.dists)
                 if old == new:
                     continue
                 if old != client:
@@ -280,16 +273,14 @@ class _SwapSearch:
 
 def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
                              chunks: ChunkMap, origins: Dict[str, int],
-                             epoch: int = 0, storage_ratio: float = 0.0,
                              ic_routes: Optional[RoutingSolution] = None,
                              dists: Optional[Dict] = None,
-                             tol_feas: float = lp_mod.FEAS_TOL,
-                             tol_dual: float = lp_mod.DUAL_TOL,
                              ) -> Tuple[Placement, RoutingSolution]:
     """Once-a-day placement from a demand matrix: solve the joint
     relaxation, round greedily, improve with local swaps, then re-solve
     min-MLU routing on the traffic matrix induced by nearest-replica
-    assignment."""
+    assignment. The `future` placement is this planner fed the upcoming
+    day's demand instead of the prior day's."""
     if dists is None:
         dists = topo_mod.all_pairs_distances(
             topo, topo_mod.inverse_cap_weights(topo))
@@ -298,37 +289,19 @@ def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
             topo, topo_mod.inverse_cap_weights(topo))
     effective = {p: b for p, b in budgets.items() if b > 0}
     if not effective or not dm.demand:
-        placement = Placement(epoch, {}, storage_ratio)
+        placement = Placement()
     else:
         lp = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
-        sol = lp_mod.solve_lp_auto(lp, tol_feas=tol_feas, tol_dual=tol_dual)
+        sol = lp_mod.solve_lp_auto(lp)
         if sol.status != "optimal":
             raise lp_mod.SimplexError(f"joint program ended {sol.status}")
-        placement = _round_placement(lp, sol, dm, budgets, chunks, epoch,
-                                     storage_ratio)
+        placement = _round_placement(lp, sol, dm, budgets, chunks)
         x_vals = {key: float(sol.array[idx])
                   for key, idx in lp.meta["x"].items()}
         search = _SwapSearch(topo, dm, budgets, chunks, origins,
                              placement.stored, x_vals, ic_routes, dists)
-        placement = Placement(epoch, search.run(), storage_ratio)
+        placement = Placement(search.run())
     tm = induced_traffic_matrix(dm, placement, origins, dists)
-    routing = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic_routes,
-                                           tol_feas=tol_feas,
-                                           tol_dual=tol_dual)
+    routing = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic_routes)
     return placement, routing
 
-
-def plan_placement_future(dm_next: DemandMatrix, topo, budgets: Dict[int, int],
-                          chunks: ChunkMap, origins: Dict[str, int],
-                          epoch: int = 0, storage_ratio: float = 0.0,
-                          ic_routes: Optional[RoutingSolution] = None,
-                          dists: Optional[Dict] = None,
-                          tol_feas: float = lp_mod.FEAS_TOL,
-                          tol_dual: float = lp_mod.DUAL_TOL,
-                          ) -> Tuple[Placement, RoutingSolution]:
-    """Oracle variant of plan_placement_optimized: identical computation,
-    fed the upcoming epoch's demand instead of the prior epoch's."""
-    return plan_placement_optimized(dm_next, topo, budgets, chunks, origins,
-                                    epoch=epoch, storage_ratio=storage_ratio,
-                                    ic_routes=ic_routes, dists=dists,
-                                    tol_feas=tol_feas, tol_dual=tol_dual)

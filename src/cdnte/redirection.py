@@ -34,9 +34,14 @@ def _decision(chunk, client, server, origin) -> RedirectDecision:
 def redirect_closest(chunk: Tuple[str, int], client: int, holders: Set[int],
                      origin: int, dists: Dict[Tuple[int, int], float]
                      ) -> RedirectDecision:
-    """Serve locally when possible, otherwise from the replica minimizing
-    the InverseCap distance client->server (origin is the fallback when no
-    replica exists). Ties break toward the lowest pop id."""
+    """Replay's rule: serve locally when possible, otherwise from the
+    replica holder minimizing the InverseCap distance client->server, and
+    from the origin only when no replica exists. Ties break toward the
+    lowest pop id.
+
+    This differs from `placement.nearest_replica`, the planner's rule,
+    which also counts the origin as a candidate and so picks it whenever
+    it is closer than every replica."""
     if client in holders or client == origin:
         return _decision(chunk, client, client, origin)
     if holders:

@@ -143,7 +143,7 @@ def test_criterion_3_joint_placement_oracle():
         best = None
         for choice in itertools.product(*per_pop_options):
             stored = {pop: set(sel) for pop, sel in zip(topo.pops, choice) if sel}
-            value = evaluate(Placement(0, stored, 0.0))
+            value = evaluate(Placement(stored))
             best = value if best is None else min(best, value)
 
         placement, _ = plan_placement_optimized(dm, topo, budgets, chunks,

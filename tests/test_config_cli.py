@@ -245,3 +245,119 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", cfg_path,
                  "--out", str(tmp_path / "x")]) == 2
     assert "numeric breakdown" in capsys.readouterr().err
+
+
+def _bad_origin_inputs(tmp_path):
+    """Two days of trace whose catalog puts obj1's origin at pop 99, which
+    the topology does not have."""
+    _write(tmp_path, "topo.txt", TOPO)
+    rows = [f"{day * 86400 + i * 1000},{i % 3},obj{i % 2},5000"
+            for day in range(2) for i in range(10)]
+    _write(tmp_path, "trace.csv",
+           "timestamp_s,pop_id,content_id,bytes\n" + "\n".join(rows) + "\n")
+    _write(tmp_path, "catalog.csv",
+           "content_id,size_bytes,origin_pop\nobj0,5000,0\nobj1,5000,99\n")
+    return _write(tmp_path, "exp.cfg", """
+topology = topo.txt
+trace = trace.csv
+catalog = catalog.csv
+interval_s = 3600
+scheme = optimized inversecap closest ratio=3
+""")
+
+
+def test_unknown_catalog_origin_rejected_by_every_command(tmp_path, capsys):
+    cfg_path = _bad_origin_inputs(tmp_path)
+    out = str(tmp_path / "plan")
+    assert main(["solve-placement", "--config", cfg_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "obj1" in err and "99" in err
+    assert not os.path.exists(os.path.join(out, "placements.csv"))
+
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", cfg_path, "--out", out,
+                 "--dump-lp"]) == 1
+    err = capsys.readouterr().err
+    assert "obj1" in err and "99" in err
+    assert not [f for f in os.listdir(out) if f.endswith(".lp")]
+
+
+def test_parse_config_rejects_unknown_keys(tmp_path, capsys):
+    _write(tmp_path, "topo.txt", TOPO)
+    with pytest.raises(ConfigError, match=r"line 2: unknown key 'interval'"):
+        parse_config("topology = t\ninterval = 60\ntrace = x\n")
+    for key in ("feas_tol", "dual_tol"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(SYNTH_CFG + f"{key} = 1e-7\n")
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG + "interval = 60\n")
+    assert main(["simulate", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert "line 14" in err and "'interval'" in err
+
+
+def _schema_lines():
+    import cdnte.config as config_mod
+    doc = config_mod.__doc__.split("Schema", 1)[1]
+    return [line.split("#", 1)[0].strip() for line in doc.splitlines()
+            if line.startswith("    ") and "=" in line.split("#", 1)[0]]
+
+
+def test_config_schema_docstring_lists_the_accepted_keys(tmp_path):
+    from cdnte.config import KEYS
+    lines = _schema_lines()
+    assert {line.split("=", 1)[0].strip() for line in lines} == KEYS
+    # every documented line parses, on either side of trace / synth.*
+    _write(tmp_path, "topo.txt", TOPO)
+    for drop in ("trace", "synth."):
+        kept = [line for line in lines
+                if not line.startswith(drop) and not line.startswith("catalog")]
+        parse_config("\n".join(kept) + "\n", base_dir=str(tmp_path))
+
+
+def test_readme_example_config_parses():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    text = open(readme, encoding="utf-8").read()
+    example = text.split("# exp.cfg\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.synth is not None and len(cfg.schemes) == 2
+
+
+@pytest.mark.parametrize("sweep", [False, True])
+def test_dumps_come_from_the_main_pass(tmp_path, monkeypatch, sweep):
+    import cdnte.engine as engine_mod
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg = SYNTH_CFG.replace("scheme = lru inversecap closest ratio=1",
+                            "scheme = optimized inversecap closest ratio=3\n"
+                            "scheme = lru inversecap closest ratio=1")
+    if sweep:
+        cfg += "storage_ratios = 0.5,2\n"
+    cfg_path = _write(tmp_path, "exp.cfg", cfg)
+    runs = []
+    real = engine_mod.run_experiment
+
+    def counted(*args, **kwargs):
+        runs.append(args[3].label())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "run_experiment", counted)
+    out = str(tmp_path / "dumps")
+    assert main(["simulate", "--config", cfg_path, "--out", out,
+                 "--decision-log", "--dump-placements"]) == 0
+    assert len(runs) == (4 if sweep else 2)
+    # the dumps describe the first run: in sweep mode the first scheme at
+    # the first swept ratio, which report.csv contains
+    from cdnte.config import load_config
+    from cdnte.cli import _load_topology, _load_workload
+    conf = load_config(cfg_path)
+    topo = _load_topology(conf)
+    catalog, requests = _load_workload(conf, topo)
+    first = conf.schemes[0]
+    if sweep:
+        first.storage_ratio = 0.5
+    ref = real(topo, catalog, requests, first, conf.interval_s,
+               collect_decisions=True, collect_placements=True)
+    assert open(os.path.join(out, "decisions.csv")).read() == \
+        engine_mod.decisions_csv(ref)
+    assert open(os.path.join(out, "placements.csv")).read() == \
+        engine_mod.placements_csv(ref)
+    assert runs[0] in open(os.path.join(out, "report.csv")).read()

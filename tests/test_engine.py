@@ -2,8 +2,8 @@ import pytest
 
 from cdnte import parse_topology
 from cdnte.engine import (SchemeSpec, TransitSpec, ValidationError,
-                          compare_schemes, run_experiment,
-                          sweep_storage_ratio)
+                          compare_schemes, report_csv, run_experiment,
+                          summary_csv, sweep_storage_ratio)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
 from cdnte.traffic import apply_routing, mlu
 from cdnte.workload import ContentObject, Request
@@ -302,6 +302,22 @@ def test_compare_schemes_parallel_jobs_match_sequential():
                                       storage_ratio=2.0)], 3600.0, jobs=2)
     assert seq.p99 == par.p99
     assert [r.intervals for r in seq.reports] == [r.intervals for r in par.reports]
+
+
+def test_sweep_storage_ratio_parallel_jobs_match_sequential():
+    topo = _origin_triangle()
+    catalog, reqs = _daily_trace(2)
+    template = SchemeSpec("optimized", "inversecap", "closest")
+    seq = sweep_storage_ratio(topo, catalog, reqs, template, [0.5, 2.0],
+                              3600.0, jobs=1)
+    par = sweep_storage_ratio(topo, catalog, reqs, template, [0.5, 2.0],
+                              3600.0, jobs=2)
+    assert [(r.ratio, r.mean_daily_p99) for r in seq] == \
+        [(r.ratio, r.mean_daily_p99) for r in par]
+    assert report_csv([r.report for r in seq]) == \
+        report_csv([r.report for r in par])
+    assert summary_csv([r.report for r in seq]) == \
+        summary_csv([r.report for r in par])
 
 
 def test_transit_combined_mode_runs():

@@ -395,7 +395,7 @@ def test_joint_relaxation_lower_bound_single_instance():
             opts += [frozenset(c) for c in combinations(all_chunks, k)]
         options.append(opts)
     for choice in product(*options):
-        placement = Placement(0, {0: set(choice[0]), 1: set(choice[1])}, 0.0)
+        placement = Placement({0: set(choice[0]), 1: set(choice[1])})
         tm = induced_traffic_matrix(dm, placement, origins, dists)
         value = L.solve_lp(L.build_min_mlu_lp(topo, tm)).objective if tm else 0.0
         best = value if best is None else min(best, value)
