@@ -119,12 +119,14 @@ def cmd_simulate(args) -> int:
     reports = []
     if cfg.storage_ratios:
         sweep_lines = ["scheme,storage_ratio,mean_daily_p99_mlu"]
+        plans = {}  # shared by every sweep of this invocation
         for i, scheme in enumerate(cfg.schemes):
             rows = engine_mod.sweep_storage_ratio(
                 topo, catalog, requests, scheme, cfg.storage_ratios,
                 interval_s=cfg.interval_s, jobs=cfg.jobs,
                 collect_decisions=args.decision_log and i == 0,
-                collect_placements=args.dump_placements and i == 0)
+                collect_placements=args.dump_placements and i == 0,
+                plans=plans)
             for row in rows:
                 sweep_lines.append(f"{scheme.label()},{row.ratio:.10g},"
                                    f"{row.mean_daily_p99:.10g}")

@@ -168,17 +168,42 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
     return chunks, origins, {p: budget for p in topo.pops}
 
 
+PlanTable = Dict[tuple, Tuple[Placement, RoutingSolution]]
+
+
+def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
+          chunks: ChunkMap, origins: Dict[str, int], ic_routes, dists
+          ) -> Tuple[Placement, RoutingSolution]:
+    """plan_placement_optimized, looked up first in `plans` under the
+    contents it is a pure function of: the topology's pops, links and
+    capacities, the demand and its window, the budgets, the chunk sizes
+    and the origins. Callers only read the returned placement and routing,
+    so one stored plan serves every run that asks for it."""
+    key = (topo.pops,
+           tuple((l.id, l.src, l.dst, l.capacity) for l in topo.links),
+           dm.window_seconds, tuple(sorted(dm.demand.items())),
+           tuple(sorted(budgets.items())), tuple(sorted(chunks.sizes.items())),
+           tuple(sorted(origins.items())))
+    if key not in plans:
+        plans[key] = plan_placement_optimized(dm, topo, budgets, chunks,
+                                              origins, ic_routes=ic_routes,
+                                              dists=dists)
+    return plans[key]
+
+
 def run_experiment(topo, catalog: Catalog, requests: List[Request],
                    scheme: SchemeSpec, interval_s: float = 300.0,
                    collect_decisions: bool = False,
                    collect_placements: bool = False,
-                   collect_matrices: bool = False) -> MluReport:
+                   collect_matrices: bool = False,
+                   plans: Optional[PlanTable] = None) -> MluReport:
     """Replay a trace under one scheme and report per-interval MLU plus
     daily statistics. Deterministic for identical inputs.
 
     Day 0 is a warm-up for prior-day schemes: they run with an empty
     placement and InverseCap routing. Future-knowledge variants plan day 0
-    from day-0 demand.
+    from day-0 demand. `plans` is a plan table shared with other runs on
+    the same trace (see `_plan`); without one the run keeps its own.
     """
     scheme.validate()
     if interval_s <= 0:
@@ -195,6 +220,8 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
             raise ValidationError(f"request content {r.content!r} not in catalog")
 
     chunks, origins, budgets = scheme_inputs(topo, catalog, scheme)
+    if plans is None:
+        plans = {}
     if scheme.placement == "lru":
         planned_budgets = {p: 0 for p in topo.pops}
         cache_budgets = budgets
@@ -255,13 +282,13 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
             if day == 0 or prev_dm is None:
                 placement = Placement()
             else:
-                placement, planner_routing = plan_placement_optimized(
-                    prev_dm, topo, planned_budgets, chunks, origins,
-                    ic_routes=ic_routes, dists=dists)
+                placement, planner_routing = _plan(
+                    plans, prev_dm, topo, planned_budgets, chunks, origins,
+                    ic_routes, dists)
         elif scheme.placement == "future":
-            placement, planner_routing = plan_placement_optimized(
-                demand_today(), topo, planned_budgets, chunks, origins,
-                ic_routes=ic_routes, dists=dists)
+            placement, planner_routing = _plan(
+                plans, demand_today(), topo, planned_budgets, chunks, origins,
+                ic_routes, dists)
         else:  # lru
             placement = Placement()
 
@@ -418,19 +445,21 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
     return report
 
 
-def _run_task(task) -> MluReport:
+def _run_task(task, plans: Optional[PlanTable] = None) -> MluReport:
     topo, catalog, requests, scheme, interval_s, decisions, placements = task
     return run_experiment(topo, catalog, requests, scheme, interval_s,
                           collect_decisions=decisions,
-                          collect_placements=placements)
+                          collect_placements=placements, plans=plans)
 
 
 def _run_all(topo, catalog: Catalog, requests: List[Request],
              schemes: List[SchemeSpec], interval_s: float, jobs: int,
-             collect_decisions: bool, collect_placements: bool
-             ) -> List[MluReport]:
+             collect_decisions: bool, collect_placements: bool,
+             plans: Optional[PlanTable]) -> List[MluReport]:
     """One report per scheme, in order, from `jobs` worker processes when
-    jobs > 1. Only the first run collects decisions and placements."""
+    jobs > 1. Only the first run collects decisions and placements. With
+    jobs = 1 the runs share `plans` (a new table if None); each worker
+    process plans for itself, which gives the same results."""
     tasks = [(topo, catalog, requests, s, interval_s,
               collect_decisions and i == 0, collect_placements and i == 0)
              for i, s in enumerate(schemes)]
@@ -438,7 +467,8 @@ def _run_all(topo, catalog: Catalog, requests: List[Request],
         from concurrent import futures
         with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_run_task, tasks))
-    return [_run_task(t) for t in tasks]
+    plans = {} if plans is None else plans
+    return [_run_task(t, plans) for t in tasks]
 
 
 @dataclass
@@ -465,7 +495,7 @@ def compare_schemes(topo, catalog: Catalog, requests: List[Request],
         for s, lab in zip(schemes, labels):
             s.name = lab
     reports = _run_all(topo, catalog, requests, schemes, interval_s, jobs,
-                       collect_decisions, collect_placements)
+                       collect_decisions, collect_placements, None)
     days = [d.day for d in reports[0].days]
     p99 = {rep.scheme: [d.p99_mlu for d in rep.days] for rep in reports}
     base = p99[reports[0].scheme]
@@ -493,10 +523,12 @@ def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
                         template: SchemeSpec, ratios: List[float],
                         interval_s: float = 300.0, jobs: int = 1,
                         collect_decisions: bool = False,
-                        collect_placements: bool = False) -> List[SweepRow]:
+                        collect_placements: bool = False,
+                        plans: Optional[PlanTable] = None) -> List[SweepRow]:
     """Run the scheme template once per storage ratio; per-PoP budget is
     ratio * total chunked catalog bytes / pop count. The collect flags
-    apply to the run at the first ratio."""
+    apply to the run at the first ratio. Sweeps on the same trace may
+    share one plan table, `plans`."""
     if not ratios:
         raise ValidationError("storage ratio list must not be empty")
     if any(r <= 0 for r in ratios):
@@ -513,7 +545,7 @@ def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
                        name=f"{template.label()}@r{ratio:g}")
         schemes.append(s)
     reports = _run_all(topo, catalog, requests, schemes, interval_s, jobs,
-                       collect_decisions, collect_placements)
+                       collect_decisions, collect_placements, plans)
     return [SweepRow(ratio, rep.mean_daily_p99(), rep)
             for ratio, rep in zip(ratios, reports)]
 

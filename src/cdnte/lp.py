@@ -112,35 +112,9 @@ class LpSolution:
         return float(self.array[self.names.index(name)])
 
 
-def _verify_solution(lp: LinearProgram, x: np.ndarray) -> None:
-    for j in range(lp.num_vars):
-        if x[j] < lp.lo[j] - 1e-9 or (lp.hi[j] is not None and x[j] > lp.hi[j] + 1e-9):
-            raise SimplexError(
-                f"variable {lp.var_names[j]} violates its bounds: {x[j]}")
-        x[j] = min(max(x[j], lp.lo[j]), lp.hi[j] if lp.hi[j] is not None else x[j])
-    for r, (coeffs, sense, rhs) in enumerate(lp.rows):
-        act = sum(c * x[j] for j, c in coeffs.items())
-        scale = max(1.0, max((abs(c) for c in coeffs.values()), default=1.0),
-                    abs(rhs))
-        resid = act - rhs
-        bad = ((sense == LE and resid > FEAS_TOL * scale)
-               or (sense == GE and resid < -FEAS_TOL * scale)
-               or (sense == EQ and abs(resid) > FEAS_TOL * scale))
-        if bad:
-            raise SimplexError(f"row {r} violated by {resid:.3e} (sense {sense})")
-
-
-# ---------------------------------------------------------------------------
-# HiGHS solve
-
-
-def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
-    """Solve with HiGHS through scipy.optimize.linprog and certify the
-    optimum: every bound and row holds within FEAS_TOL (after row
-    scaling), and the primal and dual objectives agree within DUAL_TOL.
-    A failed certificate raises SimplexError, never a silent wrong answer."""
-    from scipy.optimize import linprog
-
+def _program_arrays(lp: LinearProgram):
+    """The program as linprog takes it: (A_ub, b_ub, A_eq, b_eq), with
+    ">=" rows negated into "<=" rows and None for a block with no rows."""
     n = lp.num_vars
     ub_data, ub_ri, ub_ci, b_ub = [], [], [], []
     eq_data, eq_ri, eq_ci, b_eq = [], [], [], []
@@ -164,6 +138,60 @@ def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
         if b_ub else None
     A_eq = sp.csr_matrix((eq_data, (eq_ri, eq_ci)), shape=(len(b_eq), n)) \
         if b_eq else None
+    return A_ub, b_ub, A_eq, b_eq
+
+
+def _verify_solution(lp: LinearProgram, x: np.ndarray, arrays) -> None:
+    """Certify primal feasibility of `x` on the program's
+    `_program_arrays`: every bound within 1e-9 (then x is clipped onto its
+    bounds in place) and every row within FEAS_TOL times its scale,
+    max(1, largest |coefficient|, |rhs|). Raises SimplexError naming the
+    first violating variable, else the first violating row."""
+    lo = np.array(lp.lo, dtype=float)
+    hi = np.array([np.inf if h is None else h for h in lp.hi], dtype=float)
+    bad = np.flatnonzero((x < lo - 1e-9) | (x > hi + 1e-9))
+    if bad.size:
+        j = bad[0]
+        raise SimplexError(
+            f"variable {lp.var_names[j]} violates its bounds: {x[j]}")
+    np.clip(x, lo, hi, out=x)
+    A_ub, b_ub, A_eq, b_eq = arrays
+    ub_rows = [r for r, (_, sense, _) in enumerate(lp.rows) if sense != EQ]
+    eq_rows = [r for r, (_, sense, _) in enumerate(lp.rows) if sense == EQ]
+    violated = []
+    for A, b, rows, eq in ((A_ub, b_ub, ub_rows, False),
+                           (A_eq, b_eq, eq_rows, True)):
+        if A is None:
+            continue
+        b = np.array(b, dtype=float)
+        resid = A @ x - b
+        scale = np.maximum(1.0, np.maximum(
+            abs(A).max(axis=1).toarray().ravel(), np.abs(b)))
+        over = np.abs(resid) if eq else resid
+        first = np.flatnonzero(over > FEAS_TOL * scale)[:1]
+        violated += [(rows[k], resid[k]) for k in first]
+    if violated:
+        r, resid = min(violated)
+        sense = lp.rows[r][1]
+        if sense == GE:
+            resid = -resid  # the row was negated into A_ub
+        raise SimplexError(f"row {r} violated by {resid:.3e} (sense {sense})")
+
+
+# ---------------------------------------------------------------------------
+# HiGHS solve
+
+
+def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
+    """Solve with HiGHS through scipy.optimize.linprog and certify the
+    optimum: every bound and row holds within FEAS_TOL (after row
+    scaling), and the primal and dual objectives agree within DUAL_TOL.
+    A failed certificate raises SimplexError, never a silent wrong answer."""
+    from scipy.optimize import linprog
+
+    n = lp.num_vars
+    arrays = _program_arrays(lp)
+    A_ub, b_ub, A_eq, b_eq = arrays
     bounds = [(lp.lo[j], lp.hi[j]) for j in range(n)]
     res = linprog(np.array(lp.obj), A_ub=A_ub, b_ub=b_ub or None,
                   A_eq=A_eq, b_eq=b_eq or None, bounds=bounds, method=method,
@@ -177,7 +205,7 @@ def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
     if res.status != 0:
         raise SimplexError(f"linprog failed: {res.message}")
     x = np.array(res.x, dtype=float)
-    _verify_solution(lp, x)
+    _verify_solution(lp, x, arrays)
     dual = 0.0
     if b_ub:
         dual += float(np.dot(b_ub, res.ineqlin.marginals))

@@ -4,9 +4,12 @@ hybrid budget split."""
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from . import lp as lp_mod
 from . import topology as topo_mod
@@ -149,9 +152,20 @@ class _SwapSearch:
     over a pop's own dominant demand; integrally that can double the
     realized MLU. This pass greedily applies swap/add moves per PoP while
     they lower a surrogate objective: the MLU of the induced
-    nearest-replica traffic routed on InverseCap paths. Move evaluation
-    is incremental (only the two affected chunks' demands are re-served),
-    so the full move set stays cheap at every instance size.
+    nearest-replica traffic routed on InverseCap paths.
+
+    The surrogate is kept in arrays: a pop x pop distance matrix, each
+    (server, client) pair's InverseCap link fractions, per-chunk holder
+    masks and a float64 link-load vector. Pops are indexed in ascending
+    id order, so the lowest index is the lowest-id tie-break of
+    `nearest_replica`. A move re-serves only the demand pairs whose
+    server changes, in a fixed order: the dropped chunk before the added
+    one, clients ascending, the old route taken off before the new one is
+    put on. Each link's load thus sees the same float operations as in a
+    per-link evaluation of the move, and the search's choices do not
+    depend on the array form. A move is evaluated in full only if it
+    lowers the load on every link at the current maximum; otherwise its
+    surrogate cannot fall below the current one.
     """
 
     def __init__(self, topo, dm, budgets, chunks, origins, stored,
@@ -160,109 +174,158 @@ class _SwapSearch:
         self.budgets = budgets
         self.chunks = chunks
         self.origins = origins
-        self.ic_routes = ic_routes
-        self.dists = dists
-        self.caps = {l.id: l.capacity for l in topo.links}
+        self.x_vals = x_vals
+        pops = topo.pops
+        self.at = {p: k for k, p in enumerate(pops)}
+        col = {l.id: k for k, l in enumerate(topo.links)}
+        self.caps = np.array([float(l.capacity) for l in topo.links])
+        self.dist = np.array([[dists[(i, j)] for j in pops] for i in pops])
+        self.routes = np.zeros((len(pops), len(pops), len(col)))
+        for (s, c), fracs in ic_routes.items():
+            if s != c:
+                for link_id, frac in fracs.items():
+                    self.routes[self.at[s], self.at[c], col[link_id]] = frac
         window = dm.window_seconds
         self.rates: Dict[Tuple[ChunkId, int], float] = {}
-        self.by_chunk: Dict[ChunkId, List[int]] = {}
+        self.chunk_ids: List[ChunkId] = []
+        pair_chunk, clients = [], []
         for (chunk, pop), nbytes in sorted(dm.demand.items()):
             if nbytes > 0:
+                if not self.chunk_ids or self.chunk_ids[-1] != chunk:
+                    self.chunk_ids.append(chunk)
                 self.rates[(chunk, pop)] = nbytes * 8.0 / window
-                self.by_chunk.setdefault(chunk, []).append(pop)
-        self.x_vals = x_vals
+                pair_chunk.append(len(self.chunk_ids) - 1)
+                clients.append(self.at[pop])
+        self.pair_chunk = np.array(pair_chunk, dtype=np.int64)
+        self.clients = np.array(clients, dtype=np.int64)
+        self.pair_rates = list(self.rates.values())
+        self.origin_at = np.array([self.at[origins[c[0]]]
+                                   for c in self.chunk_ids], dtype=np.int64)
+        self.holds = np.zeros((len(self.chunk_ids), len(pops)), dtype=bool)
+        self.row = {c: k for k, c in enumerate(self.chunk_ids)}
         self.stored = {p: set(s) for p, s in stored.items()}
-        self.holders: Dict[ChunkId, Set[int]] = {}
         for pop, chunk_set in self.stored.items():
             for chunk in chunk_set:
-                self.holders.setdefault(chunk, set()).add(pop)
+                if chunk in self.row:
+                    self.holds[self.row[chunk], self.at[pop]] = True
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self.servers: Dict[Tuple[ChunkId, int], int] = {}
-        self.loads: Dict[int, float] = {}
-        for (chunk, client), rate in self.rates.items():
-            server = nearest_replica(chunk, client,
-                                     self.holders.get(chunk, set()),
-                                     self.origins[chunk[0]], self.dists)
-            self.servers[(chunk, client)] = server
-            if server != client:
-                for link_id, frac in self.ic_routes[(server, client)].items():
-                    self.loads[link_id] = self.loads.get(link_id, 0.0) \
-                        + rate * frac
-        self.value = self._mlu(self.loads)
+        """Servers, loads and surrogate from scratch, pairs in sorted
+        (chunk, client) order."""
+        n = len(self.clients)
+        cand = self.holds.copy()
+        cand[np.arange(len(self.chunk_ids)), self.origin_at] = True
+        cand = cand[self.pair_chunk]
+        nearest = np.where(cand, self.dist[self.clients], np.inf).argmin(axis=1)
+        local = cand[np.arange(n), self.clients]
+        self.servers = np.where(local, self.clients, nearest)
+        loads = np.zeros(len(self.caps))
+        for rate, s, c in zip(self.pair_rates, self.servers.tolist(),
+                              self.clients.tolist()):
+            if s != c:
+                loads += rate * self.routes[s, c]
+        self.loads = loads
+        util = loads / self.caps
+        self.value = max(0.0, float(util.max()))
+        # the links at the maximum, with their loads and route columns
+        self.top = [(m, float(loads[m]), self.routes[:, :, m].tolist())
+                    for m in np.flatnonzero(util == self.value).tolist()]
 
-    def _mlu(self, loads) -> float:
-        worst = 0.0
-        for link_id, cap in self.caps.items():
-            util = loads.get(link_id, 0.0) / cap
-            if util > worst:
-                worst = util
-        return worst
+    def _gains(self, p: int) -> Dict[int, List[Tuple[float, int, int, int]]]:
+        """Per chunk row, the pairs that would move to pop index `p` if it
+        stored the chunk: (rate, old server, new server, client)."""
+        s, c = self.servers, self.clients
+        dp, ds = self.dist[c, p], self.dist[c, s]
+        moves = (s != c) & ((c == p) | (dp < ds) | ((dp == ds) & (p < s)))
+        out: Dict[int, List[Tuple[float, int, int, int]]] = {}
+        for q in np.flatnonzero(moves).tolist():
+            out.setdefault(int(self.pair_chunk[q]), []).append(
+                (self.pair_rates[q], int(s[q]), p, int(c[q])))
+        return out
 
-    def _try_move(self, pop, drop: Optional[ChunkId], add: Optional[ChunkId]) -> float:
-        """Surrogate value if `drop` is removed from / `add` is placed at
-        `pop`; only the two chunks' demand pairs are re-evaluated."""
-        loads = dict(self.loads)
-        for chunk, gains_pop in ((drop, False), (add, True)):
-            if chunk is None:
-                continue
-            holders = set(self.holders.get(chunk, set()))
-            if gains_pop:
-                holders.add(pop)
-            else:
-                holders.discard(pop)
-            origin = self.origins[chunk[0]]
-            for client in self.by_chunk.get(chunk, ()):
-                rate = self.rates[(chunk, client)]
-                old = self.servers[(chunk, client)]
-                new = nearest_replica(chunk, client, holders, origin,
-                                      self.dists)
-                if old == new:
-                    continue
-                if old != client:
-                    for link_id, frac in self.ic_routes[(old, client)].items():
-                        loads[link_id] = loads.get(link_id, 0.0) - rate * frac
-                if new != client:
-                    for link_id, frac in self.ic_routes[(new, client)].items():
-                        loads[link_id] = loads.get(link_id, 0.0) + rate * frac
-        return self._mlu(loads)
+    def _losses(self, chunk: ChunkId, p: int) -> List[Tuple[float, int, int, int]]:
+        """The pairs served from pop index `p` that move elsewhere if it
+        drops `chunk`: (rate, old server, new server, client)."""
+        k = self.row.get(chunk)
+        if k is None:
+            return []
+        cand = self.holds[k].copy()
+        cand[p] = False
+        cand[self.origin_at[k]] = True
+        idx = np.flatnonzero(cand)
+        out = []
+        served = (self.pair_chunk == k) & (self.servers == p)
+        for q in np.flatnonzero(served).tolist():
+            c = int(self.clients[q])
+            out.append((self.pair_rates[q], p,
+                        int(idx[np.argmin(self.dist[c, idx])]), c))
+        return out
+
+    def _moved(self, loads: np.ndarray, changes) -> np.ndarray:
+        loads = loads.copy()
+        for rate, old, new, c in changes:
+            loads -= rate * self.routes[old, c]
+            loads += rate * self.routes[new, c]
+        return loads
+
+    def _try(self, base: np.ndarray, changes) -> float:
+        """Surrogate after applying `changes` to `base` (the current loads,
+        or the loads after a drop); inf when a link at the current maximum
+        does not get lighter, since the surrogate then cannot fall."""
+        for m, current, col in self.top:
+            v = float(base[m])
+            for rate, old, new, c in changes:
+                v = v - rate * col[old][c]
+                v = v + rate * col[new][c]
+            if v >= current:
+                return math.inf
+        return max(0.0, float((self._moved(base, changes) / self.caps).max()))
 
     def _apply(self, pop, drop, add) -> None:
         if drop is not None:
             self.stored[pop].discard(drop)
-            self.holders[drop].discard(pop)
+            if drop in self.row:
+                self.holds[self.row[drop], self.at[pop]] = False
         if add is not None:
             self.stored.setdefault(pop, set()).add(add)
-            self.holders.setdefault(add, set()).add(pop)
+            self.holds[self.row[add], self.at[pop]] = True
         self._rebuild()
+
+    def _moves(self, pop: int):
+        """Every move the budget allows at `pop`, in search order, as
+        (surrogate, drop, add); the surrogate is inf for a pruned move."""
+        p = self.at[pop]
+        admitted = sorted(self.stored.get(pop, ()))
+        used = sum(self.chunks.sizes[c] for c in admitted)
+        room = self.budgets[pop] - used
+        candidates = sorted(
+            (c for c in self.chunk_ids
+             if c not in self.stored.get(pop, ())
+             and self.origins[c[0]] != pop),
+            key=lambda c: (-self.x_vals.get((c, pop), 0.0),
+                           -self.rates.get((c, pop), 0.0), c))
+        gains = self._gains(p)
+        after_drop = {d: self._moved(self.loads, self._losses(d, p))
+                      for d in admitted}
+        for add in candidates:
+            size = self.chunks.sizes[add]
+            changes = gains.get(self.row[add], [])
+            if size <= room:
+                yield self._try(self.loads, changes), None, add
+            for drop in admitted:
+                if size <= room + self.chunks.sizes[drop]:
+                    yield self._try(after_drop[drop], changes), drop, add
 
     def run(self, max_rounds: int = 5) -> Dict[int, Set[ChunkId]]:
         pops = sorted(p for p in self.topo.pops if self.budgets.get(p, 0) > 0)
         for _ in range(max_rounds):
             improved = False
             for pop in pops:
-                admitted = sorted(self.stored.get(pop, ()))
-                used = sum(self.chunks.sizes[c] for c in admitted)
-                room = self.budgets[pop] - used
-                candidates = sorted(
-                    (c for c in self.by_chunk
-                     if c not in self.stored.get(pop, ())
-                     and self.origins[c[0]] != pop),
-                    key=lambda c: (-self.x_vals.get((c, pop), 0.0),
-                                   -self.rates.get((c, pop), 0.0), c))
                 best = (self.value, None, None)
-                for add in candidates:
-                    size = self.chunks.sizes[add]
-                    if size <= room:
-                        val = self._try_move(pop, None, add)
-                        if val < best[0] - 1e-15:
-                            best = (val, None, add)
-                    for drop in admitted:
-                        if size <= room + self.chunks.sizes[drop]:
-                            val = self._try_move(pop, drop, add)
-                            if val < best[0] - 1e-15:
-                                best = (val, drop, add)
+                for val, drop, add in self._moves(pop):
+                    if val < best[0] - 1e-15:
+                        best = (val, drop, add)
                 if best[2] is not None:
                     self._apply(pop, best[1], best[2])
                     improved = True

@@ -12,6 +12,8 @@ import os
 import random
 import time
 
+import pytest
+
 from cdnte import lp as L
 from cdnte import parse_topology
 from cdnte.cli import main as cli_main
@@ -300,6 +302,7 @@ def test_criterion_5_engine_oracle_equivalence():
           "brute-force replay exactly on 6 trials")
 
 
+@pytest.mark.slow
 def test_criterion_6_optimized_placement_beats_origin_min_mlu():
     t0 = time.perf_counter()
     topo, catalog, requests = _load_default_workload()
@@ -320,6 +323,7 @@ def test_criterion_6_optimized_placement_beats_origin_min_mlu():
           f"{a:.4f} < origin-only+min-MLU {b:.4f} ({elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_lru_gap_shrinks_with_storage():
     t0 = time.perf_counter()
     topo, catalog, requests = _load_default_workload()

@@ -361,3 +361,45 @@ def test_dumps_come_from_the_main_pass(tmp_path, monkeypatch, sweep):
     assert open(os.path.join(out, "placements.csv")).read() == \
         engine_mod.placements_csv(ref)
     assert runs[0] in open(os.path.join(out, "report.csv")).read()
+
+
+def test_simulate_sweeps_share_plans(tmp_path, monkeypatch):
+    # one plan table serves every sweep of a simulate invocation: at each
+    # ratio, optimized (days 1-2) and future (days 0-2) plan from three
+    # distinct demand days
+    import cdnte.engine as engine_mod
+    from cdnte.cli import _load_topology, _load_workload
+    from cdnte.config import load_config
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg = SYNTH_CFG.replace("synth.days = 2", "synth.days = 3").replace(
+        "scheme = lru inversecap closest ratio=1",
+        "scheme = optimized min-mlu-prior-day closest\n"
+        "scheme = future min-mlu-future closest\n"
+        "storage_ratios = 1,2")
+    cfg_path = _write(tmp_path, "exp.cfg", cfg)
+    calls = []
+    real = engine_mod.plan_placement_optimized
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "plan_placement_optimized", counted)
+    out = str(tmp_path / "sweep")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
+    assert len(calls) == 2 * 3
+    conf = load_config(cfg_path)
+    topo = _load_topology(conf)
+    catalog, requests = _load_workload(conf, topo)
+    own = []
+    for scheme in conf.schemes:
+        for ratio in conf.storage_ratios:
+            spec = engine_mod.SchemeSpec(
+                scheme.placement, scheme.routing, scheme.redirection,
+                storage_ratio=ratio, name=f"{scheme.label()}@r{ratio:g}")
+            own.append(engine_mod.run_experiment(topo, catalog, requests,
+                                                 spec, conf.interval_s))
+    assert open(os.path.join(out, "report.csv")).read() == \
+        engine_mod.report_csv(own)
+    assert open(os.path.join(out, "summary.csv")).read() == \
+        engine_mod.summary_csv(own)

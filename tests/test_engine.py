@@ -2,8 +2,8 @@ import pytest
 
 from cdnte import parse_topology
 from cdnte.engine import (SchemeSpec, TransitSpec, ValidationError,
-                          compare_schemes, report_csv, run_experiment,
-                          summary_csv, sweep_storage_ratio)
+                          compare_schemes, comparison_csv, report_csv,
+                          run_experiment, summary_csv, sweep_storage_ratio)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
 from cdnte.traffic import apply_routing, mlu
 from cdnte.workload import ContentObject, Request
@@ -371,3 +371,60 @@ def test_lru_run_aggregates_no_demand(monkeypatch):
                    SchemeSpec("optimized", "inversecap", storage_ratio=1.0),
                    3600.0)
     assert len(calls) == 3
+
+
+def _shifting_trace(days):
+    """Pop 0 asks for A and pop 1 for B, one more time each day, so every
+    day's demand differs from every other day's."""
+    catalog = {c: ContentObject(c, 1000) for c in ("A", "B")}
+    reqs = []
+    for day in range(days):
+        t = day * 86400.0 + 100.0
+        for _ in range(day + 1):
+            for pop, c in ((0, "A"), (1, "B")):
+                reqs.append(Request(t, pop, c, 1000))
+                t += 10.0
+    return catalog, reqs
+
+
+def _planner_vs_oracle():
+    return [SchemeSpec("optimized", "min-mlu-prior-day", "closest",
+                       storage_ratio=1.0),
+            SchemeSpec("future", "min-mlu-future", "closest",
+                       storage_ratio=1.0)]
+
+
+def test_compare_schemes_plans_each_program_once(monkeypatch):
+    # optimized on day d+1 and future on day d plan the same program:
+    # optimized plans days 1-2 and future days 0-2, but only from three
+    # distinct demand days
+    import cdnte.engine as engine_mod
+    calls = []
+    real = engine_mod.plan_placement_optimized
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "plan_placement_optimized", counted)
+    topo = _origin_triangle()
+    catalog, reqs = _shifting_trace(3)
+    table = compare_schemes(topo, catalog, reqs, _planner_vs_oracle(), 3600.0)
+    assert len(calls) == 3
+    for scheme, rep in zip(_planner_vs_oracle(), table.reports):
+        own = run_experiment(topo, catalog, reqs, scheme, 3600.0)
+        assert report_csv([rep]) == report_csv([own])
+        assert summary_csv([rep]) == summary_csv([own])
+    assert len(calls) == 3 + 2 + 3
+
+
+def test_compare_schemes_shared_plans_match_parallel_jobs():
+    topo = _origin_triangle()
+    catalog, reqs = _shifting_trace(3)
+    seq = compare_schemes(topo, catalog, reqs, _planner_vs_oracle(), 3600.0,
+                          jobs=1)
+    par = compare_schemes(topo, catalog, reqs, _planner_vs_oracle(), 3600.0,
+                          jobs=2)
+    assert report_csv(seq.reports) == report_csv(par.reports)
+    assert summary_csv(seq.reports) == summary_csv(par.reports)
+    assert comparison_csv(seq) == comparison_csv(par)

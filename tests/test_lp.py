@@ -62,6 +62,49 @@ def test_fixed_variable_and_shifted_bounds():
     assert sol.value("y") == pytest.approx(0.5, abs=1e-9)
 
 
+def _certificate_program():
+    lp = L.LinearProgram()
+    a = lp.add_var("a", hi=10.0)
+    b = lp.add_var("b", hi=10.0)
+    c = lp.add_var("c", lo=-5.0)
+    lp.add_constraint({a: 1.0, b: 1.0}, L.LE, 5.0)      # row 0, scale 5
+    lp.add_constraint({a: 3.0, c: -1.0}, L.GE, -2.0)    # row 1, scale 3
+    lp.add_constraint({b: 1.0, c: 4.0}, L.EQ, 12.0)     # row 2, scale 12
+    return lp
+
+
+def _certify(lp, x):
+    L._verify_solution(lp, x, L._program_arrays(lp))
+
+
+def test_certificate_names_first_variable_off_its_bounds():
+    lp = _certificate_program()
+    x = np.array([-5e-10, 4.0, 2.0])  # inside the 1e-9 slack: clipped
+    _certify(lp, x)
+    assert x[0] == 0.0
+    with pytest.raises(L.SimplexError,
+                       match=r"^variable b violates its bounds: 10\.000000002$"):
+        _certify(lp, np.array([1.0, 10.0 + 2e-9, -5.0 - 2e-9]))
+
+
+def test_certificate_names_first_violated_row():
+    lp = _certificate_program()
+    tol = L.FEAS_TOL
+    # row 2 off by twice its scaled tolerance
+    with pytest.raises(L.SimplexError,
+                       match=r"^row 2 violated by 2\.400e-06 \(sense =\)$"):
+        _certify(lp, np.array([1.0, 2.0 + 2 * tol * 12, 2.5]))
+    # rows 1 (">=", negated for the solver) and 2 both off: row 1 is named
+    c = 2.0 + 2 * tol * 3
+    with pytest.raises(L.SimplexError,
+                       match=r"^row 1 violated by -6\.000e-07 \(sense >=\)$"):
+        _certify(lp, np.array([0.0, 12.0 - 4 * c + 2 * tol * 12, c]))
+    # rows 0 and 1 (one block for the solver) and 2 all off: row 0 is named
+    with pytest.raises(L.SimplexError,
+                       match=r"^row 0 violated by 1\.000e-06 \(sense <=\)$"):
+        _certify(lp, np.array([0.0, 5.0 + 2 * tol * 5, c]))
+
+
 def test_redundant_rows_tolerated():
     lp = L.LinearProgram()
     x = lp.add_var("x", obj=1.0)

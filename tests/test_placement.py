@@ -4,9 +4,11 @@ import pytest
 
 from cdnte import lp as L
 from cdnte import parse_topology
-from cdnte.placement import (CacheState, induced_traffic_matrix,
-                             plan_placement_optimized, split_hybrid)
-from cdnte.topology import all_pairs_distances, inverse_cap_weights
+from cdnte.placement import (CacheState, _SwapSearch, induced_traffic_matrix,
+                             nearest_replica, plan_placement_optimized,
+                             split_hybrid)
+from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
+                            shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
 from cdnte.workload import ContentObject, DemandMatrix, chunk_objects
 
@@ -203,3 +205,61 @@ def test_plan_future_zero_budgets():
     b = plan_placement_optimized(dm, topo, {0: 0, 1: 0, 2: 0}, chunks, origins)
     assert a[0].stored == b[0].stored == {}
     assert a[1] == b[1]
+
+
+def _surrogate_from_scratch(topo, dm, origins, stored, ic_routes, dists):
+    """The swap search's objective, recomputed the plain way: every demand
+    pair's nearest replica, its InverseCap route loads, then the MLU."""
+    holders = {}
+    for pop, chunk_set in stored.items():
+        for chunk in chunk_set:
+            holders.setdefault(chunk, set()).add(pop)
+    loads = {}
+    for (chunk, client), nbytes in sorted(dm.demand.items()):
+        if nbytes <= 0:
+            continue
+        server = nearest_replica(chunk, client, holders.get(chunk, set()),
+                                 origins[chunk[0]], dists)
+        if server != client:
+            for link_id, frac in ic_routes[(server, client)].items():
+                loads[link_id] = loads.get(link_id, 0.0) \
+                    + nbytes * 8.0 / dm.window_seconds * frac
+    return mlu(loads, topo)
+
+
+def test_swap_search_moves_match_from_scratch_surrogate():
+    from test_acceptance import _tiny_instances
+    rng = random.Random(4040)
+    evaluated = pruned = 0
+    for topo, _, chunks, origins, dm, budgets in _tiny_instances(rng, 200):
+        w = inverse_cap_weights(topo)
+        ic, dists = shortest_path_routes(topo, w), all_pairs_distances(topo, w)
+        stored = {}
+        for pop in topo.pops:
+            room = budgets[pop]
+            for chunk in sorted(chunks.sizes):
+                if origins[chunk[0]] != pop and chunks.sizes[chunk] <= room \
+                        and rng.random() < 0.5:
+                    stored.setdefault(pop, set()).add(chunk)
+                    room -= chunks.sizes[chunk]
+        x_vals = {(c, p): rng.random() for c in chunks.sizes for p in topo.pops}
+        search = _SwapSearch(topo, dm, budgets, chunks, origins, stored,
+                             x_vals, ic, dists)
+        current = _surrogate_from_scratch(topo, dm, origins, stored, ic, dists)
+        assert search.value == pytest.approx(current, rel=1e-12, abs=0)
+        for pop in topo.pops:
+            if budgets[pop] <= 0:
+                continue
+            for value, drop, add in search._moves(pop):
+                moved = {p: set(s) for p, s in stored.items()}
+                moved.setdefault(pop, set()).add(add)
+                moved[pop].discard(drop)
+                scratch = _surrogate_from_scratch(topo, dm, origins, moved,
+                                                  ic, dists)
+                if value == float("inf"):
+                    pruned += 1
+                    assert scratch >= search.value
+                else:
+                    evaluated += 1
+                    assert value == pytest.approx(scratch, rel=1e-12, abs=0)
+    assert evaluated > 0 and pruned > 0
