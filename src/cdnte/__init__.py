@@ -16,8 +16,7 @@ from .topology import (Link, Topology, TopologyError, all_pairs_distances,
                        inverse_cap_weights, load_topology, parse_topology,
                        path_distance, shortest_path_routes)
 from .traffic import (apply_routing, check_flow_conservation, mlu,
-                      overlay_transit, read_traffic_matrix,
-                      write_traffic_matrix)
+                      read_traffic_matrix, write_traffic_matrix)
 from .workload import (ContentObject, DemandMatrix, Request, SynthParams,
                        TraceError, aggregate_demand, chunk_objects,
                        generate_synthetic_trace, parse_catalog, parse_trace,

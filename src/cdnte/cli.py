@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
             fh.write(engine_mod.decisions_csv(reports[0]))
     if args.dump_placements:
         with open(os.path.join(out, "placements.csv"), "w", encoding="utf-8") as fh:
-            fh.write(engine_mod.placements_csv(reports[0]))
+            fh.write(engine_mod.placements_csv(reports[0].placements))
     print(f"wrote reports for {len(reports)} runs to {out}")
     return 0
 
@@ -183,12 +183,9 @@ def cmd_solve_placement(args) -> int:
                           chunks)
     placement, _ = plan_placement_optimized(dm, topo, budgets, chunks, origins)
     out = _ensure_out(cfg.out_dir)
-    lines = ["epoch,pop_id,chunk_id"]
-    for pop in sorted(placement.stored):
-        for chunk in sorted(placement.stored[pop]):
-            lines.append(f"{day},{pop},{chunk[0]}#{chunk[1]}")
     with open(os.path.join(out, "placements.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(engine_mod.placements_csv(
+            engine_mod.placement_rows(day, placement)))
     stored = sum(len(v) for v in placement.stored.values())
     print(f"placed {stored} chunk copies across {len(placement.stored)} pops")
     return 0

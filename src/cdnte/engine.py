@@ -14,7 +14,7 @@ from . import lp as lp_mod
 from . import topology as topo_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
                         plan_placement_optimized, split_hybrid)
-from .redirection import (LOCAL_HIT, REMOTE_REPLICA, RedirectDecision,
+from .redirection import (LOCAL_HIT, ORIGIN, RedirectDecision,
                           redirect_closest, redirect_utilization_aware)
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
                       apply_routing, mlu, validate_traffic_matrix)
@@ -200,10 +200,24 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
     """Replay a trace under one scheme and report per-interval MLU plus
     daily statistics. Deterministic for identical inputs.
 
-    Day 0 is a warm-up for prior-day schemes: they run with an empty
-    placement and InverseCap routing. Future-knowledge variants plan day 0
-    from day-0 demand. `plans` is a plan table shared with other runs on
-    the same trace (see `_plan`); without one the run keeps its own.
+    Each day's placement and routing follow one rule:
+
+    * Placement: `optimized` and `hybrid` plan from yesterday's demand and
+      have an empty placement on day 0; `future` plans from today's
+      demand; `lru` plans nothing.
+    * Routing: `inversecap`, and `min-mlu-prior-day` on day 0, use the
+      InverseCap ECMP routes. Otherwise min-MLU routing runs on the
+      placement's nearest-replica matrix of today's demand
+      (`min-mlu-future`) or of yesterday's demand (`min-mlu-prior-day`
+      with a placement planned from yesterday), else on yesterday's
+      realized matrix. A `combined` transit matrix is added to it. When
+      that is the matrix the planner routed (same demand, no `combined`
+      transit), the planner's routing is used as it is.
+    * Transit: routed once a day, on the InverseCap routes in
+      `inversecap` mode and on the day's routing in `combined` mode.
+
+    `plans` is a plan table shared with other runs on the same trace (see
+    `_plan`); without one the run keeps its own.
     """
     scheme.validate()
     if interval_s <= 0:
@@ -260,88 +274,60 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         by_day[int(r.timestamp // DAY_SECONDS)].append(r)
 
     use_util_aware = scheme.redirection == "utilization-aware"
+    combined_transit = (scheme.transit is not None
+                        and scheme.transit.mode == "combined")
     report = MluReport(scheme.label(), interval_s, [], [], 0.0, 0.0, 0.0)
-    total_served = total_local_or_replica = total_origin = 0
-    prev_dm: Optional[DemandMatrix] = None
-    prev_realized: Optional[TrafficMatrix] = None
+    total_served = total_origin = 0
+    prev_dm: Optional[DemandMatrix] = None  # yesterday's; None for lru
+    prev_realized: TrafficMatrix = {}
 
     for day in range(n_days):
         day_reqs = by_day.get(day, [])
-        window = (day * DAY_SECONDS, (day + 1) * DAY_SECONDS)
-        dm_today: Optional[DemandMatrix] = None
+        dm: Optional[DemandMatrix] = None
+        if scheme.placement != "lru":
+            dm = aggregate_demand(
+                day_reqs, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS), chunks)
 
-        def demand_today() -> DemandMatrix:
-            nonlocal dm_today
-            if dm_today is None:
-                dm_today = aggregate_demand(day_reqs, window, chunks)
-            return dm_today
-
-        # placement axis
-        planner_routing: Optional[RoutingSolution] = None
-        if scheme.placement in ("optimized", "hybrid"):
-            if day == 0 or prev_dm is None:
-                placement = Placement()
-            else:
-                placement, planner_routing = _plan(
-                    plans, prev_dm, topo, planned_budgets, chunks, origins,
-                    ic_routes, dists)
-        elif scheme.placement == "future":
+        # the day's placement and routing, by the rule in the docstring
+        plan_dm = dm if scheme.placement == "future" else prev_dm
+        placement, planner_routing = Placement(), None
+        if plan_dm is not None:
             placement, planner_routing = _plan(
-                plans, demand_today(), topo, planned_budgets, chunks, origins,
+                plans, plan_dm, topo, planned_budgets, chunks, origins,
                 ic_routes, dists)
-        else:  # lru
-            placement = Placement()
-
-        # transit composition for demand-aware planning
-        def planning_tm(base: TrafficMatrix) -> TrafficMatrix:
-            if scheme.transit is not None and scheme.transit.mode == "combined":
-                combined = dict(base)
-                for k, rate in scheme.transit.tm.items():
-                    combined[k] = combined.get(k, 0.0) + rate
-                return combined
-            return base
-
-        # routing axis
-        if scheme.routing == "inversecap":
+        if scheme.routing == "inversecap" or (
+                scheme.routing == "min-mlu-prior-day" and day == 0):
             routing = ic_routes
-        elif scheme.routing == "min-mlu-prior-day":
-            if day == 0:
-                routing = ic_routes
+        else:
+            if scheme.routing == "min-mlu-future":
+                route_dm = dm
             elif scheme.placement in ("optimized", "hybrid"):
-                if scheme.transit is not None and scheme.transit.mode == "combined":
-                    base = induced_traffic_matrix(prev_dm, placement, origins,
-                                                  dists)
-                    routing = lp_mod.solve_min_mlu_routing(
-                        topo, planning_tm(base), ic_routes=ic_routes)
-                else:
-                    routing = planner_routing
-            else:  # lru or future placement: route on yesterday's realized matrix
-                routing = lp_mod.solve_min_mlu_routing(
-                    topo, planning_tm(prev_realized or {}),
-                    ic_routes=ic_routes)
-        else:  # min-mlu-future
-            if scheme.placement == "future" and scheme.transit is None:
+                route_dm = prev_dm
+            else:
+                route_dm = None  # route on yesterday's realized matrix
+            if route_dm is not None and route_dm is plan_dm \
+                    and not combined_transit:
                 routing = planner_routing
             else:
-                base = induced_traffic_matrix(demand_today(), placement,
-                                              origins, dists)
-                routing = lp_mod.solve_min_mlu_routing(
-                    topo, planning_tm(base), ic_routes=ic_routes)
-
+                tm = prev_realized if route_dm is None else \
+                    induced_traffic_matrix(route_dm, placement, origins, dists)
+                if combined_transit:
+                    tm = dict(tm)
+                    for k, rate in scheme.transit.tm.items():
+                        tm[k] = tm.get(k, 0.0) + rate
+                routing = lp_mod.solve_min_mlu_routing(topo, tm,
+                                                       ic_routes=ic_routes)
         transit_loads: LinkLoads = {}
         if scheme.transit is not None:
-            transit_routing = (ic_routes if scheme.transit.mode == "inversecap"
-                               else routing)
-            transit_loads = apply_routing(transit_routing, scheme.transit.tm)
+            transit_loads = apply_routing(
+                routing if combined_transit else ic_routes, scheme.transit.tm)
 
         if collect_placements:
-            for pop in sorted(placement.stored):
-                for chunk in sorted(placement.stored[pop]):
-                    report.placements.append((day, pop, chunk))
+            report.placements.extend(placement_rows(day, placement))
 
         holder_index = _HolderIndex(placement, caches)
         day_mlus: List[float] = []
-        day_served = day_local_or_replica = day_origin = 0
+        day_served = day_origin = 0
         realized_day: Dict[Tuple[int, int], int] = defaultdict(int)
 
         n_intervals = int(math.ceil(DAY_SECONDS / interval_s))
@@ -375,18 +361,16 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                             decision = redirect_utilization_aware(
                                 chunk, client, holders, origin, live_loads,
                                 routing, rate, capacities, dists)
+                            path = routing[(decision.server, client)]
+                            for link_id, frac in path.items():
+                                live_loads[link_id] = live_loads.get(link_id, 0.0) \
+                                    + frac * rate
                         else:
                             decision = redirect_closest(chunk, client, holders,
                                                         origin, dists)
                         reason = decision.reason
-                        server = decision.server
-                        key = (server, client)
+                        key = (decision.server, client)
                         commodity_bytes[key] = commodity_bytes.get(key, 0) + nbytes
-                        if use_util_aware:
-                            rate = nbytes * 8.0 / iv_len
-                            for link_id, frac in routing[key].items():
-                                live_loads[link_id] = live_loads.get(link_id, 0.0) \
-                                    + frac * rate
                         realized_day[key] += nbytes
                         # pull-through admission at the client
                         if cache is not None:
@@ -396,9 +380,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                             if chunk in cache:
                                 holder_index.admit(client, chunk)
                     day_served += nbytes
-                    if reason == LOCAL_HIT or reason == REMOTE_REPLICA:
-                        day_local_or_replica += nbytes
-                    else:
+                    if reason == ORIGIN:
                         day_origin += nbytes
                     if collect_decisions:
                         server = client if decision is None else decision.server
@@ -409,9 +391,8 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
             tm: TrafficMatrix = {k: b * 8.0 / iv_len
                                  for k, b in sorted(commodity_bytes.items())}
             loads = apply_routing(routing, tm)
-            if scheme.transit is not None:
-                for link_id, extra in transit_loads.items():
-                    loads[link_id] = loads.get(link_id, 0.0) + extra
+            for link_id, extra in transit_loads.items():
+                loads[link_id] = loads.get(link_id, 0.0) + extra
             value = mlu(loads, topo)
             day_mlus.append(value)
             report.intervals.append((day, iv_start, value))
@@ -419,7 +400,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                 report.interval_matrices.append(dict(sorted(commodity_bytes.items())))
 
         if day_served > 0:
-            hit_ratio = day_local_or_replica / day_served
+            hit_ratio = (day_served - day_origin) / day_served
             origin_fraction = day_origin / day_served
         else:
             hit_ratio, origin_fraction = 1.0, 0.0
@@ -427,16 +408,13 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                                     sum(day_mlus) / len(day_mlus),
                                     hit_ratio, origin_fraction))
         total_served += day_served
-        total_local_or_replica += day_local_or_replica
         total_origin += day_origin
-
-        if scheme.placement in ("optimized", "hybrid"):
-            prev_dm = demand_today()
+        prev_dm = dm
         prev_realized = {k: b * 8.0 / DAY_SECONDS
                          for k, b in sorted(realized_day.items())}
 
     if total_served > 0:
-        report.hit_ratio = total_local_or_replica / total_served
+        report.hit_ratio = (total_served - total_origin) / total_served
         report.origin_fraction = total_origin / total_served
     else:
         report.hit_ratio, report.origin_fraction = 1.0, 0.0
@@ -587,16 +565,16 @@ def comparison_csv(table: ComparisonTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(rows: List[SweepRow]) -> str:
-    lines = ["storage_ratio,mean_daily_p99_mlu"]
-    for row in rows:
-        lines.append(f"{row.ratio:.10g},{row.mean_daily_p99:.10g}")
-    return "\n".join(lines) + "\n"
+def placement_rows(epoch: int, placement: Placement
+                   ) -> List[Tuple[int, int, ChunkId]]:
+    """One epoch's `placements_csv` rows: (epoch, pop, chunk), sorted."""
+    return [(epoch, pop, chunk) for pop in sorted(placement.stored)
+            for chunk in sorted(placement.stored[pop])]
 
 
-def placements_csv(report: MluReport) -> str:
+def placements_csv(rows: List[Tuple[int, int, ChunkId]]) -> str:
     lines = ["epoch,pop_id,chunk_id"]
-    for epoch, pop, chunk in report.placements:
+    for epoch, pop, chunk in rows:
         lines.append(f"{epoch},{pop},{_chunk_label(chunk)}")
     return "\n".join(lines) + "\n"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,7 +43,7 @@ class LinearProgram:
         self.hi: List[Optional[float]] = []
         self.rows: List[Tuple[Dict[int, float], str, float]] = []
         self.meta: Dict = {}
-        self._by_name: Dict[str, int] = {}
+        self._names: Set[str] = set()
 
     @property
     def num_vars(self) -> int:
@@ -55,7 +55,7 @@ class LinearProgram:
 
     def add_var(self, name: str, lo: float = 0.0, hi: Optional[float] = None,
                 obj: float = 0.0) -> int:
-        if name in self._by_name:
+        if name in self._names:
             raise ValueError(f"duplicate variable name {name!r}")
         if not math.isfinite(lo):
             raise ValueError(f"variable {name!r}: lower bound must be finite")
@@ -68,7 +68,7 @@ class LinearProgram:
         self.obj.append(obj)
         self.lo.append(lo)
         self.hi.append(hi)
-        self._by_name[name] = idx
+        self._names.add(name)
         return idx
 
     def add_constraint(self, coeffs: Dict[int, float], sense: str,
@@ -88,9 +88,6 @@ class LinearProgram:
         self.rows.append((clean, sense, rhs))
         return len(self.rows) - 1
 
-    def index_of(self, name: str) -> int:
-        return self._by_name[name]
-
 
 @dataclass
 class LpSolution:
@@ -101,12 +98,6 @@ class LpSolution:
     duality_gap: Optional[float] = None
     iterations: int = 0
     backend: str = "highs"            # the HiGHS method that solved it
-
-    @property
-    def variables(self) -> Dict[str, float]:
-        if self.array is None:
-            return {}
-        return {n: float(v) for n, v in zip(self.names, self.array)}
 
     def value(self, name: str) -> float:
         return float(self.array[self.names.index(name)])

@@ -65,15 +65,6 @@ def mlu(loads: LinkLoads, topo) -> float:
     return worst
 
 
-def overlay_transit(loads: LinkLoads, transit_tm: TrafficMatrix,
-                    routing: RoutingSolution) -> LinkLoads:
-    """Add transit traffic routed with `routing` on top of existing loads."""
-    out = dict(loads)
-    for link_id, extra in apply_routing(routing, transit_tm).items():
-        out[link_id] = out.get(link_id, 0.0) + extra
-    return out
-
-
 def check_flow_conservation(routing: RoutingSolution, topo,
                             tol: float = CONSERVATION_TOL) -> None:
     """Assert per-commodity conservation: net out-fraction 1 at the source,

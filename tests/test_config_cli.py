@@ -215,6 +215,25 @@ def test_solve_placement_cli(tmp_path, capsys):
     assert len(placements) > 1
 
 
+def test_solve_placement_matches_future_dump(tmp_path):
+    # solve-placement --day d plans what the future scheme places on day d
+    _write(tmp_path, "topo.txt", TOPO + "pop 3 D\nlink 2 3 100\n")
+    cfg = SYNTH_CFG.replace("synth.days = 2", "synth.days = 3").replace(
+        "scheme = lru inversecap closest ratio=1",
+        "scheme = future inversecap closest ratio=1.5 chunk_mb=0.0006")
+    cfg_path = _write(tmp_path, "exp.cfg", cfg)
+    plan, sim = str(tmp_path / "plan"), str(tmp_path / "sim")
+    assert main(["solve-placement", "--config", cfg_path, "--out", plan,
+                 "--day", "1"]) == 0
+    assert main(["simulate", "--config", cfg_path, "--out", sim,
+                 "--dump-placements"]) == 0
+    dumped = open(os.path.join(sim, "placements.csv")).read().splitlines()
+    day1 = [row for row in dumped[1:] if row.startswith("1,")]
+    assert len(day1) > 1 and len(day1) < len(dumped) - 1
+    assert open(os.path.join(plan, "placements.csv")).read().splitlines() \
+        == [dumped[0]] + day1
+
+
 def test_explicit_pop_weights(tmp_path):
     _write(tmp_path, "topo.txt", TOPO)
     cfg = SYNTH_CFG + "synth.pop_weights = 0.5,0.25,0.25\n"
@@ -359,7 +378,7 @@ def test_dumps_come_from_the_main_pass(tmp_path, monkeypatch, sweep):
     assert open(os.path.join(out, "decisions.csv")).read() == \
         engine_mod.decisions_csv(ref)
     assert open(os.path.join(out, "placements.csv")).read() == \
-        engine_mod.placements_csv(ref)
+        engine_mod.placements_csv(ref.placements)
     assert runs[0] in open(os.path.join(out, "report.csv")).read()
 
 

@@ -1,12 +1,20 @@
+from collections import defaultdict
+
 import pytest
 
+from cdnte import lp as lp_mod
 from cdnte import parse_topology
-from cdnte.engine import (SchemeSpec, TransitSpec, ValidationError,
-                          compare_schemes, comparison_csv, report_csv,
-                          run_experiment, summary_csv, sweep_storage_ratio)
-from cdnte.topology import inverse_cap_weights, shortest_path_routes
+from cdnte.engine import (PLACEMENTS, ROUTINGS, SchemeSpec, TransitSpec,
+                          ValidationError, compare_schemes, comparison_csv,
+                          report_csv, run_experiment, summary_csv,
+                          sweep_storage_ratio)
+from cdnte.placement import Placement, induced_traffic_matrix
+from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
+                            shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
-from cdnte.workload import ContentObject, Request
+from cdnte.workload import (ContentObject, Request, SynthParams,
+                            aggregate_demand, chunk_objects,
+                            generate_synthetic_trace)
 
 
 def _origin_triangle():
@@ -91,17 +99,105 @@ def test_hit_plus_origin_is_one():
             assert d.hit_ratio + d.origin_fraction == 1.0
 
 
-def test_reported_mlu_matches_independent_recomputation():
-    topo = _origin_triangle()
-    catalog, reqs = _daily_trace(2)
-    scheme = SchemeSpec("lru", "inversecap", "closest", storage_ratio=0.25)
+_VALID_PAIRS = [(p, r) for p in PLACEMENTS for r in ROUTINGS
+                if not (p in ("lru", "hybrid") and r == "min-mlu-future")]
+
+
+@pytest.mark.parametrize("transit_mode", [None, "inversecap", "combined"])
+@pytest.mark.parametrize("placement,routing", _VALID_PAIRS)
+def test_reported_mlu_matches_independent_recomputation(
+        placement, routing, transit_mode, monkeypatch):
+    # every interval's MLU, recomputed from a routing rebuilt day by day
+    # from the rule in run_experiment's docstring
+    topo = parse_topology("""
+    pop 0 A
+    pop 1 B
+    pop 2 C
+    pop 3 D
+    link 0 1 10
+    link 1 2 20
+    link 2 3 10
+    link 3 0 20
+    link 0 2 5
+    origin 0
+    """)
+    catalog, reqs = generate_synthetic_trace(
+        SynthParams(catalog_size=6, requests_per_day=40, days=3,
+                    size_min=1000, size_max=4000, seed=5), topo)
+    transit_tm = {(1, 3): 30.0, (3, 2): 10.0}
+    transit = None if transit_mode is None else TransitSpec(transit_tm,
+                                                            transit_mode)
+    scheme = SchemeSpec(placement, routing, "closest", storage_ratio=1.0,
+                        transit=transit)
+    solves = []
+    real_solve = lp_mod.solve_min_mlu_routing
+
+    def counted(*args, **kwargs):
+        solves.append(args[1])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "solve_min_mlu_routing", counted)
     rep = run_experiment(topo, catalog, reqs, scheme, 3600.0,
-                         collect_matrices=True)
+                         collect_placements=True, collect_matrices=True)
+    monkeypatch.undo()
+    n_days, per_day = len(rep.days), 24
+    assert n_days == 3
+    if placement != "lru":
+        assert rep.placements
+    if (placement, routing, transit_mode) == ("future", "min-mlu-future",
+                                              "inversecap"):
+        assert len(solves) == n_days  # the planner's routing is reused
+
     ic = shortest_path_routes(topo, inverse_cap_weights(topo))
-    for (day, start, value), matrix in zip(rep.intervals,
-                                           rep.interval_matrices):
-        tm = {k: b * 8.0 / 3600.0 for k, b in sorted(matrix.items())}
-        assert value == mlu(apply_routing(ic, tm), topo)
+    dists = all_pairs_distances(topo, inverse_cap_weights(topo))
+    chunks = chunk_objects(catalog, None)
+    origins = {c: topo.origin_pop for c in catalog}
+
+    def demand(day):
+        return aggregate_demand(reqs, (day * 86400.0, (day + 1) * 86400.0),
+                                chunks)
+
+    def matrices(day):
+        return rep.interval_matrices[day * per_day:(day + 1) * per_day]
+
+    for day in range(n_days):
+        placed = Placement()
+        for epoch, pop, chunk in rep.placements:
+            if epoch == day:
+                placed.stored.setdefault(pop, set()).add(chunk)
+        if routing == "inversecap" or (routing == "min-mlu-prior-day"
+                                       and day == 0):
+            expected = ic
+        else:
+            if routing == "min-mlu-future":
+                tm = induced_traffic_matrix(demand(day), placed, origins,
+                                            dists)
+            elif placement in ("optimized", "hybrid"):
+                tm = induced_traffic_matrix(demand(day - 1), placed, origins,
+                                            dists)
+            else:  # yesterday's realized matrix
+                realized = defaultdict(int)
+                for matrix in matrices(day - 1):
+                    for k, b in matrix.items():
+                        realized[k] += b
+                tm = {k: b * 8.0 / 86400.0 for k, b in sorted(realized.items())}
+            if transit_mode == "combined":
+                tm = dict(tm)
+                for k, rate in transit_tm.items():
+                    tm[k] = tm.get(k, 0.0) + rate
+            expected = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic)
+        transit_loads = {}
+        if transit_mode is not None:
+            transit_loads = apply_routing(
+                expected if transit_mode == "combined" else ic, transit_tm)
+        intervals = rep.intervals[day * per_day:(day + 1) * per_day]
+        for (iv_day, _, value), matrix in zip(intervals, matrices(day)):
+            assert iv_day == day
+            tm = {k: b * 8.0 / 3600.0 for k, b in sorted(matrix.items())}
+            loads = apply_routing(expected, tm)
+            for link_id, extra in transit_loads.items():
+                loads[link_id] = loads.get(link_id, 0.0) + extra
+            assert value == mlu(loads, topo)
 
 
 def test_p99_within_day_range():

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from cdnte import parse_topology
-from cdnte.traffic import (apply_routing, mlu, overlay_transit,
-                           read_traffic_matrix, validate_traffic_matrix,
-                           write_traffic_matrix)
+from cdnte.traffic import (apply_routing, mlu, read_traffic_matrix,
+                           validate_traffic_matrix, write_traffic_matrix)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
 
 from conftest import random_digraph, random_traffic_matrix
@@ -65,38 +64,6 @@ def test_mlu_examples():
     assert mlu({l01.id: 5e6, l10.id: 2e6}, topo) == pytest.approx(0.5)
     assert mlu({}, topo) == 0.0
     assert mlu({l01.id: 15e6}, topo) == pytest.approx(1.5)  # overload reported
-
-
-def test_overlay_identity_and_doubling(parallel_paths):
-    routes = shortest_path_routes(parallel_paths,
-                                  inverse_cap_weights(parallel_paths))
-    tm = {(0, 1): 8.0}
-    loads = apply_routing(routes, tm)
-    assert overlay_transit(loads, {}, routes) == loads
-    doubled = overlay_transit(loads, tm, routes)
-    for link_id, v in loads.items():
-        assert doubled[link_id] == pytest.approx(2 * v)
-
-
-def test_overlay_disjoint_commodities():
-    # two disjoint unidirectional flows on a 4-pop ring
-    topo = parse_topology("""
-    pop 0 A
-    pop 1 B
-    pop 2 C
-    pop 3 D
-    link 0 1 10
-    link 1 2 10
-    link 2 3 10
-    link 3 0 10
-    origin 0
-    """)
-    routes = shortest_path_routes(topo, inverse_cap_weights(topo))
-    content_tm = {(0, 1): 4e6}
-    transit = {(2, 3): 6e6}
-    loads = overlay_transit(apply_routing(routes, content_tm), transit, routes)
-    # disjoint single-hop paths: MLU is the max of the two utilizations
-    assert mlu(loads, topo) == pytest.approx(0.6)
 
 
 def test_matrix_csv_roundtrip():
