@@ -20,7 +20,7 @@ from .lp import SimplexError
 from .placement import (Placement, induced_traffic_matrix,
                         plan_placement_optimized)
 from .topology import TopologyError
-from .traffic import apply_routing, mlu, read_traffic_matrix
+from .traffic import apply_routing, finite_float, mlu, read_traffic_matrix
 from .workload import (DAY_SECONDS, TraceError, aggregate_demand,
                        generate_synthetic_trace, parse_catalog, parse_trace,
                        write_catalog, write_trace)
@@ -91,7 +91,7 @@ def cmd_gen_trace(args) -> int:
 def _dump_lps(cfg: ExperimentConfig, topo, catalog, requests, out: str) -> None:
     """Debug dump: the day-0 joint program and the min-MLU program on the
     origin-to-client matrix, in LP text format."""
-    chunks, origins, budgets = scheme_inputs(topo, catalog, cfg.schemes[0])
+    chunks, origins, budgets, _ = scheme_inputs(topo, catalog, cfg.schemes[0])
     dm = aggregate_demand(requests, (0.0, DAY_SECONDS), chunks)
     joint = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
     dists = topo_mod.all_pairs_distances(topo, topo_mod.inverse_cap_weights(topo))
@@ -177,7 +177,7 @@ def cmd_solve_placement(args) -> int:
         raise ConfigError("config declares no schemes")
     topo = _load_topology(cfg)
     catalog, requests = _load_workload(cfg, topo)
-    chunks, origins, budgets = scheme_inputs(topo, catalog, cfg.schemes[0])
+    chunks, origins, budgets, _ = scheme_inputs(topo, catalog, cfg.schemes[0])
     day = args.day
     dm = aggregate_demand(requests, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS),
                           chunks)
@@ -204,7 +204,10 @@ def cmd_report(args) -> int:
         if len(parts) != 4:
             raise ValidationError(f"report line {lineno}: expected 4 fields")
         scheme, day, _, value = parts
-        series.setdefault((scheme, int(day)), []).append(float(value))
+        try:
+            series.setdefault((scheme, int(day)), []).append(finite_float(value))
+        except ValueError as exc:
+            raise ValidationError(f"report line {lineno}: {exc}") from None
     out_lines = ["scheme,day,p99_mlu,mean_mlu"]
     for (scheme, day) in sorted(series):
         vals = series[(scheme, day)]

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .engine import SchemeSpec, TransitSpec, ValidationError
-from .traffic import read_traffic_matrix
+from .traffic import finite_float, read_traffic_matrix
 from .workload import SynthParams
 
 
@@ -93,13 +93,13 @@ def _parse_scheme(value: str, base_dir: str) -> SchemeSpec:
         key, val = tok.split("=", 1)
         try:
             if key == "ratio":
-                spec.storage_ratio = float(val)
+                spec.storage_ratio = finite_float(val)
             elif key == "chunk_mb":
-                spec.chunk_size = int(float(val) * 1_000_000)
+                spec.chunk_size = int(finite_float(val) * 1_000_000)
             elif key == "chunk_bytes":
                 spec.chunk_size = int(val)
             elif key == "reserve":
-                spec.hybrid_reserve = float(val)
+                spec.hybrid_reserve = finite_float(val)
             elif key == "name":
                 spec.name = val
             elif key == "transit":
@@ -113,7 +113,7 @@ def _parse_scheme(value: str, base_dir: str) -> SchemeSpec:
                 spec.transit = TransitSpec(tm, mode)
             else:
                 raise ConfigError(f"unknown scheme option {key!r}")
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"bad scheme option {tok!r}: {exc}") from None
     spec.validate()
     return spec
@@ -156,7 +156,7 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
         except ValueError:
             raise ConfigError(f"bad value for {key}: {values[key]!r}") from None
 
-    cfg.interval_s = num("interval_s", float, cfg.interval_s)
+    cfg.interval_s = num("interval_s", finite_float, cfg.interval_s)
     cfg.seed = num("seed", int, cfg.seed)
     cfg.jobs = num("jobs", int, cfg.jobs)
     if values.get("lp_backend", "auto") != "auto":
@@ -165,7 +165,7 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
             "the bundled simplex was removed and HiGHS solves every program")
     if "storage_ratios" in values:
         try:
-            cfg.storage_ratios = [float(v) for v in
+            cfg.storage_ratios = [finite_float(v) for v in
                                   values["storage_ratios"].split(",") if v.strip()]
         except ValueError:
             raise ConfigError("bad storage_ratios list") from None

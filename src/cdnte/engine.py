@@ -152,10 +152,12 @@ class _HolderIndex:
 
 
 def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
-                  ) -> Tuple[ChunkMap, Dict[str, int], Dict[int, int]]:
+                  ) -> Tuple[ChunkMap, Dict[str, int], Dict[int, int], Dict[int, int]]:
     """What a scheme's plans are built from: the chunk map, each object's
-    origin PoP (the catalog's, else the topology's; it must be a PoP) and
-    the per-PoP budget, ratio * total chunked catalog bytes / pop count."""
+    origin PoP (the catalog's, else the topology's; it must be a PoP), and
+    the planned-store and LRU-cache budgets per PoP. `split_hybrid` splits
+    each PoP's budget, ratio * total chunked catalog bytes / pop count:
+    `lru` caches all of it, `hybrid` its reserve, the others none of it."""
     chunks = chunk_objects(catalog, scheme.chunk_size)
     pop_set = set(topo.pops)
     origins = {}
@@ -165,7 +167,8 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
             raise ValidationError(f"content {cid}: origin pop {origin} unknown")
         origins[cid] = origin
     budget = int(scheme.storage_ratio * chunks.total_bytes / len(topo.pops))
-    return chunks, origins, {p: budget for p in topo.pops}
+    cached = {"lru": 1.0, "hybrid": scheme.hybrid_reserve}.get(scheme.placement, 0.0)
+    return (chunks, origins, *split_hybrid({p: budget for p in topo.pops}, cached))
 
 
 PlanTable = Dict[tuple, Tuple[Placement, RoutingSolution]]
@@ -233,18 +236,9 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         if r.content not in catalog:
             raise ValidationError(f"request content {r.content!r} not in catalog")
 
-    chunks, origins, budgets = scheme_inputs(topo, catalog, scheme)
+    chunks, origins, planned_budgets, cache_budgets = scheme_inputs(topo, catalog, scheme)
     if plans is None:
         plans = {}
-    if scheme.placement == "lru":
-        planned_budgets = {p: 0 for p in topo.pops}
-        cache_budgets = budgets
-    elif scheme.placement == "hybrid":
-        planned_budgets, cache_budgets = split_hybrid(budgets,
-                                                      scheme.hybrid_reserve)
-    else:
-        planned_budgets = budgets
-        cache_budgets = {p: 0 for p in topo.pops}
 
     requests = sorted(requests, key=lambda r: r.timestamp)
     n_days = int(requests[-1].timestamp // DAY_SECONDS) + 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,15 +35,23 @@ class SimplexError(RuntimeError):
 
 
 class LinearProgram:
+    """A program's rows are one sparse matrix, stored as COO triplets
+    (row, column, coefficient) with one sense and one right-hand side per
+    row. The builders, the solve and the certificate all read it."""
+
     def __init__(self, name: str = "lp"):
         self.name = name
         self.var_names: List[str] = []
         self.obj: List[float] = []
         self.lo: List[float] = []
         self.hi: List[Optional[float]] = []
-        self.rows: List[Tuple[Dict[int, float], str, float]] = []
+        self.senses: List[str] = []
+        self.rhs: List[float] = []
         self.meta: Dict = {}
         self._names: Set[str] = set()
+        self._coo = [(np.empty(0, np.int64), np.empty(0, np.int64),
+                      np.empty(0))]
+        self._csr = sp.csr_matrix((0, 0))
 
     @property
     def num_vars(self) -> int:
@@ -51,7 +59,16 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return len(self.rhs)
+
+    @property
+    def rows(self) -> Iterator[Tuple[Dict[int, float], str, float]]:
+        """Read-only view: (coefficients by column, sense, rhs) per row."""
+        A = self.matrix()
+        cols, coefs = A.indices.tolist(), A.data.tolist()
+        for r, (sense, rhs) in enumerate(zip(self.senses, self.rhs)):
+            span = slice(A.indptr[r], A.indptr[r + 1])
+            yield dict(zip(cols[span], coefs[span])), sense, rhs
 
     def add_var(self, name: str, lo: float = 0.0, hi: Optional[float] = None,
                 obj: float = 0.0) -> int:
@@ -71,22 +88,42 @@ class LinearProgram:
         self._names.add(name)
         return idx
 
-    def add_constraint(self, coeffs: Dict[int, float], sense: str,
-                       rhs: float) -> int:
+    def add_rows(self, rows, cols, coefs, sense: str, rhs) -> int:
+        """Append one row of sense `sense` per entry of `rhs`; entry k puts
+        coefs[k] in column cols[k] of new row rows[k] (counted from 0).
+        Zero coefficients are dropped. Returns the first new row's index."""
         if sense not in (LE, EQ, GE):
             raise ValueError(f"bad sense {sense!r}")
-        if not math.isfinite(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
             raise ValueError("rhs must be finite")
-        clean = {}
-        for idx, coef in coeffs.items():
-            if not 0 <= idx < self.num_vars:
-                raise ValueError(f"coefficient references unknown variable {idx}")
-            if not math.isfinite(coef):
-                raise ValueError("coefficients must be finite")
-            if coef != 0.0:
-                clean[idx] = clean.get(idx, 0.0) + coef
-        self.rows.append((clean, sense, rhs))
-        return len(self.rows) - 1
+        cols = np.asarray(cols, dtype=np.int64)
+        unknown = cols[(cols < 0) | (cols >= self.num_vars)]
+        if unknown.size:
+            raise ValueError(f"coefficient references unknown variable {unknown[0]}")
+        coefs = np.asarray(coefs, dtype=float)
+        if not np.isfinite(coefs).all():
+            raise ValueError("coefficients must be finite")
+        first, keep = self.num_rows, coefs != 0.0
+        self._coo.append((np.asarray(rows, dtype=np.int64)[keep] + first,
+                          cols[keep], coefs[keep]))
+        self.senses += [sense] * rhs.size
+        self.rhs += rhs.tolist()
+        return first
+
+    def add_constraint(self, coeffs: Dict[int, float], sense: str,
+                       rhs: float) -> int:
+        """One row, from {column: coefficient}."""
+        return self.add_rows([0] * len(coeffs), list(coeffs),
+                             list(coeffs.values()), sense, [rhs])
+
+    def matrix(self) -> sp.csr_matrix:
+        """The rows as one num_rows x num_vars CSR matrix."""
+        if self._csr.shape != (self.num_rows, self.num_vars):
+            rows, cols, coefs = map(np.concatenate, zip(*self._coo))
+            self._csr = sp.csr_matrix((coefs, (rows, cols)),
+                                      shape=(self.num_rows, self.num_vars))
+        return self._csr
 
 
 @dataclass
@@ -103,70 +140,29 @@ class LpSolution:
         return float(self.array[self.names.index(name)])
 
 
-def _program_arrays(lp: LinearProgram):
-    """The program as linprog takes it: (A_ub, b_ub, A_eq, b_eq), with
-    ">=" rows negated into "<=" rows and None for a block with no rows."""
-    n = lp.num_vars
-    ub_data, ub_ri, ub_ci, b_ub = [], [], [], []
-    eq_data, eq_ri, eq_ci, b_eq = [], [], [], []
-    for coeffs, sense, rhs in lp.rows:
-        if sense == EQ:
-            row = len(b_eq)
-            for j, c in coeffs.items():
-                eq_data.append(c)
-                eq_ri.append(row)
-                eq_ci.append(j)
-            b_eq.append(rhs)
-        else:
-            flip = 1.0 if sense == LE else -1.0
-            row = len(b_ub)
-            for j, c in coeffs.items():
-                ub_data.append(flip * c)
-                ub_ri.append(row)
-                ub_ci.append(j)
-            b_ub.append(flip * rhs)
-    A_ub = sp.csr_matrix((ub_data, (ub_ri, ub_ci)), shape=(len(b_ub), n)) \
-        if b_ub else None
-    A_eq = sp.csr_matrix((eq_data, (eq_ri, eq_ci)), shape=(len(b_eq), n)) \
-        if b_eq else None
-    return A_ub, b_ub, A_eq, b_eq
-
-
-def _verify_solution(lp: LinearProgram, x: np.ndarray, arrays) -> None:
-    """Certify primal feasibility of `x` on the program's
-    `_program_arrays`: every bound within 1e-9 (then x is clipped onto its
-    bounds in place) and every row within FEAS_TOL times its scale,
-    max(1, largest |coefficient|, |rhs|). Raises SimplexError naming the
-    first violating variable, else the first violating row."""
+def _verify_solution(lp: LinearProgram, x: np.ndarray) -> None:
+    """Certify primal feasibility of `x`: every bound within 1e-9 (then x
+    is clipped onto its bounds in place) and every row, by its own sense,
+    within FEAS_TOL times its scale, max(1, largest |coefficient|, |rhs|).
+    Raises SimplexError naming the first violating variable, else the
+    first violating row."""
     lo = np.array(lp.lo, dtype=float)
     hi = np.array([np.inf if h is None else h for h in lp.hi], dtype=float)
     bad = np.flatnonzero((x < lo - 1e-9) | (x > hi + 1e-9))
     if bad.size:
         j = bad[0]
-        raise SimplexError(
-            f"variable {lp.var_names[j]} violates its bounds: {x[j]}")
+        raise SimplexError(f"variable {lp.var_names[j]} violates its bounds: {x[j]}")
     np.clip(x, lo, hi, out=x)
-    A_ub, b_ub, A_eq, b_eq = arrays
-    ub_rows = [r for r, (_, sense, _) in enumerate(lp.rows) if sense != EQ]
-    eq_rows = [r for r, (_, sense, _) in enumerate(lp.rows) if sense == EQ]
-    violated = []
-    for A, b, rows, eq in ((A_ub, b_ub, ub_rows, False),
-                           (A_eq, b_eq, eq_rows, True)):
-        if A is None:
-            continue
-        b = np.array(b, dtype=float)
-        resid = A @ x - b
-        scale = np.maximum(1.0, np.maximum(
-            abs(A).max(axis=1).toarray().ravel(), np.abs(b)))
-        over = np.abs(resid) if eq else resid
-        first = np.flatnonzero(over > FEAS_TOL * scale)[:1]
-        violated += [(rows[k], resid[k]) for k in first]
-    if violated:
-        r, resid = min(violated)
-        sense = lp.rows[r][1]
-        if sense == GE:
-            resid = -resid  # the row was negated into A_ub
-        raise SimplexError(f"row {r} violated by {resid:.3e} (sense {sense})")
+    A, b, sense = lp.matrix(), np.array(lp.rhs), np.array(lp.senses, str)
+    resid = A @ x - b
+    over = np.where(sense == EQ, np.abs(resid),
+                    np.where(sense == GE, -resid, resid))
+    scale = np.maximum(1.0, np.maximum(
+        abs(A).max(axis=1).toarray().ravel(), np.abs(b)))
+    bad = np.flatnonzero(over > FEAS_TOL * scale)
+    if bad.size:
+        r = bad[0]
+        raise SimplexError(f"row {r} violated by {resid[r]:.3e} (sense {sense[r]})")
 
 
 # ---------------------------------------------------------------------------
@@ -180,40 +176,40 @@ def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
     A failed certificate raises SimplexError, never a silent wrong answer."""
     from scipy.optimize import linprog
 
-    n = lp.num_vars
-    arrays = _program_arrays(lp)
-    A_ub, b_ub, A_eq, b_eq = arrays
-    bounds = [(lp.lo[j], lp.hi[j]) for j in range(n)]
-    res = linprog(np.array(lp.obj), A_ub=A_ub, b_ub=b_ub or None,
-                  A_eq=A_eq, b_eq=b_eq or None, bounds=bounds, method=method,
+    # linprog takes "<=" rows and "=" rows; ">=" rows go in negated
+    A, sense = lp.matrix(), np.array(lp.senses, str)
+    flip = np.where(sense == GE, -1.0, 1.0)
+    A_le = sp.csr_matrix((A.data * np.repeat(flip, np.diff(A.indptr)),
+                          A.indices, A.indptr), shape=A.shape)
+    b_le = flip * np.array(lp.rhs)
+    ub, eq = np.flatnonzero(sense != EQ), np.flatnonzero(sense == EQ)
+    res = linprog(np.array(lp.obj),
+                  A_ub=A_le[ub] if ub.size else None,
+                  b_ub=b_le[ub] if ub.size else None,
+                  A_eq=A_le[eq] if eq.size else None,
+                  b_eq=b_le[eq] if eq.size else None,
+                  bounds=list(zip(lp.lo, lp.hi)), method=method,
                   options=_HIGHS_OPTIONS)
-    if res.status == 2:
-        return LpSolution("infeasible", None, None, list(lp.var_names),
-                          backend=method)
-    if res.status == 3:
-        return LpSolution("unbounded", None, None, list(lp.var_names),
+    if res.status in (2, 3):
+        status = "infeasible" if res.status == 2 else "unbounded"
+        return LpSolution(status, None, None, list(lp.var_names),
                           backend=method)
     if res.status != 0:
         raise SimplexError(f"linprog failed: {res.message}")
     x = np.array(res.x, dtype=float)
-    _verify_solution(lp, x, arrays)
-    dual = 0.0
-    if b_ub:
-        dual += float(np.dot(b_ub, res.ineqlin.marginals))
-    if b_eq:
-        dual += float(np.dot(b_eq, res.eqlin.marginals))
-    for j in range(n):
-        dual += lp.lo[j] * float(res.lower.marginals[j])
-        if lp.hi[j] is not None:
-            dual += lp.hi[j] * float(res.upper.marginals[j])
+    _verify_solution(lp, x)
+    hi = np.array([0.0 if h is None else h for h in lp.hi])
+    dual = float(b_le[ub] @ res.ineqlin.marginals
+                 + b_le[eq] @ res.eqlin.marginals
+                 + np.dot(lp.lo, res.lower.marginals)
+                 + hi @ res.upper.marginals)
     primal = float(res.fun)
     gap = abs(primal - dual) / max(1.0, abs(primal))
     if gap > DUAL_TOL:
         raise SimplexError(f"duality gap {gap:.3e} exceeds {DUAL_TOL}")
-    nit = int(getattr(res, "nit", 0))
     return LpSolution("optimal", float(np.dot(lp.obj, x)), x,
-                      list(lp.var_names), duality_gap=gap, iterations=nit,
-                      backend=method)
+                      list(lp.var_names), duality_gap=gap,
+                      iterations=int(res.nit), backend=method)
 
 
 # very large programs solve much faster with the interior-point method
@@ -238,8 +234,7 @@ def write_lp_text(lp: LinearProgram) -> str:
     out.append("Subject To")
     for r, (coeffs, sense, rhs) in enumerate(lp.rows):
         lhs = " ".join(f"{c:+.12g} {names[j]}" for j, c in sorted(coeffs.items()))
-        op = {LE: "<=", EQ: "=", GE: ">="}[sense]
-        out.append(f" c{r}: {lhs or '0'} {op} {rhs:.12g}")
+        out.append(f" c{r}: {lhs or '0'} {sense} {rhs:.12g}")
     out.append("Bounds")
     for j in range(lp.num_vars):
         if lp.hi[j] is None:
@@ -254,41 +249,61 @@ def write_lp_text(lp: LinearProgram) -> str:
 # program builders
 
 
+def _node_row(k, u, sink, n_pops):
+    """Commodity k's conservation row at pop position u (none at its sink)."""
+    return k * (n_pops - 1) + u - (u > sink)
+
+
+def _add_flow_rows(lp, topo, sinks, first_col, extra, rhs, load, alpha_coef):
+    """Flow rows, where commodity k ends at pop position sinks[k] and its
+    flow on link position l is column first_col + k * len(topo.links) + l.
+    At each pop but the sink: out-flow - in-flow + `extra` (rows, columns,
+    coefficients) = rhs. Per link: load-weighted flow + alpha_coef *
+    alpha (column 0) <= 0."""
+    pos = {p: i for i, p in enumerate(topo.pops)}
+    ends = np.array([[pos[l.src] for l in topo.links],
+                     [pos[l.dst] for l in topo.links]])
+    k, links = np.arange(len(sinks))[:, None, None], np.arange(len(topo.links))
+    sink = np.asarray(sinks, dtype=np.int64)[:, None, None]
+    rows = _node_row(k, ends, sink, len(topo.pops))  # (k, out/in, link)
+    flow = first_col + k * links.size + links        # (k, 1, link)
+    keep = ends != sink
+    lp.add_rows(np.r_[rows[keep], extra[0]],
+                np.r_[np.broadcast_to(flow, rows.shape)[keep], extra[1]],
+                np.r_[np.broadcast_to([[1.0], [-1.0]], rows.shape)[keep],
+                      extra[2]], EQ, rhs)
+    lp.add_rows(np.tile(links, len(sinks) + 1),
+                np.r_[flow.ravel(), np.zeros(links.size, np.int64)],
+                np.r_[np.broadcast_to(load, (len(sinks), links.size)).ravel(),
+                      alpha_coef], LE, np.zeros(links.size))
+
+
 def build_min_mlu_lp(topo, tm: TrafficMatrix) -> LinearProgram:
     """Multicommodity-flow program minimizing the maximum link utilization.
 
     One flow-fraction variable per (commodity, link): the fraction of the
-    commodity's rate on that link. Conservation rows at every node except
-    the sink (whose row is implied); per-link load <= alpha * capacity.
-    Zero-demand commodities are dropped.
+    commodity's rate on that link. Alpha is column 0, and commodity k's
+    flow on link position l is column 1 + k * len(topo.links) + l.
+    Conservation rows at every node except the sink (whose row is
+    implied); per-link load <= alpha * capacity. Zero-demand commodities
+    are dropped.
     """
     commodities = sorted(k for k, rate in tm.items() if rate > 0)
-    rates = {k: tm[k] for k in commodities}
     lp = LinearProgram("min-mlu")
     alpha = lp.add_var("alpha", lo=0.0, obj=1.0)
-    flow: Dict[Tuple[Tuple[int, int], int], int] = {}
     for (s, t) in commodities:
         for link in topo.links:
-            flow[((s, t), link.id)] = lp.add_var(f"f[{s}->{t}]@{link.id}")
-    for (s, t) in commodities:
-        for u in topo.pops:
-            if u == t:
-                continue
-            coeffs: Dict[int, float] = {}
-            for link in topo.out_links[u]:
-                coeffs[flow[((s, t), link.id)]] = coeffs.get(
-                    flow[((s, t), link.id)], 0.0) + 1.0
-            for link in topo.in_links[u]:
-                coeffs[flow[((s, t), link.id)]] = coeffs.get(
-                    flow[((s, t), link.id)], 0.0) - 1.0
-            lp.add_constraint(coeffs, EQ, 1.0 if u == s else 0.0)
-    for link in topo.links:
-        coeffs = {flow[(k, link.id)]: rates[k] / link.capacity
-                  for k in commodities}
-        coeffs[alpha] = coeffs.get(alpha, 0.0) - 1.0
-        lp.add_constraint(coeffs, LE, 0.0)
-    lp.meta = {"alpha": alpha, "flow": flow, "commodities": commodities,
-               "rates": rates}
+            lp.add_var(f"f[{s}->{t}]@{link.id}")
+    n, pos = len(topo.pops), {p: i for i, p in enumerate(topo.pops)}
+    rhs = np.zeros(len(commodities) * (n - 1))
+    rhs[[_node_row(k, pos[s], pos[t], n)
+         for k, (s, t) in enumerate(commodities)]] = 1.0
+    rate = np.array([tm[k] for k in commodities], dtype=float)
+    cap = np.array([link.capacity for link in topo.links], dtype=float)
+    _add_flow_rows(lp, topo, [pos[t] for _, t in commodities], 1,
+                   ([], [], []), rhs, rate[:, None] / cap,
+                   -np.ones(len(topo.links)))
+    lp.meta = {"alpha": alpha, "commodities": commodities}
     return lp
 
 
@@ -307,11 +322,8 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
     destination may always merge. Demand is converted to average rates
     over the demand window.
     """
-    window = dm.window_seconds
-    rates: Dict[Tuple, float] = {}
-    for (chunk, pop), nbytes in dm.demand.items():
-        if nbytes > 0:
-            rates[(chunk, pop)] = nbytes * 8.0 / window
+    rates = {key: nbytes * 8.0 / dm.window_seconds
+             for key, nbytes in dm.demand.items() if nbytes > 0}
     demanded = sorted(rates)
     chunk_list = sorted({chunk for chunk, _ in demanded})
     clients = sorted({pop for _, pop in demanded})
@@ -319,75 +331,58 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
     server_pops = sorted(set(store_pops)
                          | {origins[c[0]] for c in chunk_list})
     rate_scale = max(rates.values(), default=1.0)
+    n, pos = len(topo.pops), {p: i for i, p in enumerate(topo.pops)}
+    client_of = {i: k for k, i in enumerate(clients)}
 
     lp = LinearProgram("joint-placement-routing")
     alpha = lp.add_var("alpha", lo=0.0, obj=1.0)
     x: Dict[Tuple, int] = {}
     for chunk in chunk_list:
         for j in store_pops:
-            if j == origins[chunk[0]]:
-                continue
-            x[(chunk, j)] = lp.add_var(f"x[{chunk[0]}#{chunk[1]}@{j}]",
-                                       lo=0.0, hi=1.0)
-    y: Dict[Tuple, int] = {}
-    y_by_client: Dict[Tuple, List[Tuple]] = {}
-    for (chunk, i) in demanded:
+            if j != origins[chunk[0]]:
+                x[(chunk, j)] = lp.add_var(f"x[{chunk[0]}#{chunk[1]}@{j}]",
+                                           lo=0.0, hi=1.0)
+    # per y column: (demanded pair, column); (column, x column) unless
+    # served from the origin; its conservation entry if served remotely
+    assigned, stored, remote = [], [], ([], [], [])
+    for r, (chunk, i) in enumerate(demanded):
         for j in server_pops:
-            if j != origins[chunk[0]] and (chunk, j) not in x:
+            at_origin = j == origins[chunk[0]]
+            if not at_origin and (chunk, j) not in x:
                 continue
-            y[(chunk, i, j)] = lp.add_var(
-                f"y[{chunk[0]}#{chunk[1]}:{i}<-{j}]")
+            col = lp.add_var(f"y[{chunk[0]}#{chunk[1]}:{i}<-{j}]")
+            assigned.append((r, col))
+            if not at_origin:
+                stored.append((col, x[(chunk, j)]))
             if j != i:
-                y_by_client.setdefault((i, j), []).append((chunk, i, j))
-    flow: Dict[Tuple, int] = {}
+                remote[0].append(_node_row(client_of[i], pos[j], pos[i], n))
+                remote[1].append(col)
+                remote[2].append(-rates[(chunk, i)] / rate_scale)
+    first_flow = lp.num_vars
     for i in clients:
         for link in topo.links:
-            flow[(i, link.id)] = lp.add_var(f"f[->{i}]@{link.id}")
+            lp.add_var(f"f[->{i}]@{link.id}")
 
     # every demanded (chunk, client) fully assigned to servers
-    for (chunk, i) in demanded:
-        coeffs = {y[(chunk, i, j)]: 1.0 for j in server_pops
-                  if (chunk, i, j) in y}
-        lp.add_constraint(coeffs, EQ, 1.0)
+    rows, cols = np.array(assigned, dtype=np.int64).reshape(-1, 2).T
+    lp.add_rows(rows, cols, np.ones(cols.size), EQ, np.ones(len(demanded)))
     # service only from pops that store the chunk
-    for (chunk, i, j), yi in y.items():
-        if j == origins[chunk[0]]:
-            continue
-        lp.add_constraint({yi: 1.0, x[(chunk, j)]: -1.0}, LE, 0.0)
-    # per-pop storage budgets
-    for j in store_pops:
-        coeffs = {}
-        for chunk in chunk_list:
-            if (chunk, j) in x:
-                coeffs[x[(chunk, j)]] = chunks.sizes[chunk] / budgets[j]
-        if coeffs:
-            lp.add_constraint(coeffs, LE, 1.0)
-    # delivery flow conservation per client at every node but the client:
-    # node u feeds in what it serves remotely to i
-    for i in clients:
-        for u in topo.pops:
-            if u == i:
-                continue
-            coeffs = {}
-            for link in topo.out_links[u]:
-                idx = flow[(i, link.id)]
-                coeffs[idx] = coeffs.get(idx, 0.0) + 1.0
-            for link in topo.in_links[u]:
-                idx = flow[(i, link.id)]
-                coeffs[idx] = coeffs.get(idx, 0.0) - 1.0
-            for key in y_by_client.get((i, u), ()):
-                coeffs[y[key]] = coeffs.get(y[key], 0.0) \
-                    - rates[(key[0], i)] / rate_scale
-            lp.add_constraint(coeffs, EQ, 0.0)
-    # per-link load bounded by alpha * capacity (in rate_scale units)
-    for link in topo.links:
-        coeffs = {flow[(i, link.id)]: 1.0 for i in clients}
-        coeffs[alpha] = coeffs.get(alpha, 0.0) - link.capacity / rate_scale
-        lp.add_constraint(coeffs, LE, 0.0)
-
-    lp.meta = {"alpha": alpha, "x": x, "y": y, "flow": flow,
-               "rates": rates, "rate_scale": rate_scale,
-               "chunks": chunk_list, "clients": clients}
+    ys, xs = np.array(stored, dtype=np.int64).reshape(-1, 2).T
+    m = np.arange(ys.size)
+    lp.add_rows(np.tile(m, 2), np.r_[ys, xs], np.repeat([1.0, -1.0], m.size),
+                LE, np.zeros(m.size))
+    # per-pop storage budgets, at every pop that may store a chunk
+    holders = {j: k for k, j in enumerate(sorted({j for _, j in x}))}
+    lp.add_rows([holders[j] for _, j in x], list(x.values()),
+                [chunks.sizes[c] / budgets[j] for c, j in x], LE,
+                np.ones(len(holders)))
+    # delivery flow toward each client: node u feeds in what it serves
+    # remotely to i, and each link's load is at most alpha * capacity (in
+    # rate_scale units)
+    cap = np.array([link.capacity for link in topo.links], dtype=float)
+    _add_flow_rows(lp, topo, [pos[i] for i in clients], first_flow, remote,
+                   np.zeros(len(clients) * (n - 1)), 1.0, -cap / rate_scale)
+    lp.meta = {"alpha": alpha, "x": x}
     return lp
 
 
@@ -412,22 +407,18 @@ def solve_min_mlu_routing(topo, tm: TrafficMatrix,
         return routing
     lp = build_min_mlu_lp(topo, positive)
     alpha = lp.meta["alpha"]
-    flow = lp.meta["flow"]
     sol = solve_lp_auto(lp)
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU program ended {sol.status}")
     lp.hi[alpha] = float(sol.array[alpha]) * (1.0 + 1e-9)
-    lp.obj = [0.0] * lp.num_vars
-    for (_, link_id), idx in flow.items():
-        lp.obj[idx] = weights[link_id]
+    # the builder's column layout: alpha, then each commodity's links
+    lp.obj = [0.0] + [weights[link.id] for link in topo.links] * len(
+        lp.meta["commodities"])
     sol = solve_lp_auto(lp)
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU second stage ended {sol.status}")
-    for k in lp.meta["commodities"]:
-        fracs = {}
-        for link in topo.links:
-            v = float(sol.array[flow[(k, link.id)]])
-            if v > 1e-12:
-                fracs[link.id] = v
-        routing[k] = fracs
+    flows = sol.array[1:].reshape(-1, len(topo.links))
+    for k, row in zip(lp.meta["commodities"], flows):
+        routing[k] = {link.id: float(v) for link, v in zip(topo.links, row)
+                      if v > 1e-12}
     return routing

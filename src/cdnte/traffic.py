@@ -14,6 +14,7 @@ Everything here is a pure transformation over those plain dicts.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 Commodity = Tuple[int, int]
@@ -90,6 +91,14 @@ def check_flow_conservation(routing: RoutingSolution, topo,
                     f"net {value}, expected {want}")
 
 
+def finite_float(text: str) -> float:
+    """float(text), with a ValueError for inf and nan as well."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 def read_traffic_matrix(text: str) -> TrafficMatrix:
     """Parse the traffic-matrix CSV: header src_pop,dst_pop,rate_mbps."""
     tm: TrafficMatrix = {}
@@ -103,7 +112,7 @@ def read_traffic_matrix(text: str) -> TrafficMatrix:
         if len(parts) != 3:
             raise ValueError(f"traffic matrix line {lineno}: expected 3 fields")
         try:
-            src, dst, mbps = int(parts[0]), int(parts[1]), float(parts[2])
+            src, dst, mbps = int(parts[0]), int(parts[1]), finite_float(parts[2])
         except ValueError as exc:
             raise ValueError(f"traffic matrix line {lineno}: {exc}") from None
         if src == dst:

@@ -189,6 +189,8 @@ def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
         content = parts[2]
         if not content:
             raise TraceError(f"trace row {lineno}: empty content id")
+        if not math.isfinite(ts):
+            raise TraceError(f"trace row {lineno}: timestamp must be finite")
         if ts < 0:
             raise TraceError(f"trace row {lineno}: negative timestamp")
         if nbytes <= 0:

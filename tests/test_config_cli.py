@@ -215,23 +215,77 @@ def test_solve_placement_cli(tmp_path, capsys):
     assert len(placements) > 1
 
 
-def test_solve_placement_matches_future_dump(tmp_path):
-    # solve-placement --day d plans what the future scheme places on day d
+def _solve_placement_and_dump(tmp_path, scheme, day):
+    """solve-placement --day `day` and simulate --dump-placements on the
+    same 4-PoP, 3-day config: (planned rows, dumped rows)."""
     _write(tmp_path, "topo.txt", TOPO + "pop 3 D\nlink 2 3 100\n")
     cfg = SYNTH_CFG.replace("synth.days = 2", "synth.days = 3").replace(
-        "scheme = lru inversecap closest ratio=1",
-        "scheme = future inversecap closest ratio=1.5 chunk_mb=0.0006")
+        "scheme = lru inversecap closest ratio=1", f"scheme = {scheme}")
     cfg_path = _write(tmp_path, "exp.cfg", cfg)
     plan, sim = str(tmp_path / "plan"), str(tmp_path / "sim")
     assert main(["solve-placement", "--config", cfg_path, "--out", plan,
-                 "--day", "1"]) == 0
+                 "--day", str(day)]) == 0
     assert main(["simulate", "--config", cfg_path, "--out", sim,
                  "--dump-placements"]) == 0
-    dumped = open(os.path.join(sim, "placements.csv")).read().splitlines()
+    return (open(os.path.join(plan, "placements.csv")).read().splitlines(),
+            open(os.path.join(sim, "placements.csv")).read().splitlines())
+
+
+def test_solve_placement_matches_future_dump(tmp_path):
+    # solve-placement --day d plans what the future scheme places on day d
+    planned, dumped = _solve_placement_and_dump(
+        tmp_path, "future inversecap closest ratio=1.5 chunk_mb=0.0006", 1)
     day1 = [row for row in dumped[1:] if row.startswith("1,")]
     assert len(day1) > 1 and len(day1) < len(dumped) - 1
-    assert open(os.path.join(plan, "placements.csv")).read().splitlines() \
-        == [dumped[0]] + day1
+    assert planned == [dumped[0]] + day1
+
+
+def test_solve_placement_plans_only_the_hybrid_store(tmp_path):
+    # hybrid plans day 1 from day 0's demand with the budget left after
+    # its LRU reserve
+    planned, dumped = _solve_placement_and_dump(
+        tmp_path, "hybrid inversecap closest ratio=1.5 reserve=0.5", 0)
+    day1 = [row.split(",", 1)[1] for row in dumped[1:] if row.startswith("1,")]
+    assert len(day1) > 1
+    assert planned[0] == dumped[0]
+    assert [row.split(",", 1)[1] for row in planned[1:]] == day1
+
+
+def test_solve_placement_lru_plans_nothing(tmp_path):
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG)
+    out = str(tmp_path / "plan")
+    assert main(["solve-placement", "--config", cfg_path, "--out", out]) == 0
+    assert open(os.path.join(out, "placements.csv")).read() == \
+        "epoch,pop_id,chunk_id\n"
+
+
+@pytest.mark.parametrize("line, key", [
+    ("interval_s = inf", "interval_s"),
+    ("interval_s = nan", "interval_s"),
+    ("scheme = optimized inversecap closest ratio=inf", "ratio=inf"),
+    ("scheme = hybrid inversecap closest reserve=nan", "reserve=nan"),
+    ("scheme = optimized inversecap closest chunk_mb=inf", "chunk_mb=inf"),
+    ("scheme = optimized inversecap closest chunk_mb=nan", "chunk_mb=nan"),
+    ("scheme = optimized inversecap closest chunk_mb=1e305", "chunk_mb=1e305"),
+])
+def test_non_finite_config_values_name_the_key(tmp_path, capsys, line, key):
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG + line + "\n")
+    assert main(["simulate", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and key in err
+
+
+def test_report_bad_values_name_the_line(tmp_path, capsys):
+    header = "scheme,day,interval_start_s,mlu\n"
+    for row, reason in (("a,0,300,nan", "'nan' is not finite"),
+                        ("a,0,300,inf", "'inf' is not finite"),
+                        ("a,x,300,0.4", "invalid literal for int()")):
+        path = _write(tmp_path, "report.csv", header + "a,0,0,0.5\n" + row + "\n")
+        assert main(["report", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: report line 3: ") and reason in err
 
 
 def test_explicit_pop_weights(tmp_path):

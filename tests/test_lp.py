@@ -52,6 +52,17 @@ def test_construction_errors():
         lp.add_var("y", lo=2.0, hi=1.0)
 
 
+def test_rows_drop_explicit_zeros():
+    lp = L.LinearProgram()
+    x, y = lp.add_var("x"), lp.add_var("y")
+    assert lp.add_constraint({x: 0.0, y: 2.0}, L.LE, 1.0) == 0
+    assert lp.add_rows([0, 1, 1], [x, x, y], [0.0, 3.0, -1.0], L.EQ,
+                       [0.0, 4.0]) == 1
+    assert lp.matrix().nnz == 3
+    assert list(lp.rows) == [({y: 2.0}, L.LE, 1.0), ({}, L.EQ, 0.0),
+                             ({x: 3.0, y: -1.0}, L.EQ, 4.0)]
+
+
 def test_fixed_variable_and_shifted_bounds():
     lp = L.LinearProgram()
     x = lp.add_var("x", lo=2.0, hi=2.0, obj=1.0)
@@ -74,7 +85,7 @@ def _certificate_program():
 
 
 def _certify(lp, x):
-    L._verify_solution(lp, x, L._program_arrays(lp))
+    L._verify_solution(lp, x)
 
 
 def test_certificate_names_first_variable_off_its_bounds():
@@ -391,7 +402,7 @@ def _build_joint_per_pair_reference(topo, dm, budgets, chunks, origins):
     return lp
 
 
-def test_joint_client_aggregation_matches_per_pair_reference():
+def _aggregation_instances():
     rng = random.Random(61)
     for _ in range(8):
         topo = _origin_triangle()
@@ -408,6 +419,11 @@ def test_joint_client_aggregation_matches_per_pair_reference():
             continue
         dm = DemandMatrix(0.0, 3600.0, demand)
         budgets = {0: rng.randint(0, 150), 1: rng.randint(0, 150), 2: 0}
+        yield topo, dm, budgets, chunks, origins
+
+
+def test_joint_client_aggregation_matches_per_pair_reference():
+    for topo, dm, budgets, chunks, origins in _aggregation_instances():
         mine = L.solve_lp_auto(L.build_joint_lp(topo, dm, budgets, chunks,
                                                 origins))
         ref = L.solve_lp_auto(_build_joint_per_pair_reference(
@@ -444,3 +460,150 @@ def test_joint_relaxation_lower_bound_single_instance():
         best = value if best is None else min(best, value)
     relax = L.solve_lp(L.build_joint_lp(topo, dm, budgets, chunks, origins))
     assert relax.objective <= best + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# array-built programs against row-by-row references
+
+
+class _RowsGiven(L.LinearProgram):
+    """A program that also keeps each row as add_constraint was given it."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.given = []
+
+    def add_constraint(self, coeffs, sense, rhs):
+        self.given.append((dict(coeffs), sense, rhs))
+        return super().add_constraint(coeffs, sense, rhs)
+
+
+def _min_mlu_by_rows(topo, tm):
+    """build_min_mlu_lp written one add_constraint call per row."""
+    commodities = sorted(k for k, rate in tm.items() if rate > 0)
+    lp = _RowsGiven("min-mlu")
+    alpha = lp.add_var("alpha", lo=0.0, obj=1.0)
+    flow = {}
+    for (s, t) in commodities:
+        for link in topo.links:
+            flow[((s, t), link.id)] = lp.add_var(f"f[{s}->{t}]@{link.id}")
+    for (s, t) in commodities:
+        for u in topo.pops:
+            if u == t:
+                continue
+            coeffs = {}
+            for link in topo.out_links[u]:
+                coeffs[flow[((s, t), link.id)]] = 1.0
+            for link in topo.in_links[u]:
+                coeffs[flow[((s, t), link.id)]] = -1.0
+            lp.add_constraint(coeffs, L.EQ, 1.0 if u == s else 0.0)
+    for link in topo.links:
+        coeffs = {flow[(k, link.id)]: tm[k] / link.capacity
+                  for k in commodities}
+        coeffs[alpha] = -1.0
+        lp.add_constraint(coeffs, L.LE, 0.0)
+    lp.meta = {"alpha": alpha, "commodities": commodities}
+    return lp
+
+
+def _joint_by_rows(topo, dm, budgets, chunks, origins):
+    """build_joint_lp written one add_constraint call per row."""
+    rates = {key: nb * 8.0 / dm.window_seconds
+             for key, nb in dm.demand.items() if nb > 0}
+    demanded = sorted(rates)
+    chunk_list = sorted({c for c, _ in demanded})
+    clients = sorted({p for _, p in demanded})
+    store_pops = sorted(p for p in topo.pops if budgets.get(p, 0) > 0)
+    server_pops = sorted(set(store_pops) | {origins[c[0]] for c in chunk_list})
+    scale = max(rates.values(), default=1.0)
+    lp = _RowsGiven("joint-placement-routing")
+    alpha = lp.add_var("alpha", lo=0.0, obj=1.0)
+    x, y, by_client, flow = {}, {}, {}, {}
+    for c in chunk_list:
+        for j in store_pops:
+            if j != origins[c[0]]:
+                x[(c, j)] = lp.add_var(f"x[{c[0]}#{c[1]}@{j}]", hi=1.0)
+    for (c, i) in demanded:
+        for j in server_pops:
+            if j == origins[c[0]] or (c, j) in x:
+                y[(c, i, j)] = lp.add_var(f"y[{c[0]}#{c[1]}:{i}<-{j}]")
+                if j != i:
+                    by_client.setdefault((i, j), []).append((c, i, j))
+    for i in clients:
+        for link in topo.links:
+            flow[(i, link.id)] = lp.add_var(f"f[->{i}]@{link.id}")
+    for (c, i) in demanded:
+        lp.add_constraint({y[(c, i, j)]: 1.0 for j in server_pops
+                           if (c, i, j) in y}, L.EQ, 1.0)
+    for (c, i, j), yi in y.items():
+        if j != origins[c[0]]:
+            lp.add_constraint({yi: 1.0, x[(c, j)]: -1.0}, L.LE, 0.0)
+    for j in store_pops:
+        coeffs = {x[(c, j)]: chunks.sizes[c] / budgets[j]
+                  for c in chunk_list if (c, j) in x}
+        if coeffs:
+            lp.add_constraint(coeffs, L.LE, 1.0)
+    for i in clients:
+        for u in topo.pops:
+            if u == i:
+                continue
+            coeffs = {flow[(i, link.id)]: 1.0 for link in topo.out_links[u]}
+            coeffs.update({flow[(i, link.id)]: -1.0
+                           for link in topo.in_links[u]})
+            for key in by_client.get((i, u), ()):
+                coeffs[y[key]] = -rates[(key[0], i)] / scale
+            lp.add_constraint(coeffs, L.EQ, 0.0)
+    for link in topo.links:
+        coeffs = {flow[(i, link.id)]: 1.0 for i in clients}
+        coeffs[alpha] = -link.capacity / scale
+        lp.add_constraint(coeffs, L.LE, 0.0)
+    lp.meta = {"alpha": alpha, "x": x}
+    return lp
+
+
+def _assert_same_program(mine, ref):
+    assert (mine.name, mine.var_names, mine.meta) == \
+        (ref.name, ref.var_names, ref.meta)
+    assert (mine.obj, mine.lo, mine.hi) == (ref.obj, ref.lo, ref.hi)
+    assert (mine.senses, mine.rhs) == (ref.senses, ref.rhs)
+    a, b = mine.matrix(), ref.matrix()
+    assert a.shape == b.shape == (mine.num_rows, mine.num_vars)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+    assert list(mine.rows) == ref.given
+
+
+def test_min_mlu_arrays_match_row_by_row_reference():
+    # criterion 2's instances
+    rng = random.Random(2024)
+    for n in range(200):
+        topo = random_digraph(rng.randint(4, 10), rng)
+        tm = random_traffic_matrix(topo, rng,
+                                   n_commodities=rng.randint(2, len(topo.pops)))
+        mine, ref = L.build_min_mlu_lp(topo, tm), _min_mlu_by_rows(topo, tm)
+        _assert_same_program(mine, ref)
+        if n == 0:
+            assert L.write_lp_text(mine) == L.write_lp_text(ref)
+
+
+def _chunked_uneven_instance():
+    rng = random.Random(5)
+    topo = random_digraph(5, rng)
+    cat = {f"o{i}": ContentObject(f"o{i}", rng.randint(1, 90), origin=i % 3)
+           for i in range(6)}
+    chunks = chunk_objects(cat, 25)
+    demand = {(chunk, pop): rng.randint(1, 10**6)
+              for chunk in sorted(chunks.sizes) for pop in topo.pops
+              if rng.random() < 0.5}
+    budgets = {0: 40, 1: 0, 2: 75, 3: 25, 4: 130}
+    return topo, DemandMatrix(0.0, 900.0, demand), budgets, chunks, \
+        {cid: obj.origin for cid, obj in cat.items()}
+
+
+def test_joint_arrays_match_row_by_row_reference():
+    instances = list(_aggregation_instances()) + [_chunked_uneven_instance()]
+    for args in instances:
+        _assert_same_program(L.build_joint_lp(*args), _joint_by_rows(*args))
+    mine, ref = L.build_joint_lp(*instances[-1]), _joint_by_rows(*instances[-1])
+    assert mine.num_rows > 100 and len(mine.meta["x"]) > 10
+    assert L.write_lp_text(mine) == L.write_lp_text(ref)

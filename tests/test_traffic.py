@@ -82,5 +82,8 @@ def test_matrix_csv_errors():
         read_traffic_matrix("1,1,5\n")
     with pytest.raises(ValueError, match="negative"):
         read_traffic_matrix("0,1,-5\n")
+    for rate in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=r"line 2: .* is not finite"):
+            read_traffic_matrix(f"0,1,5\n1,0,{rate}\n")
     with pytest.raises(ValueError):
         validate_traffic_matrix({(0, 0): 1.0})

@@ -29,6 +29,12 @@ def test_parse_trace_zero_bytes_names_row():
         parse_trace("1,0,a,10\n2,0,a,0\n")
 
 
+def test_parse_trace_non_finite_timestamp_names_row():
+    for ts in ("inf", "nan"):
+        with pytest.raises(TraceError, match="row 2: timestamp must be finite"):
+            parse_trace(f"1,0,a,10\n{ts},0,a,10\n")
+
+
 def test_parse_trace_header_and_pop_validation():
     text = "timestamp_s,pop_id,content_id,bytes\n0,0,a,5\n"
     catalog, reqs = parse_trace(text, pops=[0, 1])
