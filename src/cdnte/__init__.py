@@ -10,8 +10,7 @@ from .lp import (LinearProgram, LpSolution, SimplexError, build_joint_lp,
                  solve_min_mlu_routing, write_lp_text)
 from .placement import (CacheState, Placement, plan_placement_optimized,
                         split_hybrid)
-from .redirection import (RedirectDecision, redirect_closest,
-                          redirect_utilization_aware)
+from .redirection import redirect_closest, redirect_utilization_aware
 from .topology import (Link, Topology, TopologyError, all_pairs_distances,
                        inverse_cap_weights, load_topology, parse_topology,
                        path_distance, shortest_path_routes)

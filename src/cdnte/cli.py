@@ -68,6 +68,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         if cfg.synth is not None:
             cfg.synth.seed = args.seed
     if getattr(args, "jobs", None) is not None:
+        if args.jobs < 1:
+            raise ConfigError(f"bad value for --jobs: {args.jobs} is below 1")
         cfg.jobs = args.jobs
 
 

@@ -46,13 +46,13 @@ class ConfigError(ValidationError):
 
 _SYNTH_FIELDS = {
     "synth.catalog_size": ("catalog_size", int),
-    "synth.zipf_alpha": ("zipf_alpha", float),
+    "synth.zipf_alpha": ("zipf_alpha", finite_float),
     "synth.requests_per_day": ("requests_per_day", int),
     "synth.days": ("days", int),
-    "synth.churn": ("churn", float),
-    "synth.size_min_mb": ("size_min", lambda v: int(float(v) * 1_000_000)),
-    "synth.size_max_mb": ("size_max", lambda v: int(float(v) * 1_000_000)),
-    "synth.diurnal_peak_ratio": ("diurnal_peak_ratio", float),
+    "synth.churn": ("churn", finite_float),
+    "synth.size_min_mb": ("size_min", lambda v: int(finite_float(v) * 1_000_000)),
+    "synth.size_max_mb": ("size_max", lambda v: int(finite_float(v) * 1_000_000)),
+    "synth.diurnal_peak_ratio": ("diurnal_peak_ratio", finite_float),
 }
 
 KEYS = frozenset({"topology", "trace", "catalog", "out", "interval_s", "seed",
@@ -159,6 +159,8 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
     cfg.interval_s = num("interval_s", finite_float, cfg.interval_s)
     cfg.seed = num("seed", int, cfg.seed)
     cfg.jobs = num("jobs", int, cfg.jobs)
+    if cfg.jobs < 1:
+        raise ConfigError(f"bad value for jobs: {values['jobs']!r} is below 1")
     if values.get("lp_backend", "auto") != "auto":
         raise ConfigError(
             f"bad lp_backend {values['lp_backend']!r}: only auto is accepted; "
@@ -180,7 +182,7 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
             attr, cast = _SYNTH_FIELDS[key]
             try:
                 setattr(params, attr, cast(val))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ConfigError(f"bad value for {key}: {val!r}") from None
         cfg.synth = params
 

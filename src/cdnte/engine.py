@@ -14,8 +14,8 @@ from . import lp as lp_mod
 from . import topology as topo_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
                         plan_placement_optimized, split_hybrid)
-from .redirection import (LOCAL_HIT, ORIGIN, RedirectDecision,
-                          redirect_closest, redirect_utilization_aware)
+from .redirection import (path_table, rank_table, redirect_closest,
+                          redirect_utilization_aware, serve_reason)
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
                       apply_routing, mlu, validate_traffic_matrix)
 from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
@@ -121,36 +121,6 @@ def _chunk_label(chunk: ChunkId) -> str:
     return f"{chunk[0]}#{chunk[1]}"
 
 
-class _HolderIndex:
-    """Which PoPs can serve each chunk: static planned stores overlaid
-    with live cache contents."""
-
-    def __init__(self, placement: Placement, caches: Dict[int, CacheState]):
-        self.planned: Dict[ChunkId, Set[int]] = {}
-        for pop, stored in placement.stored.items():
-            for chunk in stored:
-                self.planned.setdefault(chunk, set()).add(pop)
-        self.cached: Dict[ChunkId, Set[int]] = {}
-        for pop, cache in caches.items():
-            for chunk in cache.resident:
-                self.cached.setdefault(chunk, set()).add(pop)
-
-    def holders(self, chunk: ChunkId) -> Set[int]:
-        out = set(self.planned.get(chunk, ()))
-        out.update(self.cached.get(chunk, ()))
-        return out
-
-    def admit(self, pop: int, chunk: ChunkId) -> None:
-        self.cached.setdefault(chunk, set()).add(pop)
-
-    def evict(self, pop: int, chunk: ChunkId) -> None:
-        pops = self.cached.get(chunk)
-        if pops is not None:
-            pops.discard(pop)
-            if not pops:
-                del self.cached[chunk]
-
-
 def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
                   ) -> Tuple[ChunkMap, Dict[str, int], Dict[int, int], Dict[int, int]]:
     """What a scheme's plans are built from: the chunk map, each object's
@@ -166,7 +136,11 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
         if origin not in pop_set:
             raise ValidationError(f"content {cid}: origin pop {origin} unknown")
         origins[cid] = origin
-    budget = int(scheme.storage_ratio * chunks.total_bytes / len(topo.pops))
+    budget = scheme.storage_ratio * chunks.total_bytes / len(topo.pops)
+    if not math.isfinite(budget):
+        raise ValidationError(f"bad storage ratio {scheme.storage_ratio:g}: "
+                              "its per-pop budget is not finite")
+    budget = int(budget)
     cached = {"lru": 1.0, "hybrid": scheme.hybrid_reserve}.get(scheme.placement, 0.0)
     return (chunks, origins, *split_hybrid({p: budget for p in topo.pops}, cached))
 
@@ -257,11 +231,14 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
     ic_w = topo_mod.inverse_cap_weights(topo)
     ic_routes = topo_mod.shortest_path_routes(topo, ic_w)
     dists = topo_mod.all_pairs_distances(topo, ic_w)
-    capacities = {l.id: l.capacity for l in topo.links}
+    rank = rank_table(topo.pops, dists)
 
     caches: Dict[int, CacheState] = {}
     if any(cache_budgets.values()):
         caches = {p: CacheState(p, cache_budgets[p]) for p in topo.pops}
+    cached_holders: Dict[ChunkId, Set[int]] = {}  # pops whose cache holds it
+    # (chunk, bytes, chunk size) rows of each (content, bytes) request
+    expansions: Dict[Tuple[str, int], List[Tuple[ChunkId, int, int]]] = {}
 
     by_day: Dict[int, List[Request]] = defaultdict(list)
     for r in requests:
@@ -315,11 +292,17 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         if scheme.transit is not None:
             transit_loads = apply_routing(
                 routing if combined_transit else ic_routes, scheme.transit.tm)
+        if use_util_aware:
+            paths = path_table(topo, routing)
+            transit_row = [transit_loads.get(l.id, 0.0) for l in topo.links]
 
         if collect_placements:
             report.placements.extend(placement_rows(day, placement))
 
-        holder_index = _HolderIndex(placement, caches)
+        planned_holders: Dict[ChunkId, Set[int]] = {}
+        for pop, stored in placement.stored.items():
+            for chunk in stored:
+                planned_holders.setdefault(chunk, set()).add(pop)
         day_mlus: List[float] = []
         day_served = day_origin = 0
         realized_day: Dict[Tuple[int, int], int] = defaultdict(int)
@@ -331,56 +314,66 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
             iv_end = min(iv_start + interval_s, (day + 1) * DAY_SECONDS)
             iv_len = iv_end - iv_start  # the day's last interval may be shorter
             commodity_bytes: Dict[Tuple[int, int], int] = {}
-            live_loads: LinkLoads = dict(transit_loads) if use_util_aware else {}
+            if use_util_aware:
+                live_loads = list(transit_row)  # by link position
 
             while req_pos < len(day_reqs) and day_reqs[req_pos].timestamp < iv_end:
                 r = day_reqs[req_pos]
                 req_pos += 1
                 client = r.pop
                 cache = caches.get(client)
-                for chunk, nbytes in chunks.request_chunks(r.content, r.nbytes):
-                    origin = origins[r.content]
-                    decision: Optional[RedirectDecision] = None
+                origin = origins[r.content]
+                rows = expansions.get((r.content, r.nbytes))
+                if rows is None:
+                    rows = expansions[(r.content, r.nbytes)] = [
+                        (chunk, nbytes, chunks.sizes[chunk]) for chunk, nbytes
+                        in chunks.request_chunks(r.content, r.nbytes)]
+                for chunk, nbytes, size in rows:
+                    server = client
+                    planned = planned_holders.get(chunk)
                     if client == origin:
-                        reason = LOCAL_HIT
+                        pass
                     elif cache is not None and chunk in cache:
-                        cache.access(chunk, chunks.sizes[chunk])
-                        reason = LOCAL_HIT
-                    elif placement.holds(client, chunk):
-                        reason = LOCAL_HIT
+                        cache.access(chunk, size)
+                    elif planned is not None and client in planned:
+                        pass
                     else:
-                        holders = holder_index.holders(chunk)
+                        # the holders, read without copying
+                        if planned is None:
+                            holders = cached_holders.get(chunk, ())
+                        else:
+                            cached = cached_holders.get(chunk)
+                            holders = planned if cached is None else planned | cached
                         if use_util_aware:
                             rate = nbytes * 8.0 / iv_len
-                            decision = redirect_utilization_aware(
-                                chunk, client, holders, origin, live_loads,
-                                routing, rate, capacities, dists)
-                            path = routing[(decision.server, client)]
-                            for link_id, frac in path.items():
-                                live_loads[link_id] = live_loads.get(link_id, 0.0) \
-                                    + frac * rate
+                            server = redirect_utilization_aware(
+                                client, holders, origin, live_loads,
+                                paths[client], rate, rank[client])
+                            for pos, frac, _ in paths[client][server]:
+                                live_loads[pos] += frac * rate
                         else:
-                            decision = redirect_closest(chunk, client, holders,
-                                                        origin, dists)
-                        reason = decision.reason
-                        key = (decision.server, client)
+                            server = redirect_closest(holders, origin,
+                                                      rank[client])
+                        key = (server, client)
                         commodity_bytes[key] = commodity_bytes.get(key, 0) + nbytes
                         realized_day[key] += nbytes
+                        if server == origin:
+                            day_origin += nbytes
                         # pull-through admission at the client
                         if cache is not None:
-                            _, evicted = cache.access(chunk, chunks.sizes[chunk])
+                            _, evicted = cache.access(chunk, size)
                             for gone in evicted:
-                                holder_index.evict(client, gone)
+                                pops = cached_holders[gone]
+                                pops.discard(client)
+                                if not pops:
+                                    del cached_holders[gone]
                             if chunk in cache:
-                                holder_index.admit(client, chunk)
+                                cached_holders.setdefault(chunk, set()).add(client)
                     day_served += nbytes
-                    if reason == ORIGIN:
-                        day_origin += nbytes
                     if collect_decisions:
-                        server = client if decision is None else decision.server
                         report.decisions.append(
                             (r.timestamp, client, _chunk_label(chunk), server,
-                             reason))
+                             serve_reason(client, server, origin)))
 
             tm: TrafficMatrix = {k: b * 8.0 / iv_len
                                  for k, b in sorted(commodity_bytes.items())}

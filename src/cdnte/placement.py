@@ -61,9 +61,6 @@ class Placement:
     counted against a budget)."""
     stored: Dict[int, Set[ChunkId]] = field(default_factory=dict)
 
-    def holds(self, pop: int, chunk: ChunkId) -> bool:
-        return chunk in self.stored.get(pop, ())
-
 
 def split_hybrid(budgets: Dict[int, int], reserve: float) -> Tuple[Dict[int, int], Dict[int, int]]:
     """Split each PoP budget into (planned store, LRU cache) parts; the

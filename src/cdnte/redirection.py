@@ -1,82 +1,93 @@
-"""Request redirection: pick the serving PoP for a chunk access given the
-current placement view (planned stores + cache contents + origin)."""
+"""Request redirection: pick the serving PoP for a chunk access that has
+no local copy. The rules read tables built ahead of replay: each client's
+rank of every PoP (once per run) and each route as rows (once per day)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Set, Tuple
+from typing import Collection, Dict, Iterable, List, Tuple
 
-from .traffic import LinkLoads, RoutingSolution
+from .traffic import RoutingSolution
 
 LOCAL_HIT = "local-hit"
 REMOTE_REPLICA = "remote-replica"
 ORIGIN = "origin"
 
-
-@dataclass(frozen=True)
-class RedirectDecision:
-    chunk: Tuple[str, int]
-    client: int
-    server: int
-    reason: str  # local-hit | remote-replica | origin
+Ranks = Dict[int, int]  # one client's rank of each server pop
+RouteRows = List[Tuple[int, float, int]]  # (link position, fraction, capacity)
 
 
-def _decision(chunk, client, server, origin) -> RedirectDecision:
+def rank_table(pops: Iterable[int], dists: Dict[Tuple[int, int], float]
+               ) -> Dict[int, Ranks]:
+    """Replay's tie-break: each client ranks every pop by (InverseCap
+    distance client->pop, pop id), so the client itself ranks 0."""
+    pops = list(pops)
+    return {c: {p: i for i, p in enumerate(
+                sorted(pops, key=lambda p: (dists[(c, p)], p)))}
+            for c in pops}
+
+
+def path_table(topo, routing: RoutingSolution
+               ) -> Dict[int, Dict[int, RouteRows]]:
+    """`routing` as rows indexed [client][server]: the route server->client
+    as (position in topo.links, flow fraction, link capacity) rows."""
+    pos = {link.id: i for i, link in enumerate(topo.links)}
+    table: Dict[int, Dict[int, RouteRows]] = {c: {} for c in topo.pops}
+    for (server, client), fracs in routing.items():
+        table[client][server] = [
+            (pos[link_id], frac, topo.links[pos[link_id]].capacity)
+            for link_id, frac in fracs.items()]
+    return table
+
+
+def serve_reason(client: int, server: int, origin: int) -> str:
+    """local-hit, origin or remote-replica, in that order."""
     if server == client:
-        reason = LOCAL_HIT
-    elif server == origin:
-        reason = ORIGIN
-    else:
-        reason = REMOTE_REPLICA
-    return RedirectDecision(chunk, client, server, reason)
+        return LOCAL_HIT
+    if server == origin:
+        return ORIGIN
+    return REMOTE_REPLICA
 
 
-def redirect_closest(chunk: Tuple[str, int], client: int, holders: Set[int],
-                     origin: int, dists: Dict[Tuple[int, int], float]
-                     ) -> RedirectDecision:
-    """Replay's rule: serve locally when possible, otherwise from the
-    replica holder minimizing the InverseCap distance client->server, and
-    from the origin only when no replica exists. Ties break toward the
-    lowest pop id.
+def redirect_closest(holders: Collection[int], origin: int, rank: Ranks) -> int:
+    """Replay's rule for a client with no local copy: the replica holder
+    the client ranks first (`rank_table`), and the origin only when no
+    replica exists.
 
     This differs from `placement.nearest_replica`, the planner's rule,
     which also counts the origin as a candidate and so picks it whenever
     it is closer than every replica."""
-    if client in holders or client == origin:
-        return _decision(chunk, client, client, origin)
     if holders:
-        server = min(holders, key=lambda j: (dists[(client, j)], j))
-    else:
-        server = origin
-    return _decision(chunk, client, server, origin)
+        return min(holders, key=rank.__getitem__)
+    return origin
 
 
-def redirect_utilization_aware(chunk: Tuple[str, int], client: int,
-                               holders: Set[int], origin: int,
-                               loads: LinkLoads, routing: RoutingSolution,
-                               request_rate: float, capacities: Dict[int, int],
-                               dists: Dict[Tuple[int, int], float]
-                               ) -> RedirectDecision:
+def _bottleneck(rows: RouteRows, loads: List[float], rate: float) -> float:
+    worst = 0.0
+    for pos, frac, capacity in rows:
+        if frac <= 0.0:
+            continue
+        util = (loads[pos] + frac * rate) / capacity
+        if util > worst:
+            worst = util
+    return worst
+
+
+def redirect_utilization_aware(client: int, holders: Collection[int],
+                               origin: int, loads: List[float],
+                               paths: Dict[int, RouteRows], rate: float,
+                               rank: Ranks) -> int:
     """Among all candidate servers (replicas plus origin), pick the one
-    whose delivery path has the smallest bottleneck utilization after
-    adding this request's rate along the current routing's flow-carrying
-    links. A local copy short-circuits with metric 0. Ties break toward
-    the closer server, then the lowest pop id."""
+    whose route to `client` (`paths[server]`, the client's row of
+    `path_table`) has the smallest bottleneck utilization after adding
+    `rate` on its flow-carrying links; `loads` is indexed by link
+    position. A local copy short-circuits. Ties break by the client's
+    `rank`: the closer server, then the lowest pop id."""
     if client in holders or client == origin:
-        return _decision(chunk, client, client, origin)
-    candidates = set(holders) | {origin}
-    candidates.discard(client)
-    best = None
-    for server in sorted(candidates):
-        bottleneck = 0.0
-        for link_id, frac in routing[(server, client)].items():
-            if frac <= 0.0:
-                continue
-            util = (loads.get(link_id, 0.0) + frac * request_rate) \
-                / capacities[link_id]
-            if util > bottleneck:
-                bottleneck = util
-        key = (bottleneck, dists[(client, server)], server)
-        if best is None or key < best[0]:
-            best = (key, server)
-    return _decision(chunk, client, best[1], origin)
+        return client
+    best = origin
+    best_key = (_bottleneck(paths[origin], loads, rate), rank[origin])
+    for server in holders:
+        key = (_bottleneck(paths[server], loads, rate), rank[server])
+        if key < best_key:
+            best, best_key = server, key
+    return best

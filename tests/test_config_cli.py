@@ -268,6 +268,11 @@ def test_solve_placement_lru_plans_nothing(tmp_path):
     ("scheme = optimized inversecap closest chunk_mb=inf", "chunk_mb=inf"),
     ("scheme = optimized inversecap closest chunk_mb=nan", "chunk_mb=nan"),
     ("scheme = optimized inversecap closest chunk_mb=1e305", "chunk_mb=1e305"),
+    ("synth.diurnal_peak_ratio = inf", "synth.diurnal_peak_ratio"),
+    ("synth.zipf_alpha = nan", "synth.zipf_alpha"),
+    ("synth.size_max_mb = inf", "synth.size_max_mb"),
+    ("synth.size_min_mb = 1e305", "synth.size_min_mb"),
+    ("synth.churn = nan", "synth.churn"),
 ])
 def test_non_finite_config_values_name_the_key(tmp_path, capsys, line, key):
     _write(tmp_path, "topo.txt", TOPO)
@@ -275,6 +280,34 @@ def test_non_finite_config_values_name_the_key(tmp_path, capsys, line, key):
     assert main(["simulate", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad ") and key in err
+
+
+@pytest.mark.parametrize("line", [
+    "scheme = optimized inversecap closest ratio=1e308",
+    "storage_ratios = 1e308",
+])
+def test_storage_ratio_with_infinite_budget_names_the_ratio(tmp_path, capsys,
+                                                            line):
+    # the ratio is finite, but ratio * catalog bytes / pops is not
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG + line + "\n")
+    assert main(["simulate", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad storage ratio 1e+308: ")
+
+
+@pytest.mark.parametrize("line, flag, key", [
+    ("jobs = 0", [], "jobs: '0'"),
+    ("jobs = -3", [], "jobs: '-3'"),
+    ("", ["--jobs", "0"], "--jobs: 0"),
+    ("", ["--jobs", "-3"], "--jobs: -3"),
+], ids=["config-0", "config-minus-3", "flag-0", "flag-minus-3"])
+def test_jobs_below_one_names_the_key(tmp_path, capsys, line, flag, key):
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG + line + "\n")
+    assert main(["simulate", "--config", cfg_path, *flag]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad value for ") and key in err
 
 
 def test_report_bad_values_name_the_line(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from collections import defaultdict
 
 import pytest
@@ -15,6 +16,8 @@ from cdnte.traffic import apply_routing, mlu
 from cdnte.workload import (ContentObject, Request, SynthParams,
                             aggregate_demand, chunk_objects,
                             generate_synthetic_trace)
+
+from conftest import random_digraph, random_symmetric_topology
 
 
 def _origin_triangle():
@@ -524,3 +527,194 @@ def test_compare_schemes_shared_plans_match_parallel_jobs():
     assert report_csv(seq.reports) == report_csv(par.reports)
     assert summary_csv(seq.reports) == summary_csv(par.reports)
     assert comparison_csv(seq) == comparison_csv(par)
+
+
+class _RefLru:
+    """Reference byte-budgeted LRU: a list, least recent first."""
+
+    def __init__(self, budget):
+        self.budget, self.items = budget, []
+
+    def holds(self, chunk):
+        return any(c == chunk for c, _ in self.items)
+
+    def touch(self, chunk):
+        entry = next(e for e in self.items if e[0] == chunk)
+        self.items.remove(entry)
+        self.items.append(entry)
+
+    def admit(self, chunk, size):
+        if size > self.budget:
+            return
+        while sum(s for _, s in self.items) + size > self.budget:
+            self.items.pop(0)
+        self.items.append((chunk, size))
+
+
+def _reference_replay(topo, catalog, reqs, scheme, interval_s, placed,
+                      routings, transit_loads):
+    """The per-chunk replay loop written plainly: set holders from the
+    reported placements plus a reference LRU, sorted candidates, dict live
+    loads. Returns (decisions, interval MLUs)."""
+    chunks = chunk_objects(catalog, scheme.chunk_size)
+    pops = list(topo.pops)
+    origins = {c: (o.origin if o.origin is not None else topo.origin_pop)
+               for c, o in catalog.items()}
+    budget = int(scheme.storage_ratio * sum(chunks.sizes.values()) / len(pops))
+    cache_budget = {"lru": budget,
+                    "hybrid": int(budget * scheme.hybrid_reserve + 0.5)
+                    }.get(scheme.placement, 0)
+    caches = {p: _RefLru(cache_budget) for p in pops}
+    w = inverse_cap_weights(topo)
+    dists = all_pairs_distances(topo, w)
+    caps = {l.id: l.capacity for l in topo.links}
+    util_aware = scheme.redirection == "utilization-aware"
+    decisions, mlus = [], []
+    reqs = sorted(reqs, key=lambda r: r.timestamp)
+    for day, routing in enumerate(routings):
+        stored = placed[day]
+        for iv in range(int(86400 / interval_s)):
+            start = day * 86400.0 + iv * interval_s
+            live = dict(transit_loads[day])
+            commodity = defaultdict(int)
+            for r in reqs:
+                if not start <= r.timestamp < start + interval_s:
+                    continue
+                client, origin = r.pop, origins[r.content]
+                for chunk, nbytes in chunks.request_chunks(r.content, r.nbytes):
+                    server = client
+                    if client == origin:
+                        pass
+                    elif caches[client].holds(chunk):
+                        caches[client].touch(chunk)
+                    elif chunk in stored.get(client, ()):
+                        pass
+                    else:
+                        holders = {p for p in pops
+                                   if chunk in stored.get(p, ())
+                                   or caches[p].holds(chunk)}
+                        if util_aware:
+                            rate = nbytes * 8.0 / interval_s
+                            best = None
+                            for cand in sorted((holders | {origin}) - {client}):
+                                worst = 0.0
+                                for link_id, frac in routing[(cand, client)].items():
+                                    if frac <= 0.0:
+                                        continue
+                                    util = (live.get(link_id, 0.0)
+                                            + frac * rate) / caps[link_id]
+                                    worst = max(worst, util)
+                                key = (worst, dists[(client, cand)], cand)
+                                if best is None or key < best:
+                                    best = key
+                            server = best[2]
+                            for link_id, frac in routing[(server, client)].items():
+                                live[link_id] = live.get(link_id, 0.0) + frac * rate
+                        elif holders:
+                            server = min(holders,
+                                         key=lambda j: (dists[(client, j)], j))
+                        else:
+                            server = origin
+                        commodity[(server, client)] += nbytes
+                        caches[client].admit(chunk, chunks.sizes[chunk])
+                    reason = ("local-hit" if server == client else
+                              "origin" if server == origin else
+                              "remote-replica")
+                    decisions.append((r.timestamp, client,
+                                      f"{chunk[0]}#{chunk[1]}", server, reason))
+            tm = {k: b * 8.0 / interval_s for k, b in sorted(commodity.items())}
+            loads = apply_routing(routing, tm)
+            for link_id, extra in transit_loads[day].items():
+                loads[link_id] = loads.get(link_id, 0.0) + extra
+            mlus.append(mlu(loads, topo))
+    return decisions, mlus
+
+
+def _random_requests(rng, topo, days, n_objects, per_day, own_origins):
+    pops = list(topo.pops)
+    catalog = {}
+    for i in range(n_objects):
+        cid = f"o{i}"
+        catalog[cid] = ContentObject(cid, rng.randint(1000, 9000),
+                                     rng.choice(pops) if own_origins else None)
+    names = sorted(catalog)
+    weights = [1.0 / (k + 1) for k in range(n_objects)]
+    reqs = []
+    for day in range(days):
+        for _ in range(per_day):
+            cid = rng.choices(names, weights)[0]
+            size = catalog[cid].size
+            nbytes = size if rng.random() < 0.6 else rng.randint(1, size)
+            # a coarse clock, so some requests share a timestamp
+            ts = day * 86400.0 + rng.randrange(0, 86400, 60)
+            reqs.append(Request(ts, rng.choice(pops), cid, nbytes))
+    return catalog, reqs
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_replay_matches_reference_hybrid_util_aware_combined(seed):
+    # hybrid + utilization-aware + chunks + min-mlu-prior-day with combined
+    # transit: the day's routing is rebuilt by its rule, the replay by the
+    # plain reference loop, and both must agree exactly
+    rng = random.Random(seed)
+    topo = random_symmetric_topology(6, seed, extra_link_prob=0.3)
+    catalog, reqs = _random_requests(rng, topo, 3, 12, 150, own_origins=True)
+    pops = list(topo.pops)
+    transit_tm = {tuple(rng.sample(pops, 2)): rng.uniform(1e3, 1e5)
+                  for _ in range(3)}
+    scheme = SchemeSpec("hybrid", "min-mlu-prior-day", "utilization-aware",
+                        storage_ratio=0.8, chunk_size=2500,
+                        hybrid_reserve=0.4,
+                        transit=TransitSpec(transit_tm, "combined"))
+    rep = run_experiment(topo, catalog, reqs, scheme, 3600.0,
+                         collect_decisions=True, collect_placements=True)
+
+    placed = [defaultdict(set) for _ in rep.days]
+    for epoch, pop, chunk in rep.placements:
+        placed[epoch][pop].add(chunk)
+    ic = shortest_path_routes(topo, inverse_cap_weights(topo))
+    dists = all_pairs_distances(topo, inverse_cap_weights(topo))
+    chunks = chunk_objects(catalog, scheme.chunk_size)
+    origins = {c: o.origin for c, o in catalog.items()}
+    routings, transit_loads = [], []
+    for day in range(len(rep.days)):
+        if day == 0:
+            routing = ic
+        else:
+            dm = aggregate_demand(reqs, ((day - 1) * 86400.0, day * 86400.0),
+                                  chunks)
+            tm = dict(induced_traffic_matrix(dm, Placement(placed[day]),
+                                             origins, dists))
+            for k, rate in transit_tm.items():
+                tm[k] = tm.get(k, 0.0) + rate
+            routing = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic)
+        routings.append(routing)
+        transit_loads.append(apply_routing(routing, transit_tm))
+
+    decisions, mlus = _reference_replay(topo, catalog, reqs, scheme, 3600.0,
+                                        placed, routings, transit_loads)
+    assert any(p for p in placed[1].values())
+    assert {d[4] for d in decisions} == {"local-hit", "origin",
+                                         "remote-replica"}
+    assert rep.decisions == decisions
+    assert [v for _, _, v in rep.intervals] == mlus
+
+
+@pytest.mark.parametrize("seed", [5, 17, 23])
+def test_replay_matches_reference_lru_util_aware_ecmp_ties(seed):
+    # equal capacities: hop-count distances tie often and ECMP splits
+    # flows, so the tie-break decides many requests
+    rng = random.Random(seed)
+    topo = random_digraph(7, rng, caps=(1000,))
+    catalog, reqs = _random_requests(rng, topo, 2, 10, 200, own_origins=False)
+    scheme = SchemeSpec("lru", "inversecap", "utilization-aware",
+                        storage_ratio=0.6)
+    rep = run_experiment(topo, catalog, reqs, scheme, 3600.0,
+                         collect_decisions=True)
+    ic = shortest_path_routes(topo, inverse_cap_weights(topo))
+    assert any(len(fracs) > 1 and any(f < 1.0 for f in fracs.values())
+               for fracs in ic.values())  # some route splits
+    decisions, mlus = _reference_replay(
+        topo, catalog, reqs, scheme, 3600.0, [{}, {}], [ic, ic], [{}, {}])
+    assert rep.decisions == decisions
+    assert [v for _, _, v in rep.intervals] == mlus
