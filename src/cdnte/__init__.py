@@ -13,7 +13,7 @@ from .placement import (CacheState, Placement, plan_placement_optimized,
 from .redirection import redirect_closest, redirect_utilization_aware
 from .topology import (Link, Topology, TopologyError, all_pairs_distances,
                        inverse_cap_weights, load_topology, parse_topology,
-                       path_distance, shortest_path_routes)
+                       shortest_path_routes)
 from .traffic import (apply_routing, check_flow_conservation, mlu,
                       read_traffic_matrix, write_traffic_matrix)
 from .workload import (ContentObject, DemandMatrix, Request, SynthParams,

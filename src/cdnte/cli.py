@@ -16,12 +16,10 @@ from . import lp as lp_mod
 from . import topology as topo_mod
 from .config import ConfigError, ExperimentConfig, load_config, resolve_pop_weights
 from .engine import ValidationError, scheme_inputs
-from .lp import SimplexError
 from .placement import (Placement, induced_traffic_matrix,
                         plan_placement_optimized)
-from .topology import TopologyError
 from .traffic import apply_routing, finite_float, mlu, read_traffic_matrix
-from .workload import (DAY_SECONDS, TraceError, aggregate_demand,
+from .workload import (DAY_SECONDS, aggregate_demand,
                        generate_synthetic_trace, parse_catalog, parse_trace,
                        write_catalog, write_trace)
 
@@ -65,8 +63,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
         cfg.out_dir = args.out
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
-        if cfg.synth is not None:
-            cfg.synth.seed = args.seed
     if getattr(args, "jobs", None) is not None:
         if args.jobs < 1:
             raise ConfigError(f"bad value for --jobs: {args.jobs} is below 1")
@@ -96,8 +92,7 @@ def _dump_lps(cfg: ExperimentConfig, topo, catalog, requests, out: str) -> None:
     chunks, origins, budgets, _ = scheme_inputs(topo, catalog, cfg.schemes[0])
     dm = aggregate_demand(requests, (0.0, DAY_SECONDS), chunks)
     joint = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
-    dists = topo_mod.all_pairs_distances(topo, topo_mod.inverse_cap_weights(topo))
-    tm = induced_traffic_matrix(dm, Placement(), origins, dists)
+    tm = induced_traffic_matrix(dm, Placement(), origins, topo)
     minmlu = lp_mod.build_min_mlu_lp(topo, tm)
     with open(os.path.join(out, "joint_day0.lp"), "w", encoding="utf-8") as fh:
         fh.write(lp_mod.write_lp_text(joint))
@@ -276,11 +271,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, TopologyError, TraceError,
-            FileNotFoundError, ValueError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SimplexError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

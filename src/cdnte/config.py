@@ -208,9 +208,11 @@ def resolve_pop_weights(cfg: ExperimentConfig, pops) -> None:
     if raw == "uniform":
         return
     try:
-        weights = [float(v) for v in raw.split(",")]
-    except ValueError:
-        raise ConfigError("bad synth.pop_weights list") from None
+        weights = [finite_float(v) for v in raw.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad synth.pop_weights list: {exc}") from None
+    if any(w < 0 for w in weights):
+        raise ConfigError("bad synth.pop_weights list: an entry is negative")
     pops = sorted(pops)
     if len(weights) != len(pops):
         raise ConfigError(f"synth.pop_weights needs {len(pops)} entries")

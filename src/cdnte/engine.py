@@ -5,16 +5,16 @@ accumulate traffic matrices and link loads, and report MLU statistics.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import lp as lp_mod
-from . import topology as topo_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
                         plan_placement_optimized, split_hybrid)
-from .redirection import (path_table, rank_table, redirect_closest,
+from .redirection import (path_table, redirect_closest,
                           redirect_utilization_aware, serve_reason)
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
                       apply_routing, mlu, validate_traffic_matrix)
@@ -149,7 +149,7 @@ PlanTable = Dict[tuple, Tuple[Placement, RoutingSolution]]
 
 
 def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
-          chunks: ChunkMap, origins: Dict[str, int], ic_routes, dists
+          chunks: ChunkMap, origins: Dict[str, int]
           ) -> Tuple[Placement, RoutingSolution]:
     """plan_placement_optimized, looked up first in `plans` under the
     contents it is a pure function of: the topology's pops, links and
@@ -163,8 +163,7 @@ def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
            tuple(sorted(origins.items())))
     if key not in plans:
         plans[key] = plan_placement_optimized(dm, topo, budgets, chunks,
-                                              origins, ic_routes=ic_routes,
-                                              dists=dists)
+                                              origins)
     return plans[key]
 
 
@@ -228,11 +227,6 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
             if s not in pop_set or t not in pop_set:
                 raise ValidationError(f"transit commodity {(s, t)} not in topology")
 
-    ic_w = topo_mod.inverse_cap_weights(topo)
-    ic_routes = topo_mod.shortest_path_routes(topo, ic_w)
-    dists = topo_mod.all_pairs_distances(topo, ic_w)
-    rank = rank_table(topo.pops, dists)
-
     caches: Dict[int, CacheState] = {}
     if any(cache_budgets.values()):
         caches = {p: CacheState(p, cache_budgets[p]) for p in topo.pops}
@@ -244,6 +238,7 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
     for r in requests:
         by_day[int(r.timestamp // DAY_SECONDS)].append(r)
 
+    rank = topo.ic_rank
     use_util_aware = scheme.redirection == "utilization-aware"
     combined_transit = (scheme.transit is not None
                         and scheme.transit.mode == "combined")
@@ -264,11 +259,10 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         placement, planner_routing = Placement(), None
         if plan_dm is not None:
             placement, planner_routing = _plan(
-                plans, plan_dm, topo, planned_budgets, chunks, origins,
-                ic_routes, dists)
+                plans, plan_dm, topo, planned_budgets, chunks, origins)
         if scheme.routing == "inversecap" or (
                 scheme.routing == "min-mlu-prior-day" and day == 0):
-            routing = ic_routes
+            routing = topo.ic_routes
         else:
             if scheme.routing == "min-mlu-future":
                 route_dm = dm
@@ -281,17 +275,17 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                 routing = planner_routing
             else:
                 tm = prev_realized if route_dm is None else \
-                    induced_traffic_matrix(route_dm, placement, origins, dists)
+                    induced_traffic_matrix(route_dm, placement, origins, topo)
                 if combined_transit:
                     tm = dict(tm)
                     for k, rate in scheme.transit.tm.items():
                         tm[k] = tm.get(k, 0.0) + rate
-                routing = lp_mod.solve_min_mlu_routing(topo, tm,
-                                                       ic_routes=ic_routes)
+                routing = lp_mod.solve_min_mlu_routing(topo, tm)
         transit_loads: LinkLoads = {}
         if scheme.transit is not None:
             transit_loads = apply_routing(
-                routing if combined_transit else ic_routes, scheme.transit.tm)
+                routing if combined_transit else topo.ic_routes,
+                scheme.transit.tm)
         if use_util_aware:
             paths = path_table(topo, routing)
             transit_row = [transit_loads.get(l.id, 0.0) for l in topo.links]
@@ -500,15 +494,9 @@ def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
         raise ValidationError("storage ratios must be positive")
     if list(ratios) != sorted(ratios):
         raise ValidationError("storage ratios must be ascending")
-    schemes = []
-    for ratio in ratios:
-        s = SchemeSpec(template.placement, template.routing,
-                       template.redirection, storage_ratio=ratio,
-                       chunk_size=template.chunk_size,
-                       hybrid_reserve=template.hybrid_reserve,
-                       transit=template.transit,
-                       name=f"{template.label()}@r{ratio:g}")
-        schemes.append(s)
+    schemes = [dataclasses.replace(template, storage_ratio=ratio,
+                                   name=f"{template.label()}@r{ratio:g}")
+               for ratio in ratios]
     reports = _run_all(topo, catalog, requests, schemes, interval_s, jobs,
                        collect_decisions, collect_placements, plans)
     return [SweepRow(ratio, rep.mean_daily_p99(), rep)

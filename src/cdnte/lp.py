@@ -15,7 +15,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from . import topology as topo_mod
 from .traffic import RoutingSolution, TrafficMatrix
 
 FEAS_TOL = 1e-7     # constraint satisfaction, after row scaling
@@ -386,9 +385,7 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
     return lp
 
 
-def solve_min_mlu_routing(topo, tm: TrafficMatrix,
-                          ic_routes: Optional[RoutingSolution] = None
-                          ) -> RoutingSolution:
+def solve_min_mlu_routing(topo, tm: TrafficMatrix) -> RoutingSolution:
     """Demand-aware routing: min-MLU flow fractions for positive-rate
     commodities, InverseCap shortest paths for everything else (so every
     ordered pair has a defined route).
@@ -398,10 +395,7 @@ def solve_min_mlu_routing(topo, tm: TrafficMatrix,
     all flow fractions. The weights are positive, so the second optimum
     sends no commodity around a cycle, every fraction stays within
     [0, 1], and flow off the bottleneck takes InverseCap-short paths."""
-    weights = topo_mod.inverse_cap_weights(topo)
-    if ic_routes is None:
-        ic_routes = topo_mod.shortest_path_routes(topo, weights)
-    routing: RoutingSolution = {k: dict(v) for k, v in ic_routes.items()}
+    routing: RoutingSolution = {k: dict(v) for k, v in topo.ic_routes.items()}
     positive = {k: r for k, r in tm.items() if r > 0}
     if not positive:
         return routing
@@ -412,7 +406,7 @@ def solve_min_mlu_routing(topo, tm: TrafficMatrix,
         raise SimplexError(f"min-MLU program ended {sol.status}")
     lp.hi[alpha] = float(sol.array[alpha]) * (1.0 + 1e-9)
     # the builder's column layout: alpha, then each commodity's links
-    lp.obj = [0.0] + [weights[link.id] for link in topo.links] * len(
+    lp.obj = [0.0] + [topo.ic_weights[link.id] for link in topo.links] * len(
         lp.meta["commodities"])
     sol = solve_lp_auto(lp)
     if sol.status != "optimal":

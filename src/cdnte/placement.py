@@ -7,12 +7,11 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from . import lp as lp_mod
-from . import topology as topo_mod
 from .traffic import RoutingSolution, TrafficMatrix
 from .workload import ChunkId, ChunkMap, DemandMatrix
 
@@ -75,23 +74,19 @@ def split_hybrid(budgets: Dict[int, int], reserve: float) -> Tuple[Dict[int, int
     return planned, cache
 
 
-def nearest_replica(chunk: ChunkId, client: int, holders: Set[int],
-                    origin: int, dists: Dict[Tuple[int, int], float]) -> int:
-    """The planner's rule: the closest of the replica holders and the
-    origin by InverseCap distance, ties broken by lowest pop id.
+def nearest_replica(holders: Set[int], origin: int, rank: Dict[int, int]) -> int:
+    """The planner's rule: of the replica holders and the origin, the one
+    the client ranks first (its row of `Topology.ic_rank`), so a local
+    copy wins.
 
     This differs from `redirection.redirect_closest`, which replay uses:
     it serves from the origin only when no replica exists, so a remote
     replica wins there even when the origin is closer."""
-    if client in holders or client == origin:
-        return client
-    candidates = set(holders) | {origin}
-    return min(candidates, key=lambda j: (dists[(client, j)], j))
+    return min(holders | {origin}, key=rank.__getitem__)
 
 
 def induced_traffic_matrix(dm: DemandMatrix, placement: Placement,
-                           origins: Dict[str, int],
-                           dists: Dict[Tuple[int, int], float]) -> TrafficMatrix:
+                           origins: Dict[str, int], topo) -> TrafficMatrix:
     """Traffic matrix when each PoP's demand is served by its nearest
     replica (utilization-blind assignment), rates averaged over the
     demand window."""
@@ -105,9 +100,8 @@ def induced_traffic_matrix(dm: DemandMatrix, placement: Placement,
         nbytes = dm.demand[(chunk, pop)]
         if nbytes <= 0:
             continue
-        origin = origins[chunk[0]]
-        server = nearest_replica(chunk, pop, holders_by_chunk.get(chunk, set()),
-                                 origin, dists)
+        server = nearest_replica(holders_by_chunk.get(chunk, set()),
+                                 origins[chunk[0]], topo.ic_rank[pop])
         if server == pop:
             continue
         key = (server, pop)
@@ -151,22 +145,21 @@ class _SwapSearch:
     they lower a surrogate objective: the MLU of the induced
     nearest-replica traffic routed on InverseCap paths.
 
-    The surrogate is kept in arrays: a pop x pop distance matrix, each
+    The surrogate is kept in arrays, with pops indexed in ascending id
+    order: a pop x pop rank matrix (row c is client c's row of
+    `Topology.ic_rank`, so a masked argmin is `nearest_replica`), each
     (server, client) pair's InverseCap link fractions, per-chunk holder
-    masks and a float64 link-load vector. Pops are indexed in ascending
-    id order, so the lowest index is the lowest-id tie-break of
-    `nearest_replica`. A move re-serves only the demand pairs whose
-    server changes, in a fixed order: the dropped chunk before the added
-    one, clients ascending, the old route taken off before the new one is
-    put on. Each link's load thus sees the same float operations as in a
-    per-link evaluation of the move, and the search's choices do not
-    depend on the array form. A move is evaluated in full only if it
-    lowers the load on every link at the current maximum; otherwise its
-    surrogate cannot fall below the current one.
+    masks and a float64 link-load vector. A move re-serves only the
+    demand pairs whose server changes, in a fixed order: the dropped
+    chunk before the added one, clients ascending, the old route taken
+    off before the new one is put on. Each link's load thus sees the same
+    float operations as in a per-link evaluation of the move, and the
+    search's choices do not depend on the array form. A move is evaluated
+    in full only if it lowers the load on every link at the current
+    maximum; otherwise its surrogate cannot fall below the current one.
     """
 
-    def __init__(self, topo, dm, budgets, chunks, origins, stored,
-                 x_vals, ic_routes, dists):
+    def __init__(self, topo, dm, budgets, chunks, origins, stored, x_vals):
         self.topo = topo
         self.budgets = budgets
         self.chunks = chunks
@@ -176,9 +169,9 @@ class _SwapSearch:
         self.at = {p: k for k, p in enumerate(pops)}
         col = {l.id: k for k, l in enumerate(topo.links)}
         self.caps = np.array([float(l.capacity) for l in topo.links])
-        self.dist = np.array([[dists[(i, j)] for j in pops] for i in pops])
+        self.rank = np.array([[topo.ic_rank[c][p] for p in pops] for c in pops])
         self.routes = np.zeros((len(pops), len(pops), len(col)))
-        for (s, c), fracs in ic_routes.items():
+        for (s, c), fracs in topo.ic_routes.items():
             if s != c:
                 for link_id, frac in fracs.items():
                     self.routes[self.at[s], self.at[c], col[link_id]] = frac
@@ -210,13 +203,10 @@ class _SwapSearch:
     def _rebuild(self) -> None:
         """Servers, loads and surrogate from scratch, pairs in sorted
         (chunk, client) order."""
-        n = len(self.clients)
         cand = self.holds.copy()
         cand[np.arange(len(self.chunk_ids)), self.origin_at] = True
-        cand = cand[self.pair_chunk]
-        nearest = np.where(cand, self.dist[self.clients], np.inf).argmin(axis=1)
-        local = cand[np.arange(n), self.clients]
-        self.servers = np.where(local, self.clients, nearest)
+        self.servers = np.where(cand[self.pair_chunk], self.rank[self.clients],
+                                len(self.at)).argmin(axis=1)
         loads = np.zeros(len(self.caps))
         for rate, s, c in zip(self.pair_rates, self.servers.tolist(),
                               self.clients.tolist()):
@@ -233,8 +223,7 @@ class _SwapSearch:
         """Per chunk row, the pairs that would move to pop index `p` if it
         stored the chunk: (rate, old server, new server, client)."""
         s, c = self.servers, self.clients
-        dp, ds = self.dist[c, p], self.dist[c, s]
-        moves = (s != c) & ((c == p) | (dp < ds) | ((dp == ds) & (p < s)))
+        moves = self.rank[c, p] < self.rank[c, s]
         out: Dict[int, List[Tuple[float, int, int, int]]] = {}
         for q in np.flatnonzero(moves).tolist():
             out.setdefault(int(self.pair_chunk[q]), []).append(
@@ -256,7 +245,7 @@ class _SwapSearch:
         for q in np.flatnonzero(served).tolist():
             c = int(self.clients[q])
             out.append((self.pair_rates[q], p,
-                        int(idx[np.argmin(self.dist[c, idx])]), c))
+                        int(idx[np.argmin(self.rank[c, idx])]), c))
         return out
 
     def _moved(self, loads: np.ndarray, changes) -> np.ndarray:
@@ -332,21 +321,13 @@ class _SwapSearch:
 
 
 def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
-                             chunks: ChunkMap, origins: Dict[str, int],
-                             ic_routes: Optional[RoutingSolution] = None,
-                             dists: Optional[Dict] = None,
+                             chunks: ChunkMap, origins: Dict[str, int]
                              ) -> Tuple[Placement, RoutingSolution]:
     """Once-a-day placement from a demand matrix: solve the joint
     relaxation, round greedily, improve with local swaps, then re-solve
     min-MLU routing on the traffic matrix induced by nearest-replica
     assignment. The `future` placement is this planner fed the upcoming
     day's demand instead of the prior day's."""
-    if dists is None:
-        dists = topo_mod.all_pairs_distances(
-            topo, topo_mod.inverse_cap_weights(topo))
-    if ic_routes is None:
-        ic_routes = topo_mod.shortest_path_routes(
-            topo, topo_mod.inverse_cap_weights(topo))
     effective = {p: b for p, b in budgets.items() if b > 0}
     if not effective or not dm.demand:
         placement = Placement()
@@ -359,9 +340,9 @@ def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
         x_vals = {key: float(sol.array[idx])
                   for key, idx in lp.meta["x"].items()}
         search = _SwapSearch(topo, dm, budgets, chunks, origins,
-                             placement.stored, x_vals, ic_routes, dists)
+                             placement.stored, x_vals)
         placement = Placement(search.run())
-    tm = induced_traffic_matrix(dm, placement, origins, dists)
-    routing = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic_routes)
+    tm = induced_traffic_matrix(dm, placement, origins, topo)
+    routing = lp_mod.solve_min_mlu_routing(topo, tm)
     return placement, routing
 

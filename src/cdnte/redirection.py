@@ -1,10 +1,11 @@
 """Request redirection: pick the serving PoP for a chunk access that has
 no local copy. The rules read tables built ahead of replay: each client's
-rank of every PoP (once per run) and each route as rows (once per day)."""
+rank of every PoP (`Topology.ic_rank`, once per topology) and each route
+as rows (once per day)."""
 
 from __future__ import annotations
 
-from typing import Collection, Dict, Iterable, List, Tuple
+from typing import Collection, Dict, List, Tuple
 
 from .traffic import RoutingSolution
 
@@ -14,16 +15,6 @@ ORIGIN = "origin"
 
 Ranks = Dict[int, int]  # one client's rank of each server pop
 RouteRows = List[Tuple[int, float, int]]  # (link position, fraction, capacity)
-
-
-def rank_table(pops: Iterable[int], dists: Dict[Tuple[int, int], float]
-               ) -> Dict[int, Ranks]:
-    """Replay's tie-break: each client ranks every pop by (InverseCap
-    distance client->pop, pop id), so the client itself ranks 0."""
-    pops = list(pops)
-    return {c: {p: i for i, p in enumerate(
-                sorted(pops, key=lambda p: (dists[(c, p)], p)))}
-            for c in pops}
 
 
 def path_table(topo, routing: RoutingSolution
@@ -50,8 +41,8 @@ def serve_reason(client: int, server: int, origin: int) -> str:
 
 def redirect_closest(holders: Collection[int], origin: int, rank: Ranks) -> int:
     """Replay's rule for a client with no local copy: the replica holder
-    the client ranks first (`rank_table`), and the origin only when no
-    replica exists.
+    the client ranks first (its row of `Topology.ic_rank`), and the origin
+    only when no replica exists.
 
     This differs from `placement.nearest_replica`, the planner's rule,
     which also counts the origin as a candidate and so picks it whenever

@@ -13,6 +13,7 @@ integer arithmetic at parse time.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,12 @@ class Link:
 
 
 class Topology:
-    """Immutable directed capacitated graph of PoPs."""
+    """Immutable directed capacitated graph of PoPs.
+
+    The InverseCap facts every layer reads are derived once, on first
+    use: the link weights (`ic_weights`), the ECMP routes on them
+    (`ic_routes`) and each client's rank of every pop (`ic_rank`).
+    Callers must not mutate them."""
 
     def __init__(self, pops: List[int], names: Dict[int, str],
                  links: List[Link], origin_pop: int):
@@ -56,6 +62,24 @@ class Topology:
             self.out_links[p] = tuple(out[p])
             self.in_links[p] = tuple(inc[p])
         self._validate()
+
+    @functools.cached_property
+    def ic_weights(self) -> WeightMap:
+        return inverse_cap_weights(self)
+
+    @functools.cached_property
+    def ic_routes(self) -> RoutingSolution:
+        return shortest_path_routes(self, self.ic_weights)
+
+    @functools.cached_property
+    def ic_rank(self) -> Dict[int, Dict[int, int]]:
+        """The one tie-break between servers: each client ranks every pop
+        by (InverseCap distance client->pop, pop id), so the client itself
+        ranks 0."""
+        dists = all_pairs_distances(self, self.ic_weights)
+        return {c: {p: i for i, p in enumerate(
+                    sorted(self.pops, key=lambda p: (dists[(c, p)], p)))}
+                for c in self.pops}
 
     def _validate(self) -> None:
         if not self.pops:
@@ -205,13 +229,6 @@ def _dijkstra_to(topo: Topology, w: WeightMap, dst: int) -> Dict[int, float]:
                 dist[l.src] = nd
                 heapq.heappush(heap, (nd, l.src))
     return dist
-
-
-def path_distance(topo: Topology, w: WeightMap, s: int, t: int) -> float:
-    """Weight of the minimum-weight s->t path; 0 when s == t."""
-    if s == t:
-        return 0.0
-    return _dijkstra_to(topo, w, t)[s]
 
 
 def all_pairs_distances(topo: Topology, w: WeightMap) -> Dict[Tuple[int, int], float]:

@@ -20,8 +20,7 @@ from cdnte.cli import main as cli_main
 from cdnte.engine import SchemeSpec, run_experiment, sweep_storage_ratio
 from cdnte.placement import (CacheState, Placement, induced_traffic_matrix,
                              plan_placement_optimized)
-from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
-                            shortest_path_routes)
+from cdnte.topology import inverse_cap_weights, shortest_path_routes
 from cdnte.traffic import apply_routing, check_flow_conservation, mlu
 from cdnte.workload import (ContentObject, DemandMatrix, Request, SynthParams,
                             chunk_objects, generate_synthetic_trace)
@@ -77,7 +76,7 @@ def test_criterion_2_lp_dominance_suite():
         assert sol.status == "optimal"
         assert sol.objective <= ic_mlu + 1e-7
         assert sol.duality_gap <= 1e-6
-        routing = L.solve_min_mlu_routing(topo, tm, ic_routes=ic)
+        routing = L.solve_min_mlu_routing(topo, tm)
         check_flow_conservation(routing, topo, tol=1e-7)
         realized = mlu(apply_routing(routing, tm), topo)
         assert abs(realized - sol.objective) <= 1e-7
@@ -123,14 +122,11 @@ def test_criterion_3_joint_placement_oracle():
     rng = random.Random(3030)
     instances = _tiny_instances(rng, 50)
     for topo, catalog, chunks, origins, dm, budgets in instances:
-        ic = shortest_path_routes(topo, inverse_cap_weights(topo))
-        dists = all_pairs_distances(topo, inverse_cap_weights(topo))
-
         def evaluate(placement):
-            tm = induced_traffic_matrix(dm, placement, origins, dists)
+            tm = induced_traffic_matrix(dm, placement, origins, topo)
             if not tm:
                 return 0.0
-            routing = L.solve_min_mlu_routing(topo, tm, ic_routes=ic)
+            routing = L.solve_min_mlu_routing(topo, tm)
             return mlu(apply_routing(routing, tm), topo)
 
         # exhaustive integral placements (chunks never stored at their origin)
@@ -149,8 +145,7 @@ def test_criterion_3_joint_placement_oracle():
             best = value if best is None else min(best, value)
 
         placement, _ = plan_placement_optimized(dm, topo, budgets, chunks,
-                                                origins, ic_routes=ic,
-                                                dists=dists)
+                                                origins)
         realized = evaluate(placement)
         assert realized <= best * 1.5 + 1e-9, (realized, best)
         relax = L.solve_lp_auto(L.build_joint_lp(topo, dm, budgets, chunks,

@@ -338,6 +338,18 @@ def test_explicit_pop_weights(tmp_path):
     assert main(["gen-trace", "--config", cfg_path, "--out", out]) == 1
 
 
+@pytest.mark.parametrize("weights", ["nan,0.5,0.5", "inf,0.5,0.5",
+                                     "-0.5,0.5,1"])
+def test_bad_pop_weights_name_the_key(tmp_path, capsys, weights):
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg",
+                      SYNTH_CFG + f"synth.pop_weights = {weights}\n")
+    assert main(["gen-trace", "--config", cfg_path,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad synth.pop_weights")
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     import cdnte.cli as cli_mod
     from cdnte.lp import SimplexError

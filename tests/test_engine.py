@@ -152,7 +152,6 @@ def test_reported_mlu_matches_independent_recomputation(
         assert len(solves) == n_days  # the planner's routing is reused
 
     ic = shortest_path_routes(topo, inverse_cap_weights(topo))
-    dists = all_pairs_distances(topo, inverse_cap_weights(topo))
     chunks = chunk_objects(catalog, None)
     origins = {c: topo.origin_pop for c in catalog}
 
@@ -174,10 +173,10 @@ def test_reported_mlu_matches_independent_recomputation(
         else:
             if routing == "min-mlu-future":
                 tm = induced_traffic_matrix(demand(day), placed, origins,
-                                            dists)
+                                            topo)
             elif placement in ("optimized", "hybrid"):
                 tm = induced_traffic_matrix(demand(day - 1), placed, origins,
-                                            dists)
+                                            topo)
             else:  # yesterday's realized matrix
                 realized = defaultdict(int)
                 for matrix in matrices(day - 1):
@@ -188,7 +187,7 @@ def test_reported_mlu_matches_independent_recomputation(
                 tm = dict(tm)
                 for k, rate in transit_tm.items():
                     tm[k] = tm.get(k, 0.0) + rate
-            expected = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic)
+            expected = lp_mod.solve_min_mlu_routing(topo, tm)
         transit_loads = {}
         if transit_mode is not None:
             transit_loads = apply_routing(
@@ -302,7 +301,7 @@ def test_compare_schemes_single_and_duplicate():
     assert table2.p99[a] == table2.p99[b]
 
 
-def test_sweep_validation_and_full_replication_column():
+def test_sweep_validation_and_full_replication_column(monkeypatch):
     topo = _origin_triangle()
     catalog, reqs = _daily_trace(2)
     template = SchemeSpec("optimized", "inversecap", "closest")
@@ -317,6 +316,29 @@ def test_sweep_validation_and_full_replication_column():
     for day, _, value in rows[0].report.intervals:
         if day >= 1:
             assert value == 0.0
+
+    # every field but the ratio and the name reaches each swept run
+    import cdnte.engine as engine_mod
+    seen = []
+    real = engine_mod.run_experiment
+
+    def recorded(*args, **kwargs):
+        seen.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "run_experiment", recorded)
+    transit = TransitSpec({(0, 1): 1e3}, "combined")
+    template = SchemeSpec("hybrid", "min-mlu-prior-day", "utilization-aware",
+                          chunk_size=500, hybrid_reserve=0.25,
+                          transit=transit)
+    sweep_storage_ratio(topo, catalog, reqs, template, [0.5, 2.0], 3600.0)
+    assert [(s.storage_ratio, s.name) for s in seen] == [
+        (0.5, f"{template.label()}@r0.5"), (2.0, f"{template.label()}@r2")]
+    for s in seen:
+        assert (s.placement, s.routing, s.redirection, s.chunk_size,
+                s.hybrid_reserve, s.transit) == (
+            "hybrid", "min-mlu-prior-day", "utilization-aware", 500, 0.25,
+            transit)
 
 
 def test_byte_conservation_no_storage():
@@ -517,6 +539,37 @@ def test_compare_schemes_plans_each_program_once(monkeypatch):
     assert len(calls) == 3 + 2 + 3
 
 
+def test_inversecap_facts_derived_once_per_topology(monkeypatch):
+    # several multi-day runs on one Topology, with planning, min-MLU
+    # routing, a transit overlay and both redirection rules, derive the
+    # InverseCap routes once and leave them as they were derived
+    import cdnte.topology as topo_mod
+    calls = []
+    real = topo_mod.shortest_path_routes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(topo_mod, "shortest_path_routes", counted)
+    topo = _origin_triangle()
+    catalog, reqs = _shifting_trace(3)
+    # min-MLU routing splits the combined transit over two paths, so a
+    # router writing into the InverseCap routes would show below
+    schemes = [SchemeSpec("optimized", "min-mlu-prior-day", "closest",
+                          storage_ratio=1.0,
+                          transit=TransitSpec({(0, 1): 2e6}, "inversecap")),
+               SchemeSpec("lru", "min-mlu-prior-day", "utilization-aware",
+                          storage_ratio=1.0,
+                          transit=TransitSpec({(0, 1): 2e6}, "combined"))]
+    compare_schemes(topo, catalog, reqs, schemes, 3600.0)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert topo.ic_routes == shortest_path_routes(topo,
+                                                  inverse_cap_weights(topo))
+    assert topo.ic_rank == _origin_triangle().ic_rank
+
+
 def test_compare_schemes_shared_plans_match_parallel_jobs():
     topo = _origin_triangle()
     catalog, reqs = _shifting_trace(3)
@@ -673,7 +726,6 @@ def test_replay_matches_reference_hybrid_util_aware_combined(seed):
     for epoch, pop, chunk in rep.placements:
         placed[epoch][pop].add(chunk)
     ic = shortest_path_routes(topo, inverse_cap_weights(topo))
-    dists = all_pairs_distances(topo, inverse_cap_weights(topo))
     chunks = chunk_objects(catalog, scheme.chunk_size)
     origins = {c: o.origin for c, o in catalog.items()}
     routings, transit_loads = [], []
@@ -684,10 +736,10 @@ def test_replay_matches_reference_hybrid_util_aware_combined(seed):
             dm = aggregate_demand(reqs, ((day - 1) * 86400.0, day * 86400.0),
                                   chunks)
             tm = dict(induced_traffic_matrix(dm, Placement(placed[day]),
-                                             origins, dists))
+                                             origins, topo))
             for k, rate in transit_tm.items():
                 tm[k] = tm.get(k, 0.0) + rate
-            routing = lp_mod.solve_min_mlu_routing(topo, tm, ic_routes=ic)
+            routing = lp_mod.solve_min_mlu_routing(topo, tm)
         routings.append(routing)
         transit_loads.append(apply_routing(routing, transit_tm))
 

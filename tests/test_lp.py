@@ -246,7 +246,7 @@ def test_min_mlu_routing_second_stage_random_instances():
         ic = shortest_path_routes(topo, w)
         dist = all_pairs_distances(topo, w)
         alpha = L.solve_lp_auto(L.build_min_mlu_lp(topo, tm)).objective
-        routing = L.solve_min_mlu_routing(topo, tm, ic_routes=ic)
+        routing = L.solve_min_mlu_routing(topo, tm)
         check_flow_conservation(routing, topo, tol=1e-7)
         loads = apply_routing(routing, tm)
         assert abs(mlu(loads, topo) - alpha) <= 1e-7
@@ -442,9 +442,7 @@ def test_joint_relaxation_lower_bound_single_instance():
                                  (("A", 0), 1): 6})
     budgets = {0: 1, 1: 1, 2: 0}
     from cdnte.placement import induced_traffic_matrix, Placement
-    from cdnte.topology import all_pairs_distances
     from itertools import combinations, product
-    dists = all_pairs_distances(topo, inverse_cap_weights(topo))
     all_chunks = list(chunks.sizes)
     best = None
     options = []
@@ -455,7 +453,7 @@ def test_joint_relaxation_lower_bound_single_instance():
         options.append(opts)
     for choice in product(*options):
         placement = Placement({0: set(choice[0]), 1: set(choice[1])})
-        tm = induced_traffic_matrix(dm, placement, origins, dists)
+        tm = induced_traffic_matrix(dm, placement, origins, topo)
         value = L.solve_lp(L.build_min_mlu_lp(topo, tm)).objective if tm else 0.0
         best = value if best is None else min(best, value)
     relax = L.solve_lp(L.build_joint_lp(topo, dm, budgets, chunks, origins))

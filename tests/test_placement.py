@@ -5,12 +5,13 @@ import pytest
 from cdnte import lp as L
 from cdnte import parse_topology
 from cdnte.placement import (CacheState, _SwapSearch, induced_traffic_matrix,
-                             nearest_replica, plan_placement_optimized,
-                             split_hybrid)
+                             plan_placement_optimized, split_hybrid)
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
 from cdnte.workload import ContentObject, DemandMatrix, chunk_objects
+
+from conftest import random_digraph
 
 
 def test_lru_textbook_eviction():
@@ -121,8 +122,7 @@ def test_plan_optimized_two_chunk_instance():
                                                   origins)
     assert placement.stored[0] == {("A", 0)}
     assert placement.stored[1] == {("B", 0)}
-    dists = all_pairs_distances(topo, inverse_cap_weights(topo))
-    tm = induced_traffic_matrix(dm, placement, origins, dists)
+    tm = induced_traffic_matrix(dm, placement, origins, topo)
     assert tm == {}  # everything local
     assert mlu(apply_routing(routing, tm), topo) == 0.0
 
@@ -133,8 +133,7 @@ def test_plan_optimized_full_replication():
     placement, _ = plan_placement_optimized(dm, topo, budgets, chunks, origins)
     assert ("A", 0) in placement.stored[0]
     assert ("B", 0) in placement.stored[1]
-    dists = all_pairs_distances(topo, inverse_cap_weights(topo))
-    assert induced_traffic_matrix(dm, placement, origins, dists) == {}
+    assert induced_traffic_matrix(dm, placement, origins, topo) == {}
 
 
 def test_plan_optimized_zero_budgets_matches_origin_min_mlu():
@@ -209,29 +208,59 @@ def test_plan_future_zero_budgets():
 
 def _surrogate_from_scratch(topo, dm, origins, stored, ic_routes, dists):
     """The swap search's objective, recomputed the plain way: every demand
-    pair's nearest replica, its InverseCap route loads, then the MLU."""
+    pair's nearest of the replica holders and the origin by (InverseCap
+    distance, pop id), its InverseCap route loads, then the MLU. Also
+    returns how many pairs a pop-id tie-break between two replicas
+    decided."""
     holders = {}
     for pop, chunk_set in stored.items():
         for chunk in chunk_set:
             holders.setdefault(chunk, set()).add(pop)
     loads = {}
+    id_ties = 0
     for (chunk, client), nbytes in sorted(dm.demand.items()):
         if nbytes <= 0:
             continue
-        server = nearest_replica(chunk, client, holders.get(chunk, set()),
-                                 origins[chunk[0]], dists)
+        origin, replicas = origins[chunk[0]], holders.get(chunk, set())
+        server = min(replicas | {origin}, key=lambda j: (dists[(client, j)], j))
+        if server not in (client, origin) and any(
+                j != server and dists[(client, j)] == dists[(client, server)]
+                for j in replicas):
+            id_ties += 1
         if server != client:
             for link_id, frac in ic_routes[(server, client)].items():
                 loads[link_id] = loads.get(link_id, 0.0) \
                     + nbytes * 8.0 / dm.window_seconds * frac
-    return mlu(loads, topo)
+    return mlu(loads, topo), id_ties
+
+
+def _equal_capacity_instances(rng, count):
+    """Joint instances on 4-6 pop digraphs with equal capacities, so
+    InverseCap distances are hop counts and tie often; each object has its
+    own origin pop."""
+    out = []
+    while len(out) < count:
+        topo = random_digraph(rng.randint(4, 6), rng, caps=(1000,))
+        catalog = {f"c{k}": ContentObject(f"c{k}", 1)
+                   for k in range(rng.randint(2, 4))}
+        chunks = chunk_objects(catalog, None)
+        origins = {cid: rng.choice(topo.pops) for cid in catalog}
+        demand = {((cid, 0), pop): rng.randint(1, 9)
+                  for cid in catalog for pop in topo.pops
+                  if rng.random() < 0.6}
+        if demand:
+            budgets = {p: rng.randint(0, 2) for p in topo.pops}
+            out.append((topo, catalog, chunks, origins,
+                        DemandMatrix(0.0, 1.0, demand), budgets))
+    return out
 
 
 def test_swap_search_moves_match_from_scratch_surrogate():
     from test_acceptance import _tiny_instances
     rng = random.Random(4040)
-    evaluated = pruned = 0
-    for topo, _, chunks, origins, dm, budgets in _tiny_instances(rng, 200):
+    evaluated = pruned = id_ties = 0
+    instances = _tiny_instances(rng, 200) + _equal_capacity_instances(rng, 40)
+    for topo, _, chunks, origins, dm, budgets in instances:
         w = inverse_cap_weights(topo)
         ic, dists = shortest_path_routes(topo, w), all_pairs_distances(topo, w)
         stored = {}
@@ -244,8 +273,10 @@ def test_swap_search_moves_match_from_scratch_surrogate():
                     room -= chunks.sizes[chunk]
         x_vals = {(c, p): rng.random() for c in chunks.sizes for p in topo.pops}
         search = _SwapSearch(topo, dm, budgets, chunks, origins, stored,
-                             x_vals, ic, dists)
-        current = _surrogate_from_scratch(topo, dm, origins, stored, ic, dists)
+                             x_vals)
+        current, ties = _surrogate_from_scratch(topo, dm, origins, stored,
+                                                ic, dists)
+        id_ties += ties
         assert search.value == pytest.approx(current, rel=1e-12, abs=0)
         for pop in topo.pops:
             if budgets[pop] <= 0:
@@ -254,12 +285,13 @@ def test_swap_search_moves_match_from_scratch_surrogate():
                 moved = {p: set(s) for p, s in stored.items()}
                 moved.setdefault(pop, set()).add(add)
                 moved[pop].discard(drop)
-                scratch = _surrogate_from_scratch(topo, dm, origins, moved,
-                                                  ic, dists)
+                scratch, ties = _surrogate_from_scratch(topo, dm, origins,
+                                                        moved, ic, dists)
+                id_ties += ties
                 if value == float("inf"):
                     pruned += 1
                     assert scratch >= search.value
                 else:
                     evaluated += 1
                     assert value == pytest.approx(scratch, rel=1e-12, abs=0)
-    assert evaluated > 0 and pruned > 0
+    assert evaluated > 0 and pruned > 0 and id_ties > 0

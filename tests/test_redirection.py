@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cdnte import parse_topology
-from cdnte.redirection import (path_table, rank_table, redirect_closest,
+from cdnte.redirection import (path_table, redirect_closest,
                                redirect_utilization_aware, serve_reason)
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
@@ -17,9 +17,8 @@ def _dists(topo):
 
 def _tables(topo):
     """(dists, rank table, InverseCap routes, their path table)."""
-    d = _dists(topo)
     routes = shortest_path_routes(topo, inverse_cap_weights(topo))
-    return d, rank_table(topo.pops, d), routes, path_table(topo, routes)
+    return _dists(topo), topo.ic_rank, routes, path_table(topo, routes)
 
 
 def _load_list(topo, loads):
@@ -40,15 +39,15 @@ def test_closest_argmin_distance():
     d = _dists(topo)
     assert d[(1, 2)] == pytest.approx(1.0)
     assert d[(1, 3)] == pytest.approx(2.0)
-    rank = rank_table(topo.pops, d)
-    server = redirect_closest({2, 3}, origin=3, rank=rank[1])
+    assert topo.ic_rank[1] == {1: 0, 2: 1, 3: 2}
+    server = redirect_closest({2, 3}, origin=3, rank=topo.ic_rank[1])
     assert server == 2
     assert serve_reason(1, server, 3) == "remote-replica"
 
 
 def test_closest_local_hit_and_origin_fallback():
     topo = parse_topology("pop 0 A\npop 1 B\nlink 0 1 10\norigin 0\n")
-    rank = rank_table(topo.pops, _dists(topo))
+    rank = topo.ic_rank
     local = redirect_closest({1}, origin=0, rank=rank[1])
     assert local == 1 and serve_reason(1, local, 0) == "local-hit"
     fallback = redirect_closest(set(), origin=0, rank=rank[1])
@@ -65,8 +64,8 @@ def test_closest_tie_breaks_lowest_pop():
     link 1 2 10
     origin 0
     """)
-    rank = rank_table(topo.pops, _dists(topo))
-    server = redirect_closest({1, 2}, origin=1, rank=rank[0])
+    assert topo.ic_rank[0] == {0: 0, 1: 1, 2: 2}
+    server = redirect_closest({1, 2}, origin=1, rank=topo.ic_rank[0])
     assert server == 1  # equal distance, lowest id wins
 
 
@@ -166,14 +165,25 @@ def test_closest_invariant_under_capacity_scaling():
         [f"pop {p} N{p}" for p in base.pops]
         + [f"arc {l.src} {l.dst} {l.capacity * 7 // 1_000_000}" for l in base.links]
         + ["origin 1"]))
-    r1 = rank_table(base.pops, _dists(base))
-    r2 = rank_table(scaled.pops, _dists(scaled))
+    r1, r2 = base.ic_rank, scaled.ic_rank
     rng = random.Random(59)
     for _ in range(20):
         holders = set(rng.sample([1, 2, 3], rng.randint(1, 3)))
         a = redirect_closest(holders, origin=1, rank=r1[0])
         b = redirect_closest(holders, origin=1, rank=r2[0])
         assert a == b
+
+
+def test_ic_rank_orders_by_distance_then_pop_id():
+    rng = random.Random(67)
+    for _ in range(20):
+        topo = random_digraph(rng.randint(3, 8), rng,
+                              caps=rng.choice([(1000,), (1000, 2500, 10000)]))
+        d = _dists(topo)
+        for c in topo.pops:
+            order = sorted(topo.pops, key=lambda p: (d[(c, p)], p))
+            assert topo.ic_rank[c] == {p: i for i, p in enumerate(order)}
+            assert topo.ic_rank[c][c] == 0
 
 
 def test_rules_match_brute_force_definitions_with_ties():

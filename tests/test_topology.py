@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from cdnte import (TopologyError, all_pairs_distances, inverse_cap_weights,
-                   parse_topology, path_distance, shortest_path_routes)
+                   parse_topology, shortest_path_routes)
 from cdnte.traffic import check_flow_conservation
 
 from conftest import make_triangle, random_digraph
@@ -28,7 +28,7 @@ def test_parse_triangle_link_lines():
     topo = make_triangle()
     assert len(topo.links) == 6
     # strong connectivity was validated at parse time; spot-check reachability
-    assert path_distance(topo, inverse_cap_weights(topo), 2, 0) > 0
+    assert all_pairs_distances(topo, inverse_cap_weights(topo))[(2, 0)] > 0
 
 
 def test_parse_errors():
@@ -145,12 +145,12 @@ def test_ecmp_uniform_weights_hop_count_oracle():
                     == hops_from[s][t], f"{(s, t)} uses off-path link {link_id}"
 
 
-def test_path_distance_examples(triangle, two_pop):
-    w = inverse_cap_weights(triangle)
-    assert path_distance(triangle, w, 0, 0) == 0.0
-    assert path_distance(triangle, w, 0, 1) == pytest.approx(1.0)
-    w2 = inverse_cap_weights(two_pop)
-    assert path_distance(two_pop, w2, 0, 1) == pytest.approx(1.0)
+def test_all_pairs_distances_examples(triangle, two_pop):
+    d = all_pairs_distances(triangle, inverse_cap_weights(triangle))
+    assert d[(0, 0)] == 0.0
+    assert d[(0, 1)] == pytest.approx(1.0)
+    d2 = all_pairs_distances(two_pop, inverse_cap_weights(two_pop))
+    assert d2[(0, 1)] == pytest.approx(1.0)
 
 
 def test_path_distance_triangle_inequality():
