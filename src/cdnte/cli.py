@@ -16,8 +16,7 @@ from . import lp as lp_mod
 from . import topology as topo_mod
 from .config import ConfigError, ExperimentConfig, load_config, resolve_pop_weights
 from .engine import ValidationError, scheme_inputs
-from .placement import (Placement, induced_traffic_matrix,
-                        plan_placement_optimized)
+from .placement import Placement, induced_traffic_matrix, plan_placement
 from .traffic import apply_routing, finite_float, mlu, read_traffic_matrix
 from .workload import (DAY_SECONDS, aggregate_demand,
                        generate_synthetic_trace, parse_catalog, parse_trace,
@@ -75,22 +74,22 @@ def cmd_gen_trace(args) -> int:
     if cfg.synth is None:
         raise ConfigError("gen-trace needs a synth.* block in the config")
     topo = _load_topology(cfg)
-    catalog, requests = _load_workload(cfg, topo)
+    catalog, trace = _load_workload(cfg, topo)
     out = _ensure_out(cfg.out_dir)
     with open(os.path.join(out, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write(write_trace(requests))
+        fh.write(write_trace(trace))
     with open(os.path.join(out, "catalog.csv"), "w", encoding="utf-8") as fh:
         fh.write(write_catalog(catalog))
     _echo_config(cfg, out)
-    print(f"wrote {len(requests)} requests, {len(catalog)} objects to {out}")
+    print(f"wrote {len(trace)} requests, {len(catalog)} objects to {out}")
     return 0
 
 
-def _dump_lps(cfg: ExperimentConfig, topo, catalog, requests, out: str) -> None:
+def _dump_lps(cfg: ExperimentConfig, topo, catalog, trace, out: str) -> None:
     """Debug dump: the day-0 joint program and the min-MLU program on the
     origin-to-client matrix, in LP text format."""
     chunks, origins, budgets, _ = scheme_inputs(topo, catalog, cfg.schemes[0])
-    dm = aggregate_demand(requests, (0.0, DAY_SECONDS), chunks)
+    dm = aggregate_demand(trace, (0.0, DAY_SECONDS), chunks)
     joint = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
     tm = induced_traffic_matrix(dm, Placement(), origins, topo)
     minmlu = lp_mod.build_min_mlu_lp(topo, tm)
@@ -106,11 +105,11 @@ def cmd_simulate(args) -> int:
     if not cfg.schemes:
         raise ConfigError("config declares no schemes")
     topo = _load_topology(cfg)
-    catalog, requests = _load_workload(cfg, topo)
+    catalog, trace = _load_workload(cfg, topo)
     out = _ensure_out(cfg.out_dir)
     _echo_config(cfg, out)
     if args.dump_lp:
-        _dump_lps(cfg, topo, catalog, requests, out)
+        _dump_lps(cfg, topo, catalog, trace, out)
 
     # the decision and placement dumps describe the first run
     reports = []
@@ -119,7 +118,7 @@ def cmd_simulate(args) -> int:
         plans = {}  # shared by every sweep of this invocation
         for i, scheme in enumerate(cfg.schemes):
             rows = engine_mod.sweep_storage_ratio(
-                topo, catalog, requests, scheme, cfg.storage_ratios,
+                topo, catalog, trace, scheme, cfg.storage_ratios,
                 interval_s=cfg.interval_s, jobs=cfg.jobs,
                 collect_decisions=args.decision_log and i == 0,
                 collect_placements=args.dump_placements and i == 0,
@@ -132,7 +131,7 @@ def cmd_simulate(args) -> int:
             fh.write("\n".join(sweep_lines) + "\n")
     else:
         table = engine_mod.compare_schemes(
-            topo, catalog, requests, cfg.schemes, interval_s=cfg.interval_s,
+            topo, catalog, trace, cfg.schemes, interval_s=cfg.interval_s,
             jobs=cfg.jobs, collect_decisions=args.decision_log,
             collect_placements=args.dump_placements)
         reports = table.reports
@@ -173,12 +172,12 @@ def cmd_solve_placement(args) -> int:
     if not cfg.schemes:
         raise ConfigError("config declares no schemes")
     topo = _load_topology(cfg)
-    catalog, requests = _load_workload(cfg, topo)
+    catalog, trace = _load_workload(cfg, topo)
     chunks, origins, budgets, _ = scheme_inputs(topo, catalog, cfg.schemes[0])
     day = args.day
-    dm = aggregate_demand(requests, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS),
+    dm = aggregate_demand(trace, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS),
                           chunks)
-    placement, _ = plan_placement_optimized(dm, topo, budgets, chunks, origins)
+    placement = plan_placement(dm, topo, budgets, chunks, origins)
     out = _ensure_out(cfg.out_dir)
     with open(os.path.join(out, "placements.csv"), "w", encoding="utf-8") as fh:
         fh.write(engine_mod.placements_csv(

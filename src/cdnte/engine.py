@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from . import lp as lp_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
@@ -19,7 +22,7 @@ from .redirection import (path_table, redirect_closest,
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
                       apply_routing, mlu, validate_traffic_matrix)
 from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
-                       Request, aggregate_demand, chunk_objects)
+                       Trace, aggregate_demand, chunk_objects)
 
 PLACEMENTS = ("lru", "optimized", "future", "hybrid")
 ROUTINGS = ("inversecap", "min-mlu-prior-day", "min-mlu-future")
@@ -167,7 +170,7 @@ def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
     return plans[key]
 
 
-def run_experiment(topo, catalog: Catalog, requests: List[Request],
+def run_experiment(topo, catalog: Catalog, trace: Trace,
                    scheme: SchemeSpec, interval_s: float = 300.0,
                    collect_decisions: bool = False,
                    collect_placements: bool = False,
@@ -200,21 +203,25 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         raise ValidationError("interval_s must be positive")
     if len(topo.pops) < 2 or not topo.links:
         raise ValidationError("topology must have at least 2 pops and links")
-    if not requests:
+    if not len(trace):
         raise ValidationError("empty trace")
     pop_set = set(topo.pops)
-    for r in requests:
-        if r.pop not in pop_set:
-            raise ValidationError(f"request pop {r.pop} not in topology")
-        if r.content not in catalog:
-            raise ValidationError(f"request content {r.content!r} not in catalog")
+    known = np.array([cid in catalog for cid in trace.content_ids])
+    bad_pop = ~np.isin(trace.pops, topo.pops)
+    bad = bad_pop | ~known[trace.contents]
+    if bad.any():
+        k = int(bad.argmax())  # the first bad row
+        if bad_pop[k]:
+            raise ValidationError(
+                f"request pop {int(trace.pops[k])} not in topology")
+        content = trace.content_ids[trace.contents[k]]
+        raise ValidationError(f"request content {content!r} not in catalog")
 
     chunks, origins, planned_budgets, cache_budgets = scheme_inputs(topo, catalog, scheme)
     if plans is None:
         plans = {}
 
-    requests = sorted(requests, key=lambda r: r.timestamp)
-    n_days = int(requests[-1].timestamp // DAY_SECONDS) + 1
+    n_days = int(float(trace.timestamps[-1]) // DAY_SECONDS) + 1
     needs_prior = (scheme.placement in ("optimized", "hybrid")
                    or scheme.routing == "min-mlu-prior-day")
     if needs_prior and n_days < 2:
@@ -231,12 +238,9 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
     if any(cache_budgets.values()):
         caches = {p: CacheState(p, cache_budgets[p]) for p in topo.pops}
     cached_holders: Dict[ChunkId, Set[int]] = {}  # pops whose cache holds it
-    # (chunk, bytes, chunk size) rows of each (content, bytes) request
-    expansions: Dict[Tuple[str, int], List[Tuple[ChunkId, int, int]]] = {}
-
-    by_day: Dict[int, List[Request]] = defaultdict(list)
-    for r in requests:
-        by_day[int(r.timestamp // DAY_SECONDS)].append(r)
+    # (chunk, bytes, chunk size) rows of each (content code, bytes) request
+    expansions: Dict[Tuple[int, int], List[Tuple[ChunkId, int, int]]] = {}
+    origin_of = [origins[cid] for cid in trace.content_ids]
 
     rank = topo.ic_rank
     use_util_aware = scheme.redirection == "utilization-aware"
@@ -248,11 +252,10 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
     prev_realized: TrafficMatrix = {}
 
     for day in range(n_days):
-        day_reqs = by_day.get(day, [])
+        window = (day * DAY_SECONDS, (day + 1) * DAY_SECONDS)
         dm: Optional[DemandMatrix] = None
         if scheme.placement != "lru":
-            dm = aggregate_demand(
-                day_reqs, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS), chunks)
+            dm = aggregate_demand(trace, window, chunks)
 
         # the day's placement and routing, by the rule in the docstring
         plan_dm = dm if scheme.placement == "future" else prev_dm
@@ -301,6 +304,11 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
         day_served = day_origin = 0
         realized_day: Dict[Tuple[int, int], int] = defaultdict(int)
 
+        # the day's rows, as Python floats and ints
+        rows = trace.span(*window)
+        times = trace.timestamps[rows].tolist()
+        columns = (times, trace.pops[rows].tolist(),
+                   trace.contents[rows].tolist(), trace.nbytes[rows].tolist())
         n_intervals = int(math.ceil(DAY_SECONDS / interval_s))
         req_pos = 0
         for iv in range(n_intervals):
@@ -311,18 +319,18 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
             if use_util_aware:
                 live_loads = list(transit_row)  # by link position
 
-            while req_pos < len(day_reqs) and day_reqs[req_pos].timestamp < iv_end:
-                r = day_reqs[req_pos]
-                req_pos += 1
-                client = r.pop
+            iv_pos = bisect_left(times, iv_end, req_pos)
+            for ts, client, code, req_bytes in zip(
+                    *(column[req_pos:iv_pos] for column in columns)):
                 cache = caches.get(client)
-                origin = origins[r.content]
-                rows = expansions.get((r.content, r.nbytes))
-                if rows is None:
-                    rows = expansions[(r.content, r.nbytes)] = [
+                origin = origin_of[code]
+                parts = expansions.get((code, req_bytes))
+                if parts is None:
+                    parts = expansions[(code, req_bytes)] = [
                         (chunk, nbytes, chunks.sizes[chunk]) for chunk, nbytes
-                        in chunks.request_chunks(r.content, r.nbytes)]
-                for chunk, nbytes, size in rows:
+                        in chunks.request_chunks(trace.content_ids[code],
+                                                 req_bytes)]
+                for chunk, nbytes, size in parts:
                     server = client
                     planned = planned_holders.get(chunk)
                     if client == origin:
@@ -366,8 +374,9 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
                     day_served += nbytes
                     if collect_decisions:
                         report.decisions.append(
-                            (r.timestamp, client, _chunk_label(chunk), server,
+                            (ts, client, _chunk_label(chunk), server,
                              serve_reason(client, server, origin)))
+            req_pos = iv_pos
 
             tm: TrafficMatrix = {k: b * 8.0 / iv_len
                                  for k, b in sorted(commodity_bytes.items())}
@@ -405,13 +414,13 @@ def run_experiment(topo, catalog: Catalog, requests: List[Request],
 
 
 def _run_task(task, plans: Optional[PlanTable] = None) -> MluReport:
-    topo, catalog, requests, scheme, interval_s, decisions, placements = task
-    return run_experiment(topo, catalog, requests, scheme, interval_s,
+    topo, catalog, trace, scheme, interval_s, decisions, placements = task
+    return run_experiment(topo, catalog, trace, scheme, interval_s,
                           collect_decisions=decisions,
                           collect_placements=placements, plans=plans)
 
 
-def _run_all(topo, catalog: Catalog, requests: List[Request],
+def _run_all(topo, catalog: Catalog, trace: Trace,
              schemes: List[SchemeSpec], interval_s: float, jobs: int,
              collect_decisions: bool, collect_placements: bool,
              plans: Optional[PlanTable]) -> List[MluReport]:
@@ -419,7 +428,7 @@ def _run_all(topo, catalog: Catalog, requests: List[Request],
     jobs > 1. Only the first run collects decisions and placements. With
     jobs = 1 the runs share `plans` (a new table if None); each worker
     process plans for itself, which gives the same results."""
-    tasks = [(topo, catalog, requests, s, interval_s,
+    tasks = [(topo, catalog, trace, s, interval_s,
               collect_decisions and i == 0, collect_placements and i == 0)
              for i, s in enumerate(schemes)]
     if jobs > 1:
@@ -439,7 +448,7 @@ class ComparisonTable:
     reports: List[MluReport]
 
 
-def compare_schemes(topo, catalog: Catalog, requests: List[Request],
+def compare_schemes(topo, catalog: Catalog, trace: Trace,
                     schemes: List[SchemeSpec], interval_s: float = 300.0,
                     jobs: int = 1, collect_decisions: bool = False,
                     collect_placements: bool = False) -> ComparisonTable:
@@ -453,7 +462,7 @@ def compare_schemes(topo, catalog: Catalog, requests: List[Request],
         labels = [f"{lab}#{i}" for i, lab in enumerate(labels)]
         for s, lab in zip(schemes, labels):
             s.name = lab
-    reports = _run_all(topo, catalog, requests, schemes, interval_s, jobs,
+    reports = _run_all(topo, catalog, trace, schemes, interval_s, jobs,
                        collect_decisions, collect_placements, None)
     days = [d.day for d in reports[0].days]
     p99 = {rep.scheme: [d.p99_mlu for d in rep.days] for rep in reports}
@@ -478,7 +487,7 @@ class SweepRow:
     report: MluReport
 
 
-def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
+def sweep_storage_ratio(topo, catalog: Catalog, trace: Trace,
                         template: SchemeSpec, ratios: List[float],
                         interval_s: float = 300.0, jobs: int = 1,
                         collect_decisions: bool = False,
@@ -497,7 +506,7 @@ def sweep_storage_ratio(topo, catalog: Catalog, requests: List[Request],
     schemes = [dataclasses.replace(template, storage_ratio=ratio,
                                    name=f"{template.label()}@r{ratio:g}")
                for ratio in ratios]
-    reports = _run_all(topo, catalog, requests, schemes, interval_s, jobs,
+    reports = _run_all(topo, catalog, trace, schemes, interval_s, jobs,
                        collect_decisions, collect_placements, plans)
     return [SweepRow(ratio, rep.mean_daily_p99(), rep)
             for ratio, rep in zip(ratios, reports)]

@@ -320,29 +320,29 @@ class _SwapSearch:
         return {p: s for p, s in self.stored.items() if s}
 
 
+def plan_placement(dm: DemandMatrix, topo, budgets: Dict[int, int],
+                   chunks: ChunkMap, origins: Dict[str, int]) -> Placement:
+    """Once-a-day placement from a demand matrix: solve the joint
+    relaxation, round greedily, then improve with local swaps."""
+    if not any(b > 0 for b in budgets.values()) or not dm.demand:
+        return Placement()
+    lp = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
+    sol = lp_mod.solve_lp_auto(lp)
+    if sol.status != "optimal":
+        raise lp_mod.SimplexError(f"joint program ended {sol.status}")
+    placement = _round_placement(lp, sol, dm, budgets, chunks)
+    x_vals = {key: float(sol.array[idx]) for key, idx in lp.meta["x"].items()}
+    search = _SwapSearch(topo, dm, budgets, chunks, origins,
+                         placement.stored, x_vals)
+    return Placement(search.run())
+
+
 def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
                              chunks: ChunkMap, origins: Dict[str, int]
                              ) -> Tuple[Placement, RoutingSolution]:
-    """Once-a-day placement from a demand matrix: solve the joint
-    relaxation, round greedily, improve with local swaps, then re-solve
-    min-MLU routing on the traffic matrix induced by nearest-replica
-    assignment. The `future` placement is this planner fed the upcoming
-    day's demand instead of the prior day's."""
-    effective = {p: b for p, b in budgets.items() if b > 0}
-    if not effective or not dm.demand:
-        placement = Placement()
-    else:
-        lp = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
-        sol = lp_mod.solve_lp_auto(lp)
-        if sol.status != "optimal":
-            raise lp_mod.SimplexError(f"joint program ended {sol.status}")
-        placement = _round_placement(lp, sol, dm, budgets, chunks)
-        x_vals = {key: float(sol.array[idx])
-                  for key, idx in lp.meta["x"].items()}
-        search = _SwapSearch(topo, dm, budgets, chunks, origins,
-                             placement.stored, x_vals)
-        placement = Placement(search.run())
+    """`plan_placement`, then min-MLU routing on the traffic matrix induced
+    by nearest-replica assignment. The `future` placement is this planner
+    fed the upcoming day's demand instead of the prior day's."""
+    placement = plan_placement(dm, topo, budgets, chunks, origins)
     tm = induced_traffic_matrix(dm, placement, origins, topo)
-    routing = lp_mod.solve_min_mlu_routing(topo, tm)
-    return placement, routing
-
+    return placement, lp_mod.solve_min_mlu_routing(topo, tm)

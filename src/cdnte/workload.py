@@ -4,14 +4,16 @@ Trace CSV format: header ``timestamp_s,pop_id,content_id,bytes``, one
 request per row. Optional catalog CSV: ``content_id,size_bytes,origin_pop``
 (empty origin defaults to the topology's origin PoP). The synthetic
 generator writes the same formats, so generated and ingested workloads are
-interchangeable.
+interchangeable. In memory a trace is one `Trace`: a column per field.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,15 +35,57 @@ class ContentObject:
             raise TraceError(f"object {self.id}: size must be positive")
 
 
-@dataclass(frozen=True)
-class Request:
-    timestamp: float  # seconds since trace start
-    pop: int
-    content: str
-    nbytes: int
-
-
 Catalog = Dict[str, ContentObject]
+Row = Tuple[float, int, str, int]  # (timestamp, pop, content id, bytes)
+
+
+class Trace:
+    """A request trace as columns. Row k asks at PoP `pops[k]`, at
+    `timestamps[k]` seconds since the trace start, for the first
+    `nbytes[k]` bytes of content `content_ids[contents[k]]`.
+
+    Rows are kept in timestamp order, ties in the order they were given,
+    and `content_ids` holds the requested ids in sorted order, so equal
+    rows give equal columns however the trace was made.
+    """
+
+    def __init__(self, timestamps, pops, contents, content_ids: List[str],
+                 nbytes):
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        order = np.argsort(timestamps, kind="stable")
+        contents = np.asarray(contents, dtype=np.int64)[order]
+        used = np.flatnonzero(np.bincount(contents, minlength=len(content_ids)))
+        used = sorted(used.tolist(), key=content_ids.__getitem__)
+        code = np.zeros(len(content_ids), dtype=np.int64)
+        code[used] = np.arange(len(used))
+        self.timestamps = timestamps[order]
+        self.pops = np.asarray(pops, dtype=np.int64)[order]
+        self.contents = code[contents]
+        self.content_ids = [content_ids[i] for i in used]
+        self.nbytes = np.asarray(nbytes, dtype=np.int64)[order]
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> "Trace":
+        rows = list(rows)
+        code: Dict[str, int] = {}
+        contents = [code.setdefault(row[2], len(code)) for row in rows]
+        return cls([row[0] for row in rows], [row[1] for row in rows],
+                   contents, list(code), [row[3] for row in rows])
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def rows(self) -> Iterator[Row]:
+        """(timestamp, pop, content id, bytes) per row, as Python values."""
+        ids = self.content_ids
+        return zip(self.timestamps.tolist(), self.pops.tolist(),
+                   [ids[c] for c in self.contents.tolist()],
+                   self.nbytes.tolist())
+
+    def span(self, start: float, end: float) -> slice:
+        """The rows with start <= timestamp < end."""
+        lo, hi = np.searchsorted(self.timestamps, (start, end))
+        return slice(int(lo), int(hi))
 
 
 @dataclass
@@ -160,18 +204,108 @@ def write_catalog(catalog: Catalog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
-                catalog: Optional[Catalog] = None) -> Tuple[Catalog, List[Request]]:
-    """Parse a trace CSV into (catalog, requests sorted by timestamp).
+# Parsing works on blocks of whole lines, so that no more than one
+# block's fields exist as Python strings at a time: about 16k rows of
+# ordinary traces (half a million characters).
+_BLOCK_CHARS = 1 << 19
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
-    Object sizes are inferred as the maximum bytes seen per content id
-    unless an explicit catalog is supplied. With an explicit catalog, a
+# One block's rows: timestamps, pops, codes into the block's content
+# ids, the ids, bytes.
+_Block = Tuple[np.ndarray, np.ndarray, np.ndarray, List[str], np.ndarray]
+
+
+def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
+                catalog: Optional[Catalog] = None) -> Tuple[Catalog, Trace]:
+    """Parse a trace CSV into (catalog, trace).
+
+    Blank lines, lines starting with ``#`` and header lines are skipped;
+    fields may be padded with spaces. A bad row is an error naming its
+    line. Object sizes are inferred as the maximum bytes seen per content
+    id unless an explicit catalog is supplied. With an explicit catalog, a
     request larger than the object is a row error.
     """
-    pop_set = set(pops) if pops is not None else None
-    requests: List[Request] = []
-    max_bytes: Dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    pop_list = sorted(set(pops)) if pops is not None else None
+    ids: Dict[str, int] = {}  # content id -> code, in order of first sight
+    times, pop_col, codes, nbytes = [], [], [], []
+    pos, lineno = 0, 1
+    while pos < len(text):
+        # Cut right after a newline, so no line (nor "\r\n") is split. The
+        # first block is the first line, where a header usually is, so
+        # that the rows after it can take the fast path.
+        end = text.find("\n", pos + _BLOCK_CHARS if pos else 0)
+        end = len(text) if end < 0 else end + 1
+        lines = text[pos:end].splitlines()
+        block = _plain_block(lines, pop_list, catalog)
+        if block is None:
+            block = _scan_block(lines, lineno, pop_list, catalog)
+        to_code = np.array([ids.setdefault(cid, len(ids)) for cid in block[3]],
+                           dtype=np.int64)
+        times.append(block[0])
+        pop_col.append(block[1])
+        codes.append(to_code[block[2]])
+        nbytes.append(block[4])
+        pos, lineno = end, lineno + len(lines)
+
+    times, pop_col, codes, nbytes = (np.concatenate(col or [[]]) for col
+                                     in (times, pop_col, codes, nbytes))
+    trace = Trace(times, pop_col, codes, list(ids), nbytes)
+    if catalog is not None:
+        return dict(catalog), trace
+    max_bytes = np.zeros(len(trace.content_ids), dtype=np.int64)
+    np.maximum.at(max_bytes, trace.contents, trace.nbytes)
+    return ({cid: ContentObject(cid, size)
+             for cid, size in zip(trace.content_ids, max_bytes.tolist())},
+            trace)
+
+
+def _plain_block(lines: List[str], pop_list: Optional[List[int]],
+                 catalog: Optional[Catalog]) -> Optional[_Block]:
+    """The block's columns when every line is a row with four fields that
+    passes every check of `_scan_block`, else None. A line that
+    `_scan_block` skips never passes: it is blank, or its first field is
+    not a number."""
+    n = len(lines)
+    if list(map(str.count, lines, repeat(",", n))).count(3) != n:
+        return None
+    fields = ",".join(lines).split(",")
+    # float() and int() ignore the padding that str.strip() removes, or
+    # raise (on "\x1f", which str.strip() removes too)
+    try:
+        ts = np.array(list(map(float, fields[0::4])), dtype=np.float64)
+        pops = np.array(list(map(int, fields[1::4])), dtype=np.int64)
+        nbytes = np.array(list(map(int, fields[3::4])), dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+    if not (np.isfinite(ts).all() and (ts >= 0).all() and (nbytes > 0).all()):
+        return None
+    if pop_list is not None and not np.isin(pops, pop_list).all():
+        return None
+    raw = fields[2::4]
+    raw_code = {cid: k for k, cid in enumerate(dict.fromkeys(raw))}
+    ids = [cid.strip() for cid in raw_code]
+    if not all(ids):
+        return None
+    codes = np.array(list(map(raw_code.__getitem__, raw)), dtype=np.int64)
+    if catalog is not None:
+        if not all(cid in catalog for cid in ids):
+            return None
+        sizes = np.array([min(catalog[cid].size, _INT64_MAX) for cid in ids],
+                         dtype=np.int64)
+        if (nbytes > sizes[codes]).any():
+            return None
+    return ts, pops, codes, ids, nbytes
+
+
+def _scan_block(lines: List[str], lineno: int,
+                pop_list: Optional[List[int]],
+                catalog: Optional[Catalog]) -> _Block:
+    """The block's columns, row by row; raises TraceError naming the first
+    bad row, counting `lineno` as the number of the block's first line."""
+    pop_set = set(pop_list) if pop_list is not None else None
+    ts_col, pop_col, code_col, nbytes_col = [], [], [], []
+    code: Dict[str, int] = {}
+    for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -203,22 +337,22 @@ def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
             if nbytes > catalog[content].size:
                 raise TraceError(
                     f"trace row {lineno}: request exceeds object size")
-        requests.append(Request(ts, pop, content, nbytes))
-        if nbytes > max_bytes.get(content, 0):
-            max_bytes[content] = nbytes
-    requests.sort(key=lambda r: r.timestamp)
-    if catalog is not None:
-        out_catalog = dict(catalog)
-    else:
-        out_catalog = {cid: ContentObject(cid, size)
-                       for cid, size in sorted(max_bytes.items())}
-    return out_catalog, requests
+        if not (_INT64_MIN <= pop <= _INT64_MAX and nbytes <= _INT64_MAX):
+            raise TraceError(f"trace row {lineno}: number out of range")
+        ts_col.append(ts)
+        pop_col.append(pop)
+        code_col.append(code.setdefault(content, len(code)))
+        nbytes_col.append(nbytes)
+    return (np.array(ts_col, dtype=np.float64),
+            np.array(pop_col, dtype=np.int64),
+            np.array(code_col, dtype=np.int64), list(code),
+            np.array(nbytes_col, dtype=np.int64))
 
 
-def write_trace(requests: List[Request]) -> str:
+def write_trace(trace: Trace) -> str:
     lines = ["timestamp_s,pop_id,content_id,bytes"]
-    for r in requests:
-        lines.append(f"{r.timestamp:.3f},{r.pop},{r.content},{r.nbytes}")
+    lines.extend(f"{ts:.3f},{pop},{content},{nbytes}"
+                 for ts, pop, content, nbytes in trace.rows())
     return "\n".join(lines) + "\n"
 
 
@@ -298,7 +432,7 @@ def _diurnal_timestamps(rng: np.random.Generator, day: int, count: int,
     return (day + x) * DAY_SECONDS
 
 
-def generate_synthetic_trace(params: SynthParams, topo) -> Tuple[Catalog, List[Request]]:
+def generate_synthetic_trace(params: SynthParams, topo) -> Tuple[Catalog, Trace]:
     """Zipf workload with daily churn of the most popular ranks.
 
     Deterministic for a fixed seed. Each day has exactly
@@ -319,46 +453,50 @@ def generate_synthetic_trace(params: SynthParams, topo) -> Tuple[Catalog, List[R
         pop_probs = pop_probs / pop_probs.sum()
 
     catalog: Catalog = {}
-    next_obj = 0
 
-    def new_object() -> str:
-        nonlocal next_obj
-        cid = f"obj{next_obj:06d}"
-        next_obj += 1
+    def new_object() -> int:
+        cid = f"obj{len(catalog):06d}"
         ln = rng.uniform(math.log(params.size_min), math.log(params.size_max))
-        size = max(1, int(round(math.exp(ln))))
-        catalog[cid] = ContentObject(cid, size)
-        return cid
+        catalog[cid] = ContentObject(cid, max(1, int(round(math.exp(ln)))))
+        return len(catalog) - 1
 
-    # rank r (0-based) -> content id, re-dealt at each day boundary
+    # rank r (0-based) -> object number, re-dealt at each day boundary
     rank_to_obj = [new_object() for _ in range(params.catalog_size)]
 
-    requests: List[Request] = []
+    times, pop_rows, obj_rows = [], [], []
     for day in range(params.days):
         if day > 0 and churn_k > 0:
             fresh = [new_object() for _ in range(churn_k)]
             rank_to_obj = fresh + rank_to_obj[churn_k:]
-        times = _diurnal_timestamps(rng, day, params.requests_per_day,
-                                    params.diurnal_peak_ratio)
+        times.append(_diurnal_timestamps(rng, day, params.requests_per_day,
+                                         params.diurnal_peak_ratio))
         pop_idx = rng.choice(len(pops), size=params.requests_per_day, p=pop_probs)
         obj_idx = rng.choice(params.catalog_size, size=params.requests_per_day,
                              p=probs)
-        for i in range(params.requests_per_day):
-            cid = rank_to_obj[obj_idx[i]]
-            requests.append(Request(float(times[i]), pops[pop_idx[i]], cid,
-                                    catalog[cid].size))
-    return catalog, requests
+        pop_rows.append(np.asarray(pops)[pop_idx])
+        obj_rows.append(np.asarray(rank_to_obj)[obj_idx])
+    objects = np.concatenate(obj_rows)
+    sizes = np.array([obj.size for obj in catalog.values()], dtype=np.int64)
+    return catalog, Trace(np.concatenate(times), np.concatenate(pop_rows),
+                          objects, list(catalog), sizes[objects])
 
 
-def aggregate_demand(requests: List[Request], window: Tuple[float, float],
+def aggregate_demand(trace: Trace, window: Tuple[float, float],
                      chunks: ChunkMap) -> DemandMatrix:
-    """Total bytes per (chunk, pop) over the half-open window [start, end)."""
+    """Total bytes per (chunk, pop) over the half-open window [start, end).
+    Each distinct (content, bytes) request is expanded into chunks once."""
     start, end = window
     dm = DemandMatrix(start, end)
-    for r in requests:
-        if not (start <= r.timestamp < end):
-            continue
-        for chunk, nbytes in chunks.request_chunks(r.content, r.nbytes):
-            key = (chunk, r.pop)
-            dm.demand[key] = dm.demand.get(key, 0) + nbytes
+    rows = trace.span(start, end)
+    counts = Counter(zip(trace.contents[rows].tolist(),
+                         trace.nbytes[rows].tolist(),
+                         trace.pops[rows].tolist()))
+    expansions: Dict[Tuple[int, int], List[Tuple[ChunkId, int]]] = {}
+    for (code, nbytes, pop), n in sorted(counts.items()):
+        if (code, nbytes) not in expansions:
+            expansions[(code, nbytes)] = chunks.request_chunks(
+                trace.content_ids[code], nbytes)
+        for chunk, part in expansions[(code, nbytes)]:
+            key = (chunk, pop)
+            dm.demand[key] = dm.demand.get(key, 0) + n * part
     return dm

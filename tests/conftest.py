@@ -1,10 +1,15 @@
 """Shared test helpers: canned topologies and seeded random instances."""
 
 import random
+from collections import namedtuple
 
 import pytest
 
 from cdnte import parse_topology
+
+# one request as named fields, for the reference loops written in tests
+# (a `Trace` is built from these with `Trace.from_rows`)
+Row = namedtuple("Row", "timestamp pop content nbytes")
 
 
 def make_two_pop(cap_mbps=10):

@@ -22,10 +22,10 @@ from cdnte.placement import (CacheState, Placement, induced_traffic_matrix,
                              plan_placement_optimized)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
 from cdnte.traffic import apply_routing, check_flow_conservation, mlu
-from cdnte.workload import (ContentObject, DemandMatrix, Request, SynthParams,
+from cdnte.workload import (ContentObject, DemandMatrix, SynthParams, Trace,
                             chunk_objects, generate_synthetic_trace)
 
-from conftest import (make_parallel_paths, make_triangle, make_two_pop,
+from conftest import (Row, make_parallel_paths, make_triangle, make_two_pop,
                       random_digraph, random_symmetric_topology,
                       random_traffic_matrix)
 
@@ -279,12 +279,12 @@ def test_criterion_5_engine_oracle_equivalence():
         requests = []
         for i in range(50):
             cid = f"v{rng.randrange(4)}"
-            requests.append(Request(rng.uniform(0, 86400.0 - 1),
-                                    rng.choice([0, 1, 2]), cid,
-                                    catalog[cid].size))
+            requests.append(Row(rng.uniform(0, 86400.0 - 1),
+                                rng.choice([0, 1, 2]), cid,
+                                catalog[cid].size))
         ratio = rng.choice([0.3, 0.6, 1.0])
         interval = 7200.0
-        rep = run_experiment(topo, catalog, requests,
+        rep = run_experiment(topo, catalog, Trace.from_rows(requests),
                              SchemeSpec("lru", "inversecap", "closest",
                                         storage_ratio=ratio),
                              interval, collect_matrices=True)
@@ -366,11 +366,12 @@ def test_criterion_8_full_replication_exact_zero():
         t = day * 86400.0
         for pop in topo.pops:
             for cid, obj in catalog.items():
-                requests.append(Request(t + 60.0, pop, cid, obj.size))
+                requests.append(Row(t + 60.0, pop, cid, obj.size))
                 t += 120.0
     scheme = SchemeSpec("optimized", "inversecap", "closest",
                         storage_ratio=float(len(topo.pops)))
-    rep = run_experiment(topo, catalog, requests, scheme, 3600.0)
+    rep = run_experiment(topo, catalog, Trace.from_rows(requests), scheme,
+                         3600.0)
     after_day0 = [v for day, _, v in rep.intervals if day >= 1]
     assert after_day0 and all(v == 0.0 for v in after_day0)
     print("\nPASS criterion 8: storage ratio >= pop count gives exactly "

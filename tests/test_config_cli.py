@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -213,6 +215,57 @@ def test_solve_placement_cli(tmp_path, capsys):
     placements = open(os.path.join(out, "placements.csv")).read().splitlines()
     assert placements[0] == "epoch,pop_id,chunk_id"
     assert len(placements) > 1
+
+
+def test_solve_placement_solves_no_routing(tmp_path, monkeypatch):
+    # solve-placement writes only the placement, so it solves no min-MLU
+    # routing; its rows are the placement of plan_placement_optimized
+    from cdnte import engine as engine_mod
+    from cdnte import lp as lp_mod
+    from cdnte.cli import _load_topology, _load_workload
+    from cdnte.config import load_config
+    from cdnte.placement import plan_placement_optimized
+    from cdnte.workload import aggregate_demand
+    calls = []
+    real = lp_mod.solve_min_mlu_routing
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp_mod, "solve_min_mlu_routing", counted)
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG.replace(
+        "scheme = lru inversecap closest ratio=1",
+        "scheme = optimized inversecap closest ratio=3"))
+    out = str(tmp_path / "plan")
+    assert main(["solve-placement", "--config", cfg_path, "--out", out,
+                 "--day", "0"]) == 0
+    assert calls == []
+    conf = load_config(cfg_path)
+    topo = _load_topology(conf)
+    catalog, trace = _load_workload(conf, topo)
+    chunks, origins, budgets, _ = engine_mod.scheme_inputs(
+        topo, catalog, conf.schemes[0])
+    placement, _ = plan_placement_optimized(
+        aggregate_demand(trace, (0.0, 86400.0), chunks), topo, budgets,
+        chunks, origins)
+    assert len(calls) == 1
+    assert placement.stored
+    assert open(os.path.join(out, "placements.csv")).read() == \
+        engine_mod.placements_csv(engine_mod.placement_rows(0, placement))
+
+
+def test_python_m_cdnte_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "cdnte", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: cdnte")
+    assert "solve-placement" in proc.stdout
 
 
 def _solve_placement_and_dump(tmp_path, scheme, day):
@@ -468,11 +521,11 @@ def test_dumps_come_from_the_main_pass(tmp_path, monkeypatch, sweep):
     from cdnte.cli import _load_topology, _load_workload
     conf = load_config(cfg_path)
     topo = _load_topology(conf)
-    catalog, requests = _load_workload(conf, topo)
+    catalog, trace = _load_workload(conf, topo)
     first = conf.schemes[0]
     if sweep:
         first.storage_ratio = 0.5
-    ref = real(topo, catalog, requests, first, conf.interval_s,
+    ref = real(topo, catalog, trace, first, conf.interval_s,
                collect_decisions=True, collect_placements=True)
     assert open(os.path.join(out, "decisions.csv")).read() == \
         engine_mod.decisions_csv(ref)
@@ -508,14 +561,14 @@ def test_simulate_sweeps_share_plans(tmp_path, monkeypatch):
     assert len(calls) == 2 * 3
     conf = load_config(cfg_path)
     topo = _load_topology(conf)
-    catalog, requests = _load_workload(conf, topo)
+    catalog, trace = _load_workload(conf, topo)
     own = []
     for scheme in conf.schemes:
         for ratio in conf.storage_ratios:
             spec = engine_mod.SchemeSpec(
                 scheme.placement, scheme.routing, scheme.redirection,
                 storage_ratio=ratio, name=f"{scheme.label()}@r{ratio:g}")
-            own.append(engine_mod.run_experiment(topo, catalog, requests,
+            own.append(engine_mod.run_experiment(topo, catalog, trace,
                                                  spec, conf.interval_s))
     assert open(os.path.join(out, "report.csv")).read() == \
         engine_mod.report_csv(own)

@@ -13,11 +13,11 @@ from cdnte.placement import Placement, induced_traffic_matrix
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
-from cdnte.workload import (ContentObject, Request, SynthParams,
+from cdnte.workload import (ContentObject, SynthParams, Trace,
                             aggregate_demand, chunk_objects,
                             generate_synthetic_trace)
 
-from conftest import random_digraph, random_symmetric_topology
+from conftest import Row, random_digraph, random_symmetric_topology
 
 
 def _origin_triangle():
@@ -40,9 +40,9 @@ def _daily_trace(days, pops=(0, 1), objects=("A", "B"), size=1000):
         t = day * 86400.0 + 100.0
         for pop in pops:
             for c in objects:
-                reqs.append(Request(t, pop, c, size))
+                reqs.append((t, pop, c, size))
                 t += 10.0
-    return catalog, reqs
+    return catalog, Trace.from_rows(reqs)
 
 
 def test_full_replication_zero_after_day0():
@@ -349,7 +349,7 @@ def test_byte_conservation_no_storage():
                          SchemeSpec("optimized", "inversecap", "closest",
                                     storage_ratio=1e-9), 3600.0,
                          collect_matrices=True)
-    total_requested = sum(r.nbytes for r in reqs)
+    total_requested = int(reqs.nbytes.sum())
     total_in_matrices = sum(sum(m.values()) for m in rep.interval_matrices)
     assert total_in_matrices == total_requested
 
@@ -359,16 +359,16 @@ def test_chunked_requests_preserve_bytes_and_split_servers():
     catalog = {"big": ContentObject("big", 2500)}
     reqs = []
     for day in range(2):
-        reqs.append(Request(day * 86400.0 + 50.0, 0, "big", 2500))
-        reqs.append(Request(day * 86400.0 + 60.0, 1, "big", 1500))
+        reqs.append((day * 86400.0 + 50.0, 0, "big", 2500))
+        reqs.append((day * 86400.0 + 60.0, 1, "big", 1500))
     scheme = SchemeSpec("lru", "inversecap", "closest", storage_ratio=0.9,
                         chunk_size=1000)
-    rep = run_experiment(topo, catalog, reqs, scheme, 3600.0,
+    rep = run_experiment(topo, catalog, Trace.from_rows(reqs), scheme, 3600.0,
                          collect_matrices=True, collect_decisions=True)
     # network bytes never exceed requested bytes, and every decision names
     # a real chunk of the object
     total = sum(sum(m.values()) for m in rep.interval_matrices)
-    assert total <= sum(r.nbytes for r in reqs)
+    assert total <= sum(nbytes for _, _, _, nbytes in reqs)
     chunk_ids = {d[2] for d in rep.decisions}
     assert chunk_ids == {"big#0", "big#1", "big#2"}
 
@@ -390,11 +390,11 @@ def test_utilization_aware_spreads_chunks_of_one_request():
     origin 3
     """)
     catalog = {"x": ContentObject("x", 2000)}
-    reqs = [
-        Request(10.0, 1, "x", 2000),
-        Request(20.0, 2, "x", 2000),
-        Request(7200.0, 0, "x", 2000),
-    ]
+    reqs = Trace.from_rows([
+        (10.0, 1, "x", 2000),
+        (20.0, 2, "x", 2000),
+        (7200.0, 0, "x", 2000),
+    ])
     scheme = SchemeSpec("lru", "inversecap", "utilization-aware",
                         storage_ratio=4.0, chunk_size=1000)
     rep = run_experiment(topo, catalog, reqs, scheme, 3600.0,
@@ -463,7 +463,8 @@ def test_short_tail_interval_reads_same_mlu(redirection):
     # 1000 B/s load from the origin must read the same MLU in it
     topo = parse_topology("pop 0 A\npop 1 B\nlink 0 1 1000\norigin 0\n")
     catalog = {"A": ContentObject("A", 10_000)}
-    reqs = [Request(float(t), 1, "A", 10_000) for t in range(0, 86_400, 10)]
+    reqs = Trace.from_rows((float(t), 1, "A", 10_000)
+                           for t in range(0, 86_400, 10))
     scheme = SchemeSpec("lru", "inversecap", redirection, storage_ratio=1e-9)
     rep = run_experiment(topo, catalog, reqs, scheme, interval_s=1000.0)
     starts = [start for _, start, _ in rep.intervals]
@@ -503,9 +504,9 @@ def _shifting_trace(days):
         t = day * 86400.0 + 100.0
         for _ in range(day + 1):
             for pop, c in ((0, "A"), (1, "B")):
-                reqs.append(Request(t, pop, c, 1000))
+                reqs.append((t, pop, c, 1000))
                 t += 10.0
-    return catalog, reqs
+    return catalog, Trace.from_rows(reqs)
 
 
 def _planner_vs_oracle():
@@ -700,7 +701,7 @@ def _random_requests(rng, topo, days, n_objects, per_day, own_origins):
             nbytes = size if rng.random() < 0.6 else rng.randint(1, size)
             # a coarse clock, so some requests share a timestamp
             ts = day * 86400.0 + rng.randrange(0, 86400, 60)
-            reqs.append(Request(ts, rng.choice(pops), cid, nbytes))
+            reqs.append(Row(ts, rng.choice(pops), cid, nbytes))
     return catalog, reqs
 
 
@@ -712,6 +713,7 @@ def test_replay_matches_reference_hybrid_util_aware_combined(seed):
     rng = random.Random(seed)
     topo = random_symmetric_topology(6, seed, extra_link_prob=0.3)
     catalog, reqs = _random_requests(rng, topo, 3, 12, 150, own_origins=True)
+    trace = Trace.from_rows(reqs)
     pops = list(topo.pops)
     transit_tm = {tuple(rng.sample(pops, 2)): rng.uniform(1e3, 1e5)
                   for _ in range(3)}
@@ -719,7 +721,7 @@ def test_replay_matches_reference_hybrid_util_aware_combined(seed):
                         storage_ratio=0.8, chunk_size=2500,
                         hybrid_reserve=0.4,
                         transit=TransitSpec(transit_tm, "combined"))
-    rep = run_experiment(topo, catalog, reqs, scheme, 3600.0,
+    rep = run_experiment(topo, catalog, trace, scheme, 3600.0,
                          collect_decisions=True, collect_placements=True)
 
     placed = [defaultdict(set) for _ in rep.days]
@@ -733,7 +735,7 @@ def test_replay_matches_reference_hybrid_util_aware_combined(seed):
         if day == 0:
             routing = ic
         else:
-            dm = aggregate_demand(reqs, ((day - 1) * 86400.0, day * 86400.0),
+            dm = aggregate_demand(trace, ((day - 1) * 86400.0, day * 86400.0),
                                   chunks)
             tm = dict(induced_traffic_matrix(dm, Placement(placed[day]),
                                              origins, topo))
@@ -759,9 +761,10 @@ def test_replay_matches_reference_lru_util_aware_ecmp_ties(seed):
     rng = random.Random(seed)
     topo = random_digraph(7, rng, caps=(1000,))
     catalog, reqs = _random_requests(rng, topo, 2, 10, 200, own_origins=False)
+    trace = Trace.from_rows(reqs)
     scheme = SchemeSpec("lru", "inversecap", "utilization-aware",
                         storage_ratio=0.6)
-    rep = run_experiment(topo, catalog, reqs, scheme, 3600.0,
+    rep = run_experiment(topo, catalog, trace, scheme, 3600.0,
                          collect_decisions=True)
     ic = shortest_path_routes(topo, inverse_cap_weights(topo))
     assert any(len(fracs) > 1 and any(f < 1.0 for f in fracs.values())

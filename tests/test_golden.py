@@ -1,7 +1,9 @@
 """Golden outputs: `cdnte simulate` on a fixed synthetic config with only
 `lru` schemes (no LP solver runs, so every float comes from Python
-arithmetic) must write these exact bytes. A change meant to keep behaviour
-keeps these hashes; a change of results must update them on purpose."""
+arithmetic) must write these exact bytes, both from the generator in
+memory and from its workload written by `gen-trace` and read back through
+`trace =` and `catalog =`. A change meant to keep behaviour keeps these
+hashes; a change of results must update them on purpose."""
 
 import hashlib
 import os
@@ -66,4 +68,33 @@ def test_lru_outputs_match_golden_hashes(tmp_path):
     for name in GOLDEN:
         with open(os.path.join(tmp_path, "out", name), "rb") as fh:
             hashes[name] = hashlib.sha256(fh.read()).hexdigest()
+    assert hashes == GOLDEN
+
+
+SCHEMES = "".join(line + "\n" for line in CONFIG.splitlines()
+                  if line.startswith("scheme ="))
+
+FILE_CONFIG = """
+topology = topo.txt
+trace = gen/trace.csv
+catalog = gen/catalog.csv
+out = out
+interval_s = 1800
+""" + SCHEMES
+
+
+def test_lru_outputs_from_trace_files_match_golden_hashes(tmp_path):
+    for name, text in (("topo.txt", TOPO), ("tm.csv", TRANSIT),
+                       ("exp.cfg", CONFIG), ("files.cfg", FILE_CONFIG)):
+        (tmp_path / name).write_text(text)
+    assert main(["gen-trace", "--config", str(tmp_path / "exp.cfg"),
+                 "--out", str(tmp_path / "gen")]) == 0
+    assert main(["simulate", "--config", str(tmp_path / "files.cfg"),
+                 "--decision-log"]) == 0
+    hashes = {}
+    for name in GOLDEN:
+        with open(os.path.join(tmp_path, "out", name), "rb") as fh:
+            hashes[name] = hashlib.sha256(fh.read()).hexdigest()
+    # the same bytes as in memory: writing timestamps to the millisecond
+    # moves no request of this workload across an interval boundary
     assert hashes == GOLDEN

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cdnte.workload import (ContentObject, SynthParams, TraceError,
+from cdnte.workload import (ContentObject, SynthParams, Trace, TraceError,
                             aggregate_demand, chunk_objects,
                             generate_synthetic_trace, parse_catalog,
                             parse_trace, write_catalog, write_trace)
@@ -13,15 +13,16 @@ from conftest import make_triangle
 
 
 def test_parse_trace_single_row():
-    catalog, reqs = parse_trace("0,0,vidA,1000\n")
-    assert len(reqs) == 1
-    assert reqs[0].pop == 0 and reqs[0].content == "vidA" and reqs[0].nbytes == 1000
+    catalog, trace = parse_trace("0,0,vidA,1000\n")
+    assert list(trace.rows()) == [(0.0, 0, "vidA", 1000)]
     assert catalog["vidA"].size == 1000
 
 
 def test_parse_trace_sorts_by_timestamp():
-    _, reqs = parse_trace("5,0,a,10\n1,0,b,20\n3,1,a,30\n")
-    assert [r.timestamp for r in reqs] == [1.0, 3.0, 5.0]
+    _, trace = parse_trace("5,0,a,10\n1,0,b,20\n3,1,a,30\n")
+    assert list(trace.rows()) == [(1.0, 0, "b", 20), (3.0, 1, "a", 30),
+                                  (5.0, 0, "a", 10)]
+    assert trace.content_ids == ["a", "b"]
 
 
 def test_parse_trace_zero_bytes_names_row():
@@ -93,7 +94,7 @@ def test_chunking_conserves_bytes():
 def test_aggregate_demand_examples():
     cat = {"a": ContentObject("a", 1000)}
     chunks = chunk_objects(cat, None)
-    dm = aggregate_demand([], (0, 100), chunks)
+    dm = aggregate_demand(Trace.from_rows([]), (0, 100), chunks)
     assert dm.demand == {}
 
     _, reqs = parse_trace("1,0,a,100\n2,0,a,200\n")
@@ -109,11 +110,9 @@ def test_aggregate_demand_additive_over_windows():
     rng = random.Random(5)
     cat = {f"o{i}": ContentObject(f"o{i}", 1000) for i in range(4)}
     chunks = chunk_objects(cat, 300)
-    from cdnte.workload import Request
-    reqs = []
-    for _ in range(200):
-        reqs.append(Request(rng.uniform(0, 300), rng.choice([0, 1]),
-                            f"o{rng.randrange(4)}", rng.randint(1, 1000)))
+    reqs = Trace.from_rows(
+        (rng.uniform(0, 300), rng.choice([0, 1]), f"o{rng.randrange(4)}",
+         rng.randint(1, 1000)) for _ in range(200))
     a = aggregate_demand(reqs, (0, 120), chunks).demand
     b = aggregate_demand(reqs, (120, 300), chunks).demand
     c = aggregate_demand(reqs, (0, 300), chunks).demand
@@ -135,11 +134,9 @@ def test_generator_deterministic():
 def test_generator_requests_per_day_exact():
     topo = make_triangle()
     params = SynthParams(catalog_size=10, requests_per_day=321, days=3, seed=1)
-    _, reqs = generate_synthetic_trace(params, topo)
-    per_day = {}
-    for r in reqs:
-        per_day[int(r.timestamp // 86400)] = per_day.get(int(r.timestamp // 86400), 0) + 1
-    assert per_day == {0: 321, 1: 321, 2: 321}
+    _, trace = generate_synthetic_trace(params, topo)
+    days = (trace.timestamps // 86400).astype(int)
+    assert np.bincount(days).tolist() == [321, 321, 321]
 
 
 def test_generator_churn_zero_stable_catalog():
@@ -154,10 +151,10 @@ def test_generator_full_churn_disjoint_days():
     topo = make_triangle()
     params = SynthParams(catalog_size=12, requests_per_day=400, days=3,
                          churn=1.0, seed=3)
-    _, reqs = generate_synthetic_trace(params, topo)
+    _, trace = generate_synthetic_trace(params, topo)
     by_day = {}
-    for r in reqs:
-        by_day.setdefault(int(r.timestamp // 86400), set()).add(r.content)
+    for ts, _, content, _ in trace.rows():
+        by_day.setdefault(int(ts // 86400), set()).add(content)
     assert by_day[0] & by_day[1] == set()
     assert by_day[1] & by_day[2] == set()
 
@@ -167,12 +164,10 @@ def test_generator_alpha_zero_uniform_chi_square():
     n, k = 120_000, 80
     params = SynthParams(catalog_size=k, zipf_alpha=0.0, requests_per_day=n,
                          days=1, churn=0.0, seed=4)
-    _, reqs = generate_synthetic_trace(params, topo)
-    counts = {}
-    for r in reqs:
-        counts[r.content] = counts.get(r.content, 0) + 1
+    _, trace = generate_synthetic_trace(params, topo)
+    counts = np.bincount(trace.contents)
     expected = n / k
-    stat = sum((c - expected) ** 2 / expected for c in counts.values())
+    stat = sum((c - expected) ** 2 / expected for c in counts.tolist())
     # chi-square with k-1 dof: mean k-1, sd sqrt(2(k-1)); allow 3 sds
     assert stat < (k - 1) + 3 * math.sqrt(2 * (k - 1))
 
@@ -181,8 +176,8 @@ def test_generator_diurnal_shape():
     topo = make_triangle()
     params = SynthParams(catalog_size=10, requests_per_day=50_000, days=1,
                          diurnal_peak_ratio=3.0, seed=6)
-    _, reqs = generate_synthetic_trace(params, topo)
-    hours = np.array([r.timestamp % 86400 for r in reqs]) / 3600.0
+    _, trace = generate_synthetic_trace(params, topo)
+    hours = (trace.timestamps % 86400) / 3600.0
     noon = ((hours >= 10) & (hours < 14)).sum()
     night = ((hours >= 22) | (hours < 2)).sum()
     assert noon > 1.8 * night  # peak-to-trough ratio 3 with some slack
@@ -199,3 +194,159 @@ def test_params_validation():
     bad = SynthParams(pop_weights={0: 0.5, 1: 0.2, 2: 0.2})
     with pytest.raises(ValueError, match="sum to 1"):
         generate_synthetic_trace(bad, topo)
+
+
+def _reference_parse_trace(text, pops=None, catalog=None):
+    """The row loop parse_trace was written as before traces were held as
+    columns: (catalog, rows sorted by timestamp)."""
+    pop_set = set(pops) if pops is not None else None
+    requests = []
+    max_bytes = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if parts[:4] == ["timestamp_s", "pop_id", "content_id", "bytes"]:
+            continue
+        if len(parts) != 4:
+            raise TraceError(f"trace row {lineno}: expected 4 fields")
+        try:
+            ts = float(parts[0])
+            pop = int(parts[1])
+            nbytes = int(parts[3])
+        except ValueError:
+            raise TraceError(f"trace row {lineno}: malformed field") from None
+        content = parts[2]
+        if not content:
+            raise TraceError(f"trace row {lineno}: empty content id")
+        if not math.isfinite(ts):
+            raise TraceError(f"trace row {lineno}: timestamp must be finite")
+        if ts < 0:
+            raise TraceError(f"trace row {lineno}: negative timestamp")
+        if nbytes <= 0:
+            raise TraceError(f"trace row {lineno}: bytes must be positive")
+        if pop_set is not None and pop not in pop_set:
+            raise TraceError(f"trace row {lineno}: unknown pop {pop}")
+        if catalog is not None:
+            if content not in catalog:
+                raise TraceError(f"trace row {lineno}: unknown content {content}")
+            if nbytes > catalog[content].size:
+                raise TraceError(
+                    f"trace row {lineno}: request exceeds object size")
+        requests.append((ts, pop, content, nbytes))
+        if nbytes > max_bytes.get(content, 0):
+            max_bytes[content] = nbytes
+    requests.sort(key=lambda r: r[0])
+    if catalog is not None:
+        out_catalog = dict(catalog)
+    else:
+        out_catalog = {cid: ContentObject(cid, size)
+                       for cid, size in sorted(max_bytes.items())}
+    return out_catalog, requests
+
+
+FAULTS = {
+    "fields": lambda rng, row: ",".join(row[:rng.choice([1, 3])]
+                                        + ["x"] * rng.choice([0, 2])),
+    "malformed": lambda rng, row: ",".join(
+        [row[0], rng.choice(["1.5", "p", ""]), row[2], row[3]]),
+    "empty content": lambda rng, row: ",".join([row[0], row[1], " ", row[3]]),
+    "non-finite": lambda rng, row: ",".join(
+        [rng.choice(["inf", "nan", "-inf"])] + row[1:]),
+    "negative": lambda rng, row: ",".join(["-0.5"] + row[1:]),
+    "bytes": lambda rng, row: ",".join(row[:3] + [rng.choice(["0", "-3"])]),
+    "pop": lambda rng, row: ",".join([row[0], "7"] + row[2:]),
+    "content": lambda rng, row: ",".join(row[:2] + ["zzz"] + row[3:]),
+    "size": lambda rng, row: ",".join(row[:3] + ["10_001"]),
+}
+
+
+def _random_trace_text(rng, n_rows, fault=None, fault_at=None):
+    """A trace with padded fields, `1_000`-style numbers, comments, blank
+    and header lines anywhere, equal and out-of-order timestamps, mixed
+    line endings and, if asked, one bad row at `fault_at`."""
+    lines = []
+    t = 0.0
+    for k in range(n_rows):
+        t = max(0.0, t + rng.choice([0.0, 0.0, 1.25, 7.5, -3.0]))
+        row = [f"{t:g}", str(rng.randrange(4)), f"c{rng.randrange(9)}",
+               str(rng.randint(1, 10_000))]
+        if rng.random() < 0.05:
+            row[3] = f"{int(row[3]):_}"
+        if rng.random() < 0.05:
+            pads = ["", " ", "  ", "\t", "\x1f"]
+            row = [rng.choice(pads) + f + rng.choice(pads) for f in row]
+        line = ",".join(row)
+        if fault is not None and k == fault_at:
+            line = FAULTS[fault](rng, row)
+        extra = rng.random()
+        if extra < 0.02:
+            lines.append(rng.choice(["# note", "   # note, with, commas, x",
+                                     "#1,2,c1,4"]))
+        elif extra < 0.03:
+            lines.append(rng.choice(["", "   ", "\t"]))
+        elif extra < 0.035:
+            lines.append(rng.choice(["timestamp_s,pop_id,content_id,bytes",
+                                     " timestamp_s , pop_id,content_id,bytes"]))
+        lines.append(line)
+    ends = [rng.choice(["\n", "\n", "\r\n"]) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _parse_both(text, pops, catalog):
+    """(parse_trace's, the reference's) catalog items in order and rows,
+    or error message."""
+    try:
+        cat, rows = _reference_parse_trace(text, pops, catalog)
+        expected = list(cat.items()), rows
+    except TraceError as exc:
+        expected = str(exc)
+    try:
+        cat, trace = parse_trace(text, pops, catalog)
+    except TraceError as exc:
+        return str(exc), expected
+    return (list(cat.items()), list(trace.rows())), expected
+
+
+@pytest.mark.parametrize("block_chars", [64, 300, 1 << 19])
+def test_parse_trace_matches_row_loop_reference(monkeypatch, block_chars):
+    # small blocks put blank, comment and header lines and every kind of
+    # bad row at every place in a block, and in blocks after the first
+    from cdnte import workload
+    monkeypatch.setattr(workload, "_BLOCK_CHARS", block_chars)
+    rng = random.Random(block_chars)
+    catalog = {f"c{k}": ContentObject(f"c{k}", 10_000) for k in range(9)}
+    seen = set()
+    for case in range(120):
+        n_rows = rng.randint(1, 60)
+        fault = rng.choice([None, *FAULTS])
+        text = _random_trace_text(rng, n_rows, fault, rng.randrange(n_rows))
+        pops = rng.choice([None, [0, 1, 2, 3]])
+        cat = rng.choice([None, catalog])
+        got, expected = _parse_both(text, pops, cat)
+        assert got == expected, (case, text)
+        seen.add(expected if isinstance(expected, str) else "ok")
+    kinds = {msg.split(": ", 1)[-1].split(" ")[0] for msg in seen}
+    assert {"ok", "expected", "malformed", "empty", "timestamp", "negative",
+            "bytes", "unknown", "request"} <= kinds
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_parse_trace_names_bad_row_after_first_block(fault):
+    # about 20k rows at the real block size: the bad row is past the first
+    rng = random.Random(len(fault))
+    catalog = {f"c{k}": ContentObject(f"c{k}", 10_000) for k in range(9)}
+    text = _random_trace_text(rng, 20_000, fault, 19_000)
+    got, expected = _parse_both(text, [0, 1, 2, 3], catalog)
+    assert isinstance(expected, str) and int(expected.split()[2][:-1]) > 19_000
+    assert got == expected
+
+
+def test_parse_trace_rejects_numbers_beyond_int64():
+    with pytest.raises(TraceError, match="row 2: number out of range"):
+        parse_trace("1,0,a,10\n2,0,a,9223372036854775808\n")
+    with pytest.raises(TraceError, match="row 1: number out of range"):
+        parse_trace(f"1,{-2 ** 63 - 1},a,10\n")
+    _, trace = parse_trace(f"1,{-2 ** 63},a,{2 ** 63 - 1}\n")
+    assert list(trace.rows()) == [(1.0, -2 ** 63, "a", 2 ** 63 - 1)]
