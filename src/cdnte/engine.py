@@ -20,7 +20,8 @@ from .placement import (CacheState, Placement, induced_traffic_matrix,
 from .redirection import (path_table, redirect_closest,
                           redirect_utilization_aware, serve_reason)
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
-                      apply_routing, mlu, validate_traffic_matrix)
+                      apply_routing, check_flow_conservation, mlu,
+                      validate_traffic_matrix)
 from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
                        Trace, aggregate_demand, chunk_objects)
 
@@ -148,7 +149,22 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
     return (chunks, origins, *split_hybrid({p: budget for p in topo.pops}, cached))
 
 
-PlanTable = Dict[tuple, Tuple[Placement, RoutingSolution]]
+# Plans, and each day's demand, shared by the runs on one trace: `_plan`
+# and `_demand` each key their entries by what the entry is a pure
+# function of, so the two kinds never collide.
+PlanTable = Dict[tuple, tuple]
+
+
+def _demand(plans: PlanTable, trace: Trace, window: Tuple[float, float],
+            chunks: ChunkMap) -> DemandMatrix:
+    """aggregate_demand, looked up first in `plans` under the trace, the
+    window and the chunk size. For a valid catalog the chunk size alone
+    fixes how a request expands into chunks. The entry keeps the trace,
+    so no other trace can take its id while the entry exists."""
+    key = ("demand", id(trace), window, chunks.chunk_size)
+    if key not in plans:
+        plans[key] = (trace, aggregate_demand(trace, window, chunks))
+    return plans[key][1]
 
 
 def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
@@ -195,8 +211,11 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     * Transit: routed once a day, on the InverseCap routes in
       `inversecap` mode and on the day's routing in `combined` mode.
 
-    `plans` is a plan table shared with other runs on the same trace (see
-    `_plan`); without one the run keeps its own.
+    Every routing used is checked for flow conservation first; a routing
+    that fails exits the run with SimplexError naming the commodity.
+
+    `plans` is a table of plans and day demands shared with other runs
+    (see `_plan` and `_demand`); without one the run keeps its own.
     """
     scheme.validate()
     if interval_s <= 0:
@@ -255,7 +274,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
         window = (day * DAY_SECONDS, (day + 1) * DAY_SECONDS)
         dm: Optional[DemandMatrix] = None
         if scheme.placement != "lru":
-            dm = aggregate_demand(trace, window, chunks)
+            dm = _demand(plans, trace, window, chunks)
 
         # the day's placement and routing, by the rule in the docstring
         plan_dm = dm if scheme.placement == "future" else prev_dm
@@ -284,6 +303,10 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                     for k, rate in scheme.transit.tm.items():
                         tm[k] = tm.get(k, 0.0) + rate
                 routing = lp_mod.solve_min_mlu_routing(topo, tm)
+        try:
+            check_flow_conservation(routing, topo)
+        except ValueError as exc:
+            raise lp_mod.SimplexError(f"day {day} routing: {exc}") from None
         transit_loads: LinkLoads = {}
         if scheme.transit is not None:
             transit_loads = apply_routing(

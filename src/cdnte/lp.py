@@ -9,7 +9,7 @@ All programs are minimizations. Variables have a finite lower bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -130,13 +130,9 @@ class LpSolution:
     status: str                       # optimal | infeasible | unbounded
     objective: Optional[float]
     array: Optional[np.ndarray]       # per-variable values, lp order
-    names: List[str] = field(default_factory=list)
     duality_gap: Optional[float] = None
     iterations: int = 0
     backend: str = "highs"            # the HiGHS method that solved it
-
-    def value(self, name: str) -> float:
-        return float(self.array[self.names.index(name)])
 
 
 def _verify_solution(lp: LinearProgram, x: np.ndarray) -> None:
@@ -191,8 +187,7 @@ def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
                   options=_HIGHS_OPTIONS)
     if res.status in (2, 3):
         status = "infeasible" if res.status == 2 else "unbounded"
-        return LpSolution(status, None, None, list(lp.var_names),
-                          backend=method)
+        return LpSolution(status, None, None, backend=method)
     if res.status != 0:
         raise SimplexError(f"linprog failed: {res.message}")
     x = np.array(res.x, dtype=float)
@@ -206,8 +201,7 @@ def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
     gap = abs(primal - dual) / max(1.0, abs(primal))
     if gap > DUAL_TOL:
         raise SimplexError(f"duality gap {gap:.3e} exceeds {DUAL_TOL}")
-    return LpSolution("optimal", float(np.dot(lp.obj, x)), x,
-                      list(lp.var_names), duality_gap=gap,
+    return LpSolution("optimal", float(np.dot(lp.obj, x)), x, duality_gap=gap,
                       iterations=int(res.nit), backend=method)
 
 
@@ -278,31 +272,34 @@ def _add_flow_rows(lp, topo, sinks, first_col, extra, rhs, load, alpha_coef):
 
 
 def build_min_mlu_lp(topo, tm: TrafficMatrix) -> LinearProgram:
-    """Multicommodity-flow program minimizing the maximum link utilization.
+    """Program minimizing the maximum link utilization, with one commodity
+    per destination.
 
-    One flow-fraction variable per (commodity, link): the fraction of the
-    commodity's rate on that link. Alpha is column 0, and commodity k's
-    flow on link position l is column 1 + k * len(topo.links) + l.
-    Conservation rows at every node except the sink (whose row is
-    implied); per-link load <= alpha * capacity. Zero-demand commodities
-    are dropped.
+    Flows toward the same destination may merge, so one flow per (sink,
+    link) reaches the same least alpha as one per (source, sink) pair.
+    Alpha is column 0, and the flow toward the k-th sink (sorted) on link
+    position l is column 1 + k * len(topo.links) + l, in units of the
+    largest rate. Each pop but the sink supplies its rate toward the
+    sink; per link, load <= alpha * capacity. Zero-rate commodities are
+    dropped.
     """
-    commodities = sorted(k for k, rate in tm.items() if rate > 0)
+    positive = sorted(k for k, rate in tm.items() if rate > 0)
+    sinks = sorted({t for _, t in positive})
+    scale = max((tm[k] for k in positive), default=1.0)
     lp = LinearProgram("min-mlu")
     alpha = lp.add_var("alpha", lo=0.0, obj=1.0)
-    for (s, t) in commodities:
+    for t in sinks:
         for link in topo.links:
-            lp.add_var(f"f[{s}->{t}]@{link.id}")
+            lp.add_var(f"f[->{t}]@{link.id}")
     n, pos = len(topo.pops), {p: i for i, p in enumerate(topo.pops)}
-    rhs = np.zeros(len(commodities) * (n - 1))
-    rhs[[_node_row(k, pos[s], pos[t], n)
-         for k, (s, t) in enumerate(commodities)]] = 1.0
-    rate = np.array([tm[k] for k in commodities], dtype=float)
+    sink_at = {t: k for k, t in enumerate(sinks)}
+    rhs = np.zeros(len(sinks) * (n - 1))
+    rhs[[_node_row(sink_at[t], pos[s], pos[t], n) for s, t in positive]] = \
+        [tm[k] / scale for k in positive]
     cap = np.array([link.capacity for link in topo.links], dtype=float)
-    _add_flow_rows(lp, topo, [pos[t] for _, t in commodities], 1,
-                   ([], [], []), rhs, rate[:, None] / cap,
-                   -np.ones(len(topo.links)))
-    lp.meta = {"alpha": alpha, "commodities": commodities}
+    _add_flow_rows(lp, topo, [pos[t] for t in sinks], 1, ([], [], []), rhs,
+                   1.0, -cap / scale)
+    lp.meta = {"alpha": alpha, "sinks": sinks}
     return lp
 
 
@@ -385,34 +382,115 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
     return lp
 
 
+def _unit_hash(a: int, b: int) -> float:
+    """A fixed number in [0, 1) for the integer pair (a, b): splitmix64's
+    finalizer of the pair packed into 64 bits. Unlike hash(), it does not
+    depend on PYTHONHASHSEED."""
+    mask = (1 << 64) - 1
+    z = (((a & 0xFFFFFFFF) << 32 | (b & 0xFFFFFFFF)) + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return ((z ^ (z >> 31)) >> 11) / float(1 << 53)
+
+
+# relative size of the stage-2 cost perturbation; a stage-2 flow (in
+# units of the largest rate) within HiGHS's primal tolerance is noise
+_PERTURBATION = 1e-6
+_FLOW_NOISE = _HIGHS_OPTIONS["primal_feasibility_tolerance"]
+
+
 def solve_min_mlu_routing(topo, tm: TrafficMatrix) -> RoutingSolution:
     """Demand-aware routing: min-MLU flow fractions for positive-rate
     commodities, InverseCap shortest paths for everything else (so every
     ordered pair has a defined route).
 
-    Two stages on one program: the first finds the least alpha; the
-    second caps alpha there and minimizes the InverseCap-weighted sum of
-    all flow fractions. The weights are positive, so the second optimum
-    sends no commodity around a cycle, every fraction stays within
-    [0, 1], and flow off the bottleneck takes InverseCap-short paths."""
+    Two stages on the per-destination program: the first finds the least
+    alpha; the second caps alpha at alpha * (1 + 1e-9) and minimizes the
+    InverseCap-weighted flow (so each commodity's cost counts its rate),
+    each weight w_l toward sink t scaled by 1 + 1e-6 * r(link id, t) for
+    a fixed hash r in [0, 1). The weights are positive, so the second
+    optimum has no cycle, and flow off the bottleneck takes InverseCap-
+    short paths. The perturbation leaves one optimal vertex (Charnes,
+    Econometrica 1952), so every HiGHS method returns the same routing.
+    Each sink's flow is then split among its sources by
+    `_split_by_source`."""
     routing: RoutingSolution = {k: dict(v) for k, v in topo.ic_routes.items()}
     positive = {k: r for k, r in tm.items() if r > 0}
     if not positive:
         return routing
+    # A supply row may miss by FEAS_TOL, so rates at most FEAS_TOL times
+    # the largest are below what the certified program resolves; they
+    # keep their InverseCap routes too.
+    floor = FEAS_TOL * max(positive.values())
+    positive = {k: r for k, r in positive.items() if r > floor}
     lp = build_min_mlu_lp(topo, positive)
-    alpha = lp.meta["alpha"]
+    alpha, sinks = lp.meta["alpha"], lp.meta["sinks"]
     sol = solve_lp_auto(lp)
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU program ended {sol.status}")
     lp.hi[alpha] = float(sol.array[alpha]) * (1.0 + 1e-9)
-    # the builder's column layout: alpha, then each commodity's links
-    lp.obj = [0.0] + [topo.ic_weights[link.id] for link in topo.links] * len(
-        lp.meta["commodities"])
+    # the builder's column layout: alpha, then each sink's links
+    lp.obj = [0.0] + [topo.ic_weights[link.id]
+                      * (1.0 + _PERTURBATION * _unit_hash(link.id, t))
+                      for t in sinks for link in topo.links]
     sol = solve_lp_auto(lp)
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU second stage ended {sol.status}")
-    flows = sol.array[1:].reshape(-1, len(topo.links))
-    for k, row in zip(lp.meta["commodities"], flows):
-        routing[k] = {link.id: float(v) for link, v in zip(topo.links, row)
-                      if v > 1e-12}
+    flows = sol.array[1:].reshape(len(sinks), len(topo.links))
+    for t, flow in zip(sinks, flows):
+        routing.update(_split_by_source(
+            topo, t, flow, sorted(s for s, d in positive if d == t)))
     return routing
+
+
+def _split_by_source(topo, sink: int, flow: np.ndarray, sources: List[int]
+                     ) -> RoutingSolution:
+    """Flow fractions of each (source, sink) commodity from the merged
+    flow toward `sink` (by link position). Flows at solver-noise level
+    are dropped; then each source's unit is pushed through the pops in
+    topological order over the links that carry flow, split at each pop
+    in proportion to its out-flows. Loads on the matrix are thus the
+    program's flows. A cycle, or a source whose unit cannot reach the
+    sink, raises SimplexError."""
+    pos = {p: i for i, p in enumerate(topo.pops)}
+    n, sink_at = len(pos), pos[sink]
+    flow = np.where(flow > _FLOW_NOISE, flow, 0.0)
+    ends = [(pos[l.src], pos[l.dst]) for l in topo.links]
+    used = np.flatnonzero(flow).tolist()
+    out_links: List[List[int]] = [[] for _ in range(n)]
+    feeds = [0] * n  # in-links carrying flow
+    for l in used:
+        out_links[ends[l][0]].append(l)
+        feeds[ends[l][1]] += 1
+    # Kahn's algorithm
+    ready = [u for u in range(n) if not feeds[u]]
+    order = []
+    while ready:
+        u = ready.pop(0)
+        order.append(u)
+        for l in out_links[u]:
+            v = ends[l][1]
+            feeds[v] -= 1
+            if not feeds[v]:
+                ready.append(v)
+    if len(order) < n:
+        raise SimplexError(f"min-MLU flow toward pop {sink} has a cycle")
+    out_flow = np.bincount(np.array([ends[l][0] for l in used], dtype=np.int64),
+                           flow[used], n)
+    mass = np.zeros((len(sources), n))
+    mass[np.arange(len(sources)), [pos[s] for s in sources]] = 1.0
+    fracs = np.zeros((len(sources), len(ends)))
+    for u in order:
+        if u == sink_at or not mass[:, u].any():
+            continue
+        if not out_links[u]:
+            stuck = sources[int(np.flatnonzero(mass[:, u])[0])]
+            raise SimplexError(f"min-MLU flow of commodity {(stuck, sink)} "
+                               f"does not reach its sink from pop {topo.pops[u]}")
+        for l in out_links[u]:
+            fracs[:, l] = mass[:, u] * (flow[l] / out_flow[u])
+            mass[:, ends[l][1]] += fracs[:, l]
+    ids = [l.id for l in topo.links]
+    return {(s, sink): {ids[l]: float(fracs[i, l])
+                        for l in np.flatnonzero(fracs[i]).tolist()}
+            for i, s in enumerate(sources)}

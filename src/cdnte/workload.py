@@ -238,6 +238,11 @@ def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
         lines = text[pos:end].splitlines()
         block = _plain_block(lines, pop_list, catalog)
         if block is None:
+            # without the lines `_scan_block` skips, the rest may be plain
+            block = _plain_block([line for line in lines if not _skipped(line)],
+                                 pop_list, catalog)
+        if block is None:
+            # row by row, so that an error names the line in the text
             block = _scan_block(lines, lineno, pop_list, catalog)
         to_code = np.array([ids.setdefault(cid, len(ids)) for cid in block[3]],
                            dtype=np.int64)
@@ -259,6 +264,18 @@ def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
             trace)
 
 
+_HEADER = ["timestamp_s", "pop_id", "content_id", "bytes"]
+
+
+def _skipped(line: str) -> bool:
+    """A blank line, a comment (first non-space character "#") or a
+    header line, which parse_trace skips."""
+    line = line.strip()
+    return (not line or line.startswith("#")
+            or (line.startswith(_HEADER[0])
+                and [p.strip() for p in line.split(",")][:4] == _HEADER))
+
+
 def _plain_block(lines: List[str], pop_list: Optional[List[int]],
                  catalog: Optional[Catalog]) -> Optional[_Block]:
     """The block's columns when every line is a row with four fields that
@@ -268,7 +285,7 @@ def _plain_block(lines: List[str], pop_list: Optional[List[int]],
     n = len(lines)
     if list(map(str.count, lines, repeat(",", n))).count(3) != n:
         return None
-    fields = ",".join(lines).split(",")
+    fields = ",".join(lines).split(",") if lines else []
     # float() and int() ignore the padding that str.strip() removes, or
     # raise (on "\x1f", which str.strip() removes too)
     try:
@@ -306,12 +323,9 @@ def _scan_block(lines: List[str], lineno: int,
     ts_col, pop_col, code_col, nbytes_col = [], [], [], []
     code: Dict[str, int] = {}
     for lineno, line in enumerate(lines, start=lineno):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        if _skipped(line):
             continue
         parts = [p.strip() for p in line.split(",")]
-        if parts[:4] == ["timestamp_s", "pop_id", "content_id", "bytes"]:
-            continue
         if len(parts) != 4:
             raise TraceError(f"trace row {lineno}: expected 4 fields")
         try:

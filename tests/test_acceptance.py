@@ -117,6 +117,22 @@ def _tiny_instances(rng, count):
     return out
 
 
+def _integral_placements(topo, chunks, origins, budgets):
+    """Every integral placement within the budgets (chunks never stored
+    at their origin)."""
+    per_pop_options = []
+    for pop in topo.pops:
+        storable = [c for c in chunks.sizes if origins[c[0]] != pop]
+        opts = [frozenset()]
+        for k in range(1, budgets[pop] + 1):
+            opts += [frozenset(s) for s in
+                     itertools.combinations(storable, k)]
+        per_pop_options.append(sorted(set(opts), key=sorted))
+    for choice in itertools.product(*per_pop_options):
+        yield Placement({pop: set(sel) for pop, sel in zip(topo.pops, choice)
+                         if sel})
+
+
 def test_criterion_3_joint_placement_oracle():
     t0 = time.perf_counter()
     rng = random.Random(3030)
@@ -129,20 +145,8 @@ def test_criterion_3_joint_placement_oracle():
             routing = L.solve_min_mlu_routing(topo, tm)
             return mlu(apply_routing(routing, tm), topo)
 
-        # exhaustive integral placements (chunks never stored at their origin)
-        per_pop_options = []
-        for pop in topo.pops:
-            storable = [c for c in chunks.sizes if origins[c[0]] != pop]
-            opts = [frozenset()]
-            for k in range(1, budgets[pop] + 1):
-                opts += [frozenset(s) for s in
-                         itertools.combinations(storable, k)]
-            per_pop_options.append(sorted(set(opts), key=sorted))
-        best = None
-        for choice in itertools.product(*per_pop_options):
-            stored = {pop: set(sel) for pop, sel in zip(topo.pops, choice) if sel}
-            value = evaluate(Placement(stored))
-            best = value if best is None else min(best, value)
+        best = min(evaluate(placement) for placement in
+                   _integral_placements(topo, chunks, origins, budgets))
 
         placement, _ = plan_placement_optimized(dm, topo, budgets, chunks,
                                                 origins)

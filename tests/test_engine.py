@@ -773,3 +773,54 @@ def test_replay_matches_reference_lru_util_aware_ecmp_ties(seed):
         topo, catalog, reqs, scheme, 3600.0, [{}, {}], [ic, ic], [{}, {}])
     assert rep.decisions == decisions
     assert [v for _, _, v in rep.intervals] == mlus
+
+
+def test_runs_share_each_days_demand_per_trace(monkeypatch):
+    # runs on one trace aggregate each day's demand once; a second trace
+    # through the same table gets its own demand, not the first one's
+    import cdnte.engine as engine_mod
+    calls = []
+    real = engine_mod.aggregate_demand
+
+    def counted(trace, window, chunks):
+        calls.append(window)
+        return real(trace, window, chunks)
+
+    monkeypatch.setattr(engine_mod, "aggregate_demand", counted)
+    topo = _origin_triangle()
+    catalog, trace = _daily_trace(3, objects=("A", "B"))
+    _, other = _daily_trace(3, pops=(0,), objects=("B",))
+    plans = {}
+    for placement in ("optimized", "future", "hybrid"):
+        run_experiment(topo, catalog, trace,
+                       SchemeSpec(placement, "inversecap", storage_ratio=1.0),
+                       3600.0, plans=plans)
+    assert len(calls) == 3
+    future = SchemeSpec("future", "min-mlu-future", storage_ratio=1.5)
+    first = run_experiment(topo, catalog, trace, future, 3600.0,
+                           collect_placements=True, plans=plans)
+    shared = run_experiment(topo, catalog, other, future, 3600.0,
+                            collect_placements=True, plans=plans)
+    assert len(calls) == 6
+    own = run_experiment(topo, catalog, other, future, 3600.0,
+                         collect_placements=True)
+    assert shared.placements == own.placements != first.placements
+    assert shared.intervals == own.intervals
+
+
+def test_run_rejects_a_routing_that_breaks_conservation(monkeypatch):
+    # every routing the engine uses is checked: a commodity that loses
+    # half its flow stops the run with SimplexError naming it
+    real = lp_mod.solve_min_mlu_routing
+
+    def halved(topo, tm):
+        routing = real(topo, tm)
+        routing[(2, 1)] = {lid: f / 2 for lid, f in routing[(2, 1)].items()}
+        return routing
+
+    monkeypatch.setattr(lp_mod, "solve_min_mlu_routing", halved)
+    catalog, trace = _daily_trace(2)
+    scheme = SchemeSpec("optimized", "min-mlu-prior-day", storage_ratio=1e-9)
+    with pytest.raises(lp_mod.SimplexError,
+                       match=r"day 1 routing: .*\(2, 1\)"):
+        run_experiment(_origin_triangle(), catalog, trace, scheme, 3600.0)

@@ -5,13 +5,17 @@ import pytest
 
 from cdnte import lp as L
 from cdnte import parse_topology
+from cdnte.engine import SchemeSpec, run_experiment
+from cdnte.placement import induced_traffic_matrix
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, check_flow_conservation, mlu
-from cdnte.workload import ContentObject, DemandMatrix, chunk_objects
+from cdnte.workload import (ContentObject, DemandMatrix, SynthParams,
+                            chunk_objects, generate_synthetic_trace)
 
 from conftest import (make_parallel_paths, make_triangle, make_two_pop,
-                      random_digraph, random_traffic_matrix)
+                      random_digraph, random_symmetric_topology,
+                      random_traffic_matrix)
 
 
 def test_basic_bounded():
@@ -21,7 +25,7 @@ def test_basic_bounded():
     lp.add_constraint({x: 1.0}, L.LE, 10.0)
     sol = L.solve_lp(lp)
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
-    assert sol.value("x") == pytest.approx(3.0, abs=1e-9)
+    assert sol.array[x] == pytest.approx(3.0, abs=1e-9)
     assert sol.duality_gap is not None and sol.duality_gap <= 1e-6
 
 
@@ -69,8 +73,8 @@ def test_fixed_variable_and_shifted_bounds():
     y = lp.add_var("y", lo=-1.0, hi=4.0, obj=1.0)
     lp.add_constraint({x: 1.0, y: 1.0}, L.GE, 2.5)
     sol = L.solve_lp(lp)
-    assert sol.value("x") == pytest.approx(2.0, abs=1e-9)
-    assert sol.value("y") == pytest.approx(0.5, abs=1e-9)
+    assert sol.array[x] == pytest.approx(2.0, abs=1e-9)
+    assert sol.array[y] == pytest.approx(0.5, abs=1e-9)
 
 
 def _certificate_program():
@@ -281,6 +285,138 @@ def test_solve_min_mlu_routing_empty_matrix_is_inversecap(triangle):
     assert routing == ic
 
 
+def _criterion_2_instances():
+    rng = random.Random(2024)
+    for _ in range(200):
+        topo = random_digraph(rng.randint(4, 10), rng)
+        yield topo, random_traffic_matrix(
+            topo, rng, n_commodities=rng.randint(2, len(topo.pops)))
+
+
+def _criterion_3_matrices():
+    """The distinct matrices criterion 3 routes: the nearest-replica
+    matrix of every integral placement of its instances."""
+    from test_acceptance import _integral_placements, _tiny_instances
+    seen = {}
+    for topo, _, chunks, origins, dm, budgets in _tiny_instances(
+            random.Random(3030), 50):
+        for placement in _integral_placements(topo, chunks, origins, budgets):
+            tm = induced_traffic_matrix(dm, placement, origins, topo)
+            if tm:
+                seen.setdefault((topo.pops, tuple(sorted(tm.items()))),
+                                (topo, tm))
+    return list(seen.values())
+
+
+def _realized_day_with_transit():
+    """Day 0's realized matrix of `lru` on the 20-pop backbone, plus a
+    transit matrix, as `min-mlu-prior-day` routes it on day 1."""
+    topo = random_symmetric_topology(20, seed=42)
+    catalog, trace = generate_synthetic_trace(
+        SynthParams(requests_per_day=4000, days=1, seed=42), topo)
+    rep = run_experiment(topo, catalog, trace,
+                         SchemeSpec("lru", "inversecap", "closest"), 3600.0,
+                         collect_matrices=True)
+    tm = {}
+    for matrix in rep.interval_matrices:
+        for k, nbytes in matrix.items():
+            tm[k] = tm.get(k, 0.0) + nbytes * 8.0 / 86400.0
+    rng = random.Random(42)
+    for _ in range(12):
+        k = tuple(rng.sample(topo.pops, 2))
+        tm[k] = tm.get(k, 0.0) + rng.uniform(2e6, 8e6)
+    return topo, tm
+
+
+def test_min_mlu_routing_same_for_every_highs_method(monkeypatch):
+    # the perturbed second stage has one optimal vertex, so each HiGHS
+    # method returns the same routing: the same links for every commodity
+    # and fractions within 1e-8 (alpha itself differs by method in its
+    # last digits, and the second stage's cap with it)
+    cases = list(_criterion_2_instances()) + _criterion_3_matrices() \
+        + [_realized_day_with_transit()]
+    assert len(cases) > 250 and len(cases[-1][1]) > 300
+    by_method = []
+    for method in ("highs", "highs-ds", "highs-ipm"):
+        monkeypatch.setattr(L, "solve_lp_auto",
+                            lambda lp, method=method: L.solve_lp(lp, method))
+        by_method.append([L.solve_min_mlu_routing(topo, tm)
+                          for topo, tm in cases])
+    first = by_method[0]
+    for other in by_method[1:]:
+        for (topo, tm), a, b in zip(cases, first, other):
+            assert a.keys() == b.keys()
+            for k in a:
+                assert a[k].keys() == b[k].keys(), (topo.pops, k)
+                for lid, frac in a[k].items():
+                    assert abs(frac - b[k][lid]) <= 1e-8, (topo.pops, k, lid)
+
+
+def _merge_and_split():
+    # sources 0 and 1 meet at pop 2, which sends 30% of what it carries
+    # through pop 3 and 70% through pop 4 to the sink, pop 5
+    return parse_topology("\n".join(
+        [f"pop {p} N{p}" for p in range(6)]
+        + ["arc 0 2 10", "arc 1 2 10", "arc 2 3 10", "arc 2 4 10",
+           "arc 3 5 10", "arc 4 5 10", "arc 5 0 10", "arc 5 1 10",
+           "origin 0"]))
+
+
+def test_split_by_source_follows_each_pop_proportionally():
+    topo = _merge_and_split()
+    ids = {(l.src, l.dst): l.id for l in topo.links}
+    # rates 1 and 3 (in units of the largest rate: 1/3 and 1)
+    flow = np.zeros(len(topo.links))
+    for arc, value in {(0, 2): 1 / 3, (1, 2): 1.0, (2, 3): 0.4, (2, 4): 14 / 15,
+                       (3, 5): 0.4, (4, 5): 14 / 15}.items():
+        flow[[l.id for l in topo.links].index(ids[arc])] = value
+    routing = L._split_by_source(topo, 5, flow, [0, 1])
+    for s in (0, 1):
+        assert routing[(s, 5)].keys() == {ids[(s, 2)], ids[(2, 3)],
+                                          ids[(2, 4)], ids[(3, 5)],
+                                          ids[(4, 5)]}
+        assert routing[(s, 5)][ids[(s, 2)]] == 1.0
+        for arc, want in (((2, 3), 0.3), ((3, 5), 0.3), ((2, 4), 0.7),
+                          ((4, 5), 0.7)):
+            assert routing[(s, 5)][ids[arc]] == pytest.approx(want, abs=1e-12)
+    check_flow_conservation(routing, topo, tol=1e-12)
+    loads = apply_routing(routing, {(0, 5): 1.0, (1, 5): 3.0})
+    assert loads[ids[(2, 3)]] == pytest.approx(1.2, abs=1e-12)
+    assert loads[ids[(2, 4)]] == pytest.approx(2.8, abs=1e-12)
+
+
+def test_split_by_source_rejects_cycles_and_stranded_sources():
+    topo = _merge_and_split()
+    ids = [l.id for l in topo.links]
+    at = {(l.src, l.dst): ids.index(l.id) for l in topo.links}
+    flow = np.zeros(len(ids))
+    flow[[at[(0, 2)], at[(2, 3)], at[(3, 5)]]] = 1.0
+    # solver noise below 1e-9 neither routes nor closes a cycle
+    flow[[at[(5, 0)], at[(1, 2)]]] = 1e-10
+    assert L._split_by_source(topo, 5, flow, [0]) == {
+        (0, 5): {topo.links[at[a]].id: 1.0 for a in ((0, 2), (2, 3), (3, 5))}}
+    with pytest.raises(L.SimplexError, match="does not reach its sink"):
+        L._split_by_source(topo, 5, flow, [0, 1])
+    flow[at[(5, 0)]] = 0.5
+    with pytest.raises(L.SimplexError, match="cycle"):
+        L._split_by_source(topo, 5, flow, [0])
+
+
+def test_min_mlu_routing_leaves_unresolved_rates_on_inversecap():
+    # a rate within FEAS_TOL of the largest is below what the certified
+    # program resolves: it keeps its InverseCap route, and the routing
+    # still conserves flow
+    topo = random_symmetric_topology(20, seed=42)
+    tm = {(0, 5): 1e9, (12, 5): 5e8, (3, 7): 10.0}
+    routing = L.solve_min_mlu_routing(topo, tm)
+    assert routing[(3, 7)] == topo.ic_routes[(3, 7)]
+    check_flow_conservation(routing, topo, tol=1e-7)
+    alpha = L.solve_lp(L.build_min_mlu_lp(topo, {k: tm[k] for k in tm
+                                                 if k != (3, 7)})).objective
+    assert mlu(apply_routing(routing, tm), topo) == pytest.approx(alpha,
+                                                                  rel=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # joint builder
 
@@ -477,30 +613,32 @@ class _RowsGiven(L.LinearProgram):
 
 
 def _min_mlu_by_rows(topo, tm):
-    """build_min_mlu_lp written one add_constraint call per row."""
-    commodities = sorted(k for k, rate in tm.items() if rate > 0)
+    """build_min_mlu_lp written one add_constraint call per row: one flow
+    per (sink, link), in units of the largest rate."""
+    positive = sorted(k for k, rate in tm.items() if rate > 0)
+    sinks = sorted({t for _, t in positive})
+    scale = max(tm[k] for k in positive)
     lp = _RowsGiven("min-mlu")
     alpha = lp.add_var("alpha", lo=0.0, obj=1.0)
     flow = {}
-    for (s, t) in commodities:
+    for t in sinks:
         for link in topo.links:
-            flow[((s, t), link.id)] = lp.add_var(f"f[{s}->{t}]@{link.id}")
-    for (s, t) in commodities:
+            flow[(t, link.id)] = lp.add_var(f"f[->{t}]@{link.id}")
+    for t in sinks:
         for u in topo.pops:
             if u == t:
                 continue
             coeffs = {}
             for link in topo.out_links[u]:
-                coeffs[flow[((s, t), link.id)]] = 1.0
+                coeffs[flow[(t, link.id)]] = 1.0
             for link in topo.in_links[u]:
-                coeffs[flow[((s, t), link.id)]] = -1.0
-            lp.add_constraint(coeffs, L.EQ, 1.0 if u == s else 0.0)
+                coeffs[flow[(t, link.id)]] = -1.0
+            lp.add_constraint(coeffs, L.EQ, tm.get((u, t), 0.0) / scale)
     for link in topo.links:
-        coeffs = {flow[(k, link.id)]: tm[k] / link.capacity
-                  for k in commodities}
-        coeffs[alpha] = -1.0
+        coeffs = {flow[(t, link.id)]: 1.0 for t in sinks}
+        coeffs[alpha] = -link.capacity / scale
         lp.add_constraint(coeffs, L.LE, 0.0)
-    lp.meta = {"alpha": alpha, "commodities": commodities}
+    lp.meta = {"alpha": alpha, "sinks": sinks}
     return lp
 
 
