@@ -175,6 +175,9 @@ def cmd_solve_placement(args) -> int:
     catalog, trace = _load_workload(cfg, topo)
     chunks, origins, budgets, _ = scheme_inputs(topo, catalog, cfg.schemes[0])
     day = args.day
+    if not 0 <= day < trace.days:
+        raise ValidationError(f"--day {day} is outside the trace's days "
+                              f"0..{trace.days - 1}")
     dm = aggregate_demand(trace, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS),
                           chunks)
     placement = plan_placement(dm, topo, budgets, chunks, origins)

@@ -240,10 +240,9 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     if plans is None:
         plans = {}
 
-    n_days = int(float(trace.timestamps[-1]) // DAY_SECONDS) + 1
     needs_prior = (scheme.placement in ("optimized", "hybrid")
                    or scheme.routing == "min-mlu-prior-day")
-    if needs_prior and n_days < 2:
+    if needs_prior and trace.days < 2:
         raise ValidationError(
             "prior-day schemes need a trace spanning at least 2 days")
 
@@ -270,7 +269,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     prev_dm: Optional[DemandMatrix] = None  # yesterday's; None for lru
     prev_realized: TrafficMatrix = {}
 
-    for day in range(n_days):
+    for day in range(trace.days):
         window = (day * DAY_SECONDS, (day + 1) * DAY_SECONDS)
         dm: Optional[DemandMatrix] = None
         if scheme.placement != "lru":
@@ -447,16 +446,18 @@ def _run_all(topo, catalog: Catalog, trace: Trace,
              schemes: List[SchemeSpec], interval_s: float, jobs: int,
              collect_decisions: bool, collect_placements: bool,
              plans: Optional[PlanTable]) -> List[MluReport]:
-    """One report per scheme, in order, from `jobs` worker processes when
-    jobs > 1. Only the first run collects decisions and placements. With
-    jobs = 1 the runs share `plans` (a new table if None); each worker
-    process plans for itself, which gives the same results."""
+    """One report per scheme, in order, from min(jobs, runs) worker
+    processes if above 1. Only the first run collects decisions and
+    placements. Runs in this process share `plans` (a new table if None);
+    each worker process plans for itself, which gives the same results."""
     tasks = [(topo, catalog, trace, s, interval_s,
               collect_decisions and i == 0, collect_placements and i == 0)
              for i, s in enumerate(schemes)]
-    if jobs > 1:
+    # the pool starts all its workers at once, needed or not
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent import futures
-        with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_task, tasks))
     plans = {} if plans is None else plans
     return [_run_task(t, plans) for t in tasks]

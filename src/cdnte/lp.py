@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .traffic import RoutingSolution, TrafficMatrix
+from .traffic import RoutingSolution, TrafficMatrix, split_by_source
 
 FEAS_TOL = 1e-7     # constraint satisfaction, after row scaling
 DUAL_TOL = 1e-6     # relative duality gap at reported optima
@@ -225,8 +225,11 @@ def write_lp_text(lp: LinearProgram) -> str:
              if lp.obj[j] != 0.0]
     out.append(" obj: " + (" ".join(terms) if terms else "0"))
     out.append("Subject To")
-    for r, (coeffs, sense, rhs) in enumerate(lp.rows):
-        lhs = " ".join(f"{c:+.12g} {names[j]}" for j, c in sorted(coeffs.items()))
+    A = lp.matrix()
+    cols, coefs = A.indices.tolist(), A.data.tolist()
+    for r, (sense, rhs) in enumerate(zip(lp.senses, lp.rhs)):
+        span = sorted(range(A.indptr[r], A.indptr[r + 1]), key=cols.__getitem__)
+        lhs = " ".join(f"{coefs[k]:+.12g} {names[cols[k]]}" for k in span)
         out.append(f" c{r}: {lhs or '0'} {sense} {rhs:.12g}")
     out.append("Bounds")
     for j in range(lp.num_vars):
@@ -253,9 +256,8 @@ def _add_flow_rows(lp, topo, sinks, first_col, extra, rhs, load, alpha_coef):
     At each pop but the sink: out-flow - in-flow + `extra` (rows, columns,
     coefficients) = rhs. Per link: load-weighted flow + alpha_coef *
     alpha (column 0) <= 0."""
-    pos = {p: i for i, p in enumerate(topo.pops)}
-    ends = np.array([[pos[l.src] for l in topo.links],
-                     [pos[l.dst] for l in topo.links]])
+    ends = np.array([[topo.pop_at[l.src] for l in topo.links],
+                     [topo.pop_at[l.dst] for l in topo.links]])
     k, links = np.arange(len(sinks))[:, None, None], np.arange(len(topo.links))
     sink = np.asarray(sinks, dtype=np.int64)[:, None, None]
     rows = _node_row(k, ends, sink, len(topo.pops))  # (k, out/in, link)
@@ -291,7 +293,7 @@ def build_min_mlu_lp(topo, tm: TrafficMatrix) -> LinearProgram:
     for t in sinks:
         for link in topo.links:
             lp.add_var(f"f[->{t}]@{link.id}")
-    n, pos = len(topo.pops), {p: i for i, p in enumerate(topo.pops)}
+    n, pos = len(topo.pops), topo.pop_at
     sink_at = {t: k for k, t in enumerate(sinks)}
     rhs = np.zeros(len(sinks) * (n - 1))
     rhs[[_node_row(sink_at[t], pos[s], pos[t], n) for s, t in positive]] = \
@@ -327,7 +329,7 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
     server_pops = sorted(set(store_pops)
                          | {origins[c[0]] for c in chunk_list})
     rate_scale = max(rates.values(), default=1.0)
-    n, pos = len(topo.pops), {p: i for i, p in enumerate(topo.pops)}
+    n, pos = len(topo.pops), topo.pop_at
     client_of = {i: k for k, i in enumerate(clients)}
 
     lp = LinearProgram("joint-placement-routing")
@@ -412,8 +414,9 @@ def solve_min_mlu_routing(topo, tm: TrafficMatrix) -> RoutingSolution:
     optimum has no cycle, and flow off the bottleneck takes InverseCap-
     short paths. The perturbation leaves one optimal vertex (Charnes,
     Econometrica 1952), so every HiGHS method returns the same routing.
-    Each sink's flow is then split among its sources by
-    `_split_by_source`."""
+    Flows at solver-noise level are dropped, and each sink's flow is then
+    split among its sources by `traffic.split_by_source`, so loads on the
+    matrix are the program's flows."""
     routing: RoutingSolution = {k: dict(v) for k, v in topo.ic_routes.items()}
     positive = {k: r for k, r in tm.items() if r > 0}
     if not positive:
@@ -437,60 +440,13 @@ def solve_min_mlu_routing(topo, tm: TrafficMatrix) -> RoutingSolution:
     if sol.status != "optimal":
         raise SimplexError(f"min-MLU second stage ended {sol.status}")
     flows = sol.array[1:].reshape(len(sinks), len(topo.links))
+    flows = np.where(flows > _FLOW_NOISE, flows, 0.0)
     for t, flow in zip(sinks, flows):
-        routing.update(_split_by_source(
-            topo, t, flow, sorted(s for s, d in positive if d == t)))
+        try:
+            routing.update(split_by_source(
+                topo, t, flow, sorted(s for s, d in positive if d == t),
+                key=topo.pop_at.__getitem__))
+        except ValueError as exc:
+            raise SimplexError(f"min-MLU {exc}") from None
     return routing
 
-
-def _split_by_source(topo, sink: int, flow: np.ndarray, sources: List[int]
-                     ) -> RoutingSolution:
-    """Flow fractions of each (source, sink) commodity from the merged
-    flow toward `sink` (by link position). Flows at solver-noise level
-    are dropped; then each source's unit is pushed through the pops in
-    topological order over the links that carry flow, split at each pop
-    in proportion to its out-flows. Loads on the matrix are thus the
-    program's flows. A cycle, or a source whose unit cannot reach the
-    sink, raises SimplexError."""
-    pos = {p: i for i, p in enumerate(topo.pops)}
-    n, sink_at = len(pos), pos[sink]
-    flow = np.where(flow > _FLOW_NOISE, flow, 0.0)
-    ends = [(pos[l.src], pos[l.dst]) for l in topo.links]
-    used = np.flatnonzero(flow).tolist()
-    out_links: List[List[int]] = [[] for _ in range(n)]
-    feeds = [0] * n  # in-links carrying flow
-    for l in used:
-        out_links[ends[l][0]].append(l)
-        feeds[ends[l][1]] += 1
-    # Kahn's algorithm
-    ready = [u for u in range(n) if not feeds[u]]
-    order = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        for l in out_links[u]:
-            v = ends[l][1]
-            feeds[v] -= 1
-            if not feeds[v]:
-                ready.append(v)
-    if len(order) < n:
-        raise SimplexError(f"min-MLU flow toward pop {sink} has a cycle")
-    out_flow = np.bincount(np.array([ends[l][0] for l in used], dtype=np.int64),
-                           flow[used], n)
-    mass = np.zeros((len(sources), n))
-    mass[np.arange(len(sources)), [pos[s] for s in sources]] = 1.0
-    fracs = np.zeros((len(sources), len(ends)))
-    for u in order:
-        if u == sink_at or not mass[:, u].any():
-            continue
-        if not out_links[u]:
-            stuck = sources[int(np.flatnonzero(mass[:, u])[0])]
-            raise SimplexError(f"min-MLU flow of commodity {(stuck, sink)} "
-                               f"does not reach its sink from pop {topo.pops[u]}")
-        for l in out_links[u]:
-            fracs[:, l] = mass[:, u] * (flow[l] / out_flow[u])
-            mass[:, ends[l][1]] += fracs[:, l]
-    ids = [l.id for l in topo.links]
-    return {(s, sink): {ids[l]: float(fracs[i, l])
-                        for l in np.flatnonzero(fracs[i]).tolist()}
-            for i, s in enumerate(sources)}

@@ -165,16 +165,14 @@ class _SwapSearch:
         self.chunks = chunks
         self.origins = origins
         self.x_vals = x_vals
-        pops = topo.pops
-        self.at = {p: k for k, p in enumerate(pops)}
-        col = {l.id: k for k, l in enumerate(topo.links)}
+        pops, at = topo.pops, topo.pop_at
         self.caps = np.array([float(l.capacity) for l in topo.links])
         self.rank = np.array([[topo.ic_rank[c][p] for p in pops] for c in pops])
-        self.routes = np.zeros((len(pops), len(pops), len(col)))
+        self.routes = np.zeros((len(pops), len(pops), len(topo.links)))
         for (s, c), fracs in topo.ic_routes.items():
             if s != c:
                 for link_id, frac in fracs.items():
-                    self.routes[self.at[s], self.at[c], col[link_id]] = frac
+                    self.routes[at[s], at[c], topo.link_at[link_id]] = frac
         window = dm.window_seconds
         self.rates: Dict[Tuple[ChunkId, int], float] = {}
         self.chunk_ids: List[ChunkId] = []
@@ -185,11 +183,11 @@ class _SwapSearch:
                     self.chunk_ids.append(chunk)
                 self.rates[(chunk, pop)] = nbytes * 8.0 / window
                 pair_chunk.append(len(self.chunk_ids) - 1)
-                clients.append(self.at[pop])
+                clients.append(at[pop])
         self.pair_chunk = np.array(pair_chunk, dtype=np.int64)
         self.clients = np.array(clients, dtype=np.int64)
         self.pair_rates = list(self.rates.values())
-        self.origin_at = np.array([self.at[origins[c[0]]]
+        self.origin_at = np.array([at[origins[c[0]]]
                                    for c in self.chunk_ids], dtype=np.int64)
         self.holds = np.zeros((len(self.chunk_ids), len(pops)), dtype=bool)
         self.row = {c: k for k, c in enumerate(self.chunk_ids)}
@@ -197,7 +195,7 @@ class _SwapSearch:
         for pop, chunk_set in self.stored.items():
             for chunk in chunk_set:
                 if chunk in self.row:
-                    self.holds[self.row[chunk], self.at[pop]] = True
+                    self.holds[self.row[chunk], at[pop]] = True
         self._rebuild()
 
     def _rebuild(self) -> None:
@@ -206,7 +204,7 @@ class _SwapSearch:
         cand = self.holds.copy()
         cand[np.arange(len(self.chunk_ids)), self.origin_at] = True
         self.servers = np.where(cand[self.pair_chunk], self.rank[self.clients],
-                                len(self.at)).argmin(axis=1)
+                                len(self.topo.pops)).argmin(axis=1)
         loads = np.zeros(len(self.caps))
         for rate, s, c in zip(self.pair_rates, self.servers.tolist(),
                               self.clients.tolist()):
@@ -272,16 +270,16 @@ class _SwapSearch:
         if drop is not None:
             self.stored[pop].discard(drop)
             if drop in self.row:
-                self.holds[self.row[drop], self.at[pop]] = False
+                self.holds[self.row[drop], self.topo.pop_at[pop]] = False
         if add is not None:
             self.stored.setdefault(pop, set()).add(add)
-            self.holds[self.row[add], self.at[pop]] = True
+            self.holds[self.row[add], self.topo.pop_at[pop]] = True
         self._rebuild()
 
     def _moves(self, pop: int):
         """Every move the budget allows at `pop`, in search order, as
         (surrogate, drop, add); the surrogate is inf for a pruned move."""
-        p = self.at[pop]
+        p = self.topo.pop_at[pop]
         admitted = sorted(self.stored.get(pop, ()))
         used = sum(self.chunks.sizes[c] for c in admitted)
         room = self.budgets[pop] - used

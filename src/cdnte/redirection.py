@@ -21,7 +21,7 @@ def path_table(topo, routing: RoutingSolution
                ) -> Dict[int, Dict[int, RouteRows]]:
     """`routing` as rows indexed [client][server]: the route server->client
     as (position in topo.links, flow fraction, link capacity) rows."""
-    pos = {link.id: i for i, link in enumerate(topo.links)}
+    pos = topo.link_at
     table: Dict[int, Dict[int, RouteRows]] = {c: {} for c in topo.pops}
     for (server, client), fracs in routing.items():
         table[client][server] = [

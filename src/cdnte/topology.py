@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .traffic import RoutingSolution
+from .traffic import RoutingSolution, split_by_source
 
 WeightMap = Dict[int, float]
 
@@ -51,6 +51,9 @@ class Topology:
         self.links = tuple(links)
         self.origin_pop = origin_pop
         self.link_by_id = {l.id: l for l in self.links}
+        # positions in `pops` and `links`, which index every array
+        self.pop_at = {p: i for i, p in enumerate(self.pops)}
+        self.link_at = {l.id: i for i, l in enumerate(self.links)}
         self.out_links: Dict[int, Tuple[Link, ...]] = {p: () for p in self.pops}
         self.in_links: Dict[int, Tuple[Link, ...]] = {p: () for p in self.pops}
         out: Dict[int, List[Link]] = {p: [] for p in self.pops}
@@ -253,35 +256,13 @@ def shortest_path_routes(topo: Topology, w: WeightMap) -> RoutingSolution:
     routes: RoutingSolution = {}
     for t in topo.pops:
         dist = _dijkstra_to(topo, w, t)
-        # Links on some shortest path to t, grouped by tail node.
-        dag: Dict[int, List[Link]] = {}
+        # weight 1 on each link of some shortest path to t
+        on_dag = []
         for l in topo.links:
             target = w[l.id] + dist[l.dst]
-            if dist[l.src] < float("inf") and \
-                    abs(dist[l.src] - target) <= _TIE_REL * (1.0 + abs(target)):
-                dag.setdefault(l.src, []).append(l)
-        # Propagate unit mass from each source in decreasing-distance order
-        # (every DAG edge strictly decreases distance-to-t).
-        order = sorted((p for p in topo.pops if p != t),
-                       key=lambda p: (-dist[p], p))
-        for s in topo.pops:
-            if s == t:
-                continue
-            if dist[s] == float("inf"):
-                raise TopologyError(f"pop {t} unreachable from {s}")
-            mass = {s: 1.0}
-            fracs: Dict[int, float] = {}
-            for u in order:
-                mu = mass.get(u, 0.0)
-                if mu == 0.0 or u == t:
-                    continue
-                nexts = dag.get(u)
-                if not nexts:
-                    raise TopologyError(
-                        f"no shortest-path successor at pop {u} toward {t}")
-                share = mu / len(nexts)
-                for l in nexts:
-                    fracs[l.id] = fracs.get(l.id, 0.0) + share
-                    mass[l.dst] = mass.get(l.dst, 0.0) + share
-            routes[(s, t)] = fracs
+            on_dag.append(1.0 if abs(dist[l.src] - target)
+                          <= _TIE_REL * (1.0 + abs(target)) else 0.0)
+        routes.update(split_by_source(
+            topo, t, on_dag, [p for p in topo.pops if p != t],
+            key=lambda p: (-dist[p], p)))
     return routes

@@ -14,8 +14,11 @@ Everything here is a pure transformation over those plain dicts.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
+
+import numpy as np
 
 Commodity = Tuple[int, int]
 TrafficMatrix = Dict[Commodity, float]
@@ -89,6 +92,57 @@ def check_flow_conservation(routing: RoutingSolution, topo,
                 raise ValueError(
                     f"conservation violated for {(src, dst)} at pop {pop}: "
                     f"net {value}, expected {want}")
+
+
+def split_by_source(topo, sink: int, weights, sources: List[int],
+                    key: Callable[[int], Any]) -> RoutingSolution:
+    """Destination-based routing toward `sink`: the flow fractions of each
+    (source, sink) commodity. `weights` is indexed by link position, and
+    a link carries flow iff its weight is positive. Each source's unit is
+    pushed through the pops in topological order (Kahn's algorithm,
+    taking the ready pop with the least `key(pop id)` first) and split at
+    each pop in proportion to its out-link weights, so ECMP is the case
+    where every used link weighs 1. A cycle, or a source whose unit
+    cannot reach the sink, raises ValueError."""
+    n, at = len(topo.pops), topo.pop_at
+    ends = [(at[l.src], at[l.dst]) for l in topo.links]
+    used = [l for l, w in enumerate(weights) if w > 0]
+    out_links: List[List[int]] = [[] for _ in range(n)]
+    feeds = [0] * n  # in-links carrying flow
+    for l in used:
+        out_links[ends[l][0]].append(l)
+        feeds[ends[l][1]] += 1
+    ready = [(key(p), u) for u, p in enumerate(topo.pops) if not feeds[u]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        u = heapq.heappop(ready)[1]
+        order.append(u)
+        for l in out_links[u]:
+            v = ends[l][1]
+            feeds[v] -= 1
+            if not feeds[v]:
+                heapq.heappush(ready, (key(topo.pops[v]), v))
+    if len(order) < n:
+        raise ValueError(f"flow toward pop {sink} has a cycle")
+    out_weight = [sum(weights[l] for l in links) for links in out_links]
+    mass = np.zeros((len(sources), n))
+    mass[np.arange(len(sources)), [at[s] for s in sources]] = 1.0
+    fracs = np.zeros((len(sources), len(ends)))
+    for u in order:
+        if u == at[sink] or not mass[:, u].any():
+            continue
+        if not out_links[u]:
+            stuck = sources[int(np.flatnonzero(mass[:, u])[0])]
+            raise ValueError(f"flow of commodity {(stuck, sink)} does not "
+                             f"reach its sink from pop {topo.pops[u]}")
+        for l in out_links[u]:
+            # not mass * (w / out): with w = 1 this is ECMP's exact mass / out
+            fracs[:, l] = mass[:, u] * weights[l] / out_weight[u]
+            mass[:, ends[l][1]] += fracs[:, l]
+    return {(s, sink): {topo.links[l].id: float(fracs[i, l])
+                        for l in np.flatnonzero(fracs[i]).tolist()}
+            for i, s in enumerate(sources)}
 
 
 def finite_float(text: str) -> float:

@@ -75,6 +75,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.timestamps)
 
+    @property
+    def days(self) -> int:
+        """Days 0 .. days - 1 hold the rows: the last row's day plus one."""
+        return int(self.timestamps[-1] // DAY_SECONDS) + 1 if len(self) else 0
+
     def rows(self) -> Iterator[Row]:
         """(timestamp, pop, content id, bytes) per row, as Python values."""
         ids = self.content_ids
@@ -238,9 +243,10 @@ def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
         lines = text[pos:end].splitlines()
         block = _plain_block(lines, pop_list, catalog)
         if block is None:
-            # without the lines `_scan_block` skips, the rest may be plain
-            block = _plain_block([line for line in lines if not _skipped(line)],
-                                 pop_list, catalog)
+            # without the lines `_scan_block` skips, the rest may be plain;
+            # a line that starts with a digit is never skipped
+            block = _plain_block([line for line in lines if line[:1].isdigit()
+                                  or not _skipped(line)], pop_list, catalog)
         if block is None:
             # row by row, so that an error names the line in the text
             block = _scan_block(lines, lineno, pop_list, catalog)

@@ -48,6 +48,15 @@ def make_parallel_paths(cap_mbps=10):
     """)
 
 
+# sources 0 and 1 meet at pop 2, which can send flow toward pop 5 through
+# pop 3 or pop 4; pop 5 links back to 0 and 1
+MERGE_AND_SPLIT = "\n".join(
+    [f"pop {p} N{p}" for p in range(6)]
+    + ["arc 0 2 10", "arc 1 2 10", "arc 2 3 10", "arc 2 4 10",
+       "arc 3 5 10", "arc 4 5 10", "arc 5 0 10", "arc 5 1 10",
+       "origin 0"])
+
+
 def random_digraph(n, rng, extra_arc_prob=0.35, caps=(1000, 2500, 10000)):
     """Strongly connected directed topology: a random Hamiltonian cycle
     plus random extra arcs, possibly asymmetric capacities."""

@@ -217,6 +217,21 @@ def test_solve_placement_cli(tmp_path, capsys):
     assert len(placements) > 1
 
 
+@pytest.mark.parametrize("day", ["2", "7", "-1"])
+def test_solve_placement_rejects_a_day_outside_the_trace(tmp_path, capsys,
+                                                         day):
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG.replace(
+        "scheme = lru inversecap closest ratio=1",
+        "scheme = optimized inversecap closest ratio=3"))
+    out = str(tmp_path / "plan")
+    assert main(["solve-placement", "--config", cfg_path, "--out", out,
+                 "--day", day]) == 1
+    assert f"--day {day} is outside the trace's days 0..1" in \
+        capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "placements.csv"))
+
+
 def test_solve_placement_solves_no_routing(tmp_path, monkeypatch):
     # solve-placement writes only the placement, so it solves no min-MLU
     # routing; its rows are the placement of plan_placement_optimized

@@ -425,6 +425,38 @@ def test_compare_schemes_parallel_jobs_match_sequential():
     assert [r.intervals for r in seq.reports] == [r.intervals for r in par.reports]
 
 
+def test_jobs_capped_at_the_number_of_runs(monkeypatch):
+    # the pool starts all of max_workers at once, so it must not ask for
+    # more workers than runs; a fake pool runs the tasks in this process
+    from concurrent import futures
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
+    topo = _origin_triangle()
+    catalog, reqs = _daily_trace(2)
+    schemes = [SchemeSpec("lru", "inversecap", "closest", storage_ratio=1.0),
+               SchemeSpec("optimized", "inversecap", "closest",
+                          storage_ratio=2.0)]
+    table = compare_schemes(topo, catalog, reqs, schemes, 3600.0, jobs=10_000)
+    assert asked == [2]
+    assert len(table.reports) == 2
+    compare_schemes(topo, catalog, reqs, schemes[:1], 3600.0, jobs=10_000)
+    assert asked == [2]  # one run needs no pool
+
+
 def test_sweep_storage_ratio_parallel_jobs_match_sequential():
     topo = _origin_triangle()
     catalog, reqs = _daily_trace(2)

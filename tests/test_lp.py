@@ -13,7 +13,8 @@ from cdnte.traffic import apply_routing, check_flow_conservation, mlu
 from cdnte.workload import (ContentObject, DemandMatrix, SynthParams,
                             chunk_objects, generate_synthetic_trace)
 
-from conftest import (make_parallel_paths, make_triangle, make_two_pop,
+from conftest import (MERGE_AND_SPLIT, make_parallel_paths, make_triangle,
+                      make_two_pop,
                       random_digraph, random_symmetric_topology,
                       random_traffic_matrix)
 
@@ -352,54 +353,33 @@ def test_min_mlu_routing_same_for_every_highs_method(monkeypatch):
                     assert abs(frac - b[k][lid]) <= 1e-8, (topo.pops, k, lid)
 
 
-def _merge_and_split():
-    # sources 0 and 1 meet at pop 2, which sends 30% of what it carries
-    # through pop 3 and 70% through pop 4 to the sink, pop 5
-    return parse_topology("\n".join(
-        [f"pop {p} N{p}" for p in range(6)]
-        + ["arc 0 2 10", "arc 1 2 10", "arc 2 3 10", "arc 2 4 10",
-           "arc 3 5 10", "arc 4 5 10", "arc 5 0 10", "arc 5 1 10",
-           "origin 0"]))
-
-
-def test_split_by_source_follows_each_pop_proportionally():
-    topo = _merge_and_split()
-    ids = {(l.src, l.dst): l.id for l in topo.links}
-    # rates 1 and 3 (in units of the largest rate: 1/3 and 1)
-    flow = np.zeros(len(topo.links))
-    for arc, value in {(0, 2): 1 / 3, (1, 2): 1.0, (2, 3): 0.4, (2, 4): 14 / 15,
-                       (3, 5): 0.4, (4, 5): 14 / 15}.items():
-        flow[[l.id for l in topo.links].index(ids[arc])] = value
-    routing = L._split_by_source(topo, 5, flow, [0, 1])
-    for s in (0, 1):
-        assert routing[(s, 5)].keys() == {ids[(s, 2)], ids[(2, 3)],
-                                          ids[(2, 4)], ids[(3, 5)],
-                                          ids[(4, 5)]}
-        assert routing[(s, 5)][ids[(s, 2)]] == 1.0
-        for arc, want in (((2, 3), 0.3), ((3, 5), 0.3), ((2, 4), 0.7),
-                          ((4, 5), 0.7)):
-            assert routing[(s, 5)][ids[arc]] == pytest.approx(want, abs=1e-12)
-    check_flow_conservation(routing, topo, tol=1e-12)
-    loads = apply_routing(routing, {(0, 5): 1.0, (1, 5): 3.0})
-    assert loads[ids[(2, 3)]] == pytest.approx(1.2, abs=1e-12)
-    assert loads[ids[(2, 4)]] == pytest.approx(2.8, abs=1e-12)
-
-
-def test_split_by_source_rejects_cycles_and_stranded_sources():
-    topo = _merge_and_split()
-    ids = [l.id for l in topo.links]
-    at = {(l.src, l.dst): ids.index(l.id) for l in topo.links}
-    flow = np.zeros(len(ids))
-    flow[[at[(0, 2)], at[(2, 3)], at[(3, 5)]]] = 1.0
-    # solver noise below 1e-9 neither routes nor closes a cycle
-    flow[[at[(5, 0)], at[(1, 2)]]] = 1e-10
-    assert L._split_by_source(topo, 5, flow, [0]) == {
-        (0, 5): {topo.links[at[a]].id: 1.0 for a in ((0, 2), (2, 3), (3, 5))}}
-    with pytest.raises(L.SimplexError, match="does not reach its sink"):
-        L._split_by_source(topo, 5, flow, [0, 1])
-    flow[at[(5, 0)]] = 0.5
-    with pytest.raises(L.SimplexError, match="cycle"):
-        L._split_by_source(topo, 5, flow, [0])
+def test_min_mlu_routing_drops_flow_noise_and_fails_on_bad_flow(
+        tmp_path, monkeypatch, capsys):
+    # a stage-2 flow at solver-noise level neither routes nor closes a
+    # cycle; a flow that strands a source or has a cycle is a failure
+    # (exit 2), named by its sink
+    from cdnte.cli import main
+    topo = parse_topology(MERGE_AND_SPLIT)
+    at = {(l.src, l.dst): topo.link_at[l.id] for l in topo.links}
+    flow = np.zeros(1 + len(topo.links))  # alpha, then links toward pop 5
+    flow[[1 + at[(0, 2)], 1 + at[(2, 3)], 1 + at[(3, 5)]]] = 1.0
+    flow[[1 + at[(5, 0)], 1 + at[(1, 2)]]] = 1e-10
+    monkeypatch.setattr(L, "solve_lp_auto", lambda lp: L.LpSolution(
+        "optimal", 1.0, flow.copy()))
+    routing = L.solve_min_mlu_routing(topo, {(0, 5): 1.0})
+    assert routing[(0, 5)] == {topo.links[at[a]].id: 1.0
+                               for a in ((0, 2), (2, 3), (3, 5))}
+    with pytest.raises(L.SimplexError, match=r"\(1, 5\) does not reach its sink"):
+        L.solve_min_mlu_routing(topo, {(0, 5): 1.0, (1, 5): 1.0})
+    flow[1 + at[(5, 0)]] = 0.5
+    with pytest.raises(L.SimplexError, match="toward pop 5 has a cycle"):
+        L.solve_min_mlu_routing(topo, {(0, 5): 1.0})
+    topo_path = tmp_path / "topo.txt"
+    topo_path.write_text(MERGE_AND_SPLIT, encoding="utf-8")
+    matrix = tmp_path / "tm.csv"
+    matrix.write_text("src_pop,dst_pop,rate_mbps\n0,5,1\n", encoding="utf-8")
+    assert main(["solve-routing", str(topo_path), str(matrix)]) == 2
+    assert "cycle" in capsys.readouterr().err
 
 
 def test_min_mlu_routing_leaves_unresolved_rates_on_inversecap():

@@ -5,9 +5,10 @@ import pytest
 
 from cdnte import (TopologyError, all_pairs_distances, inverse_cap_weights,
                    parse_topology, shortest_path_routes)
+from cdnte.topology import _TIE_REL, _dijkstra_to
 from cdnte.traffic import check_flow_conservation
 
-from conftest import make_triangle, random_digraph
+from conftest import make_triangle, random_digraph, random_symmetric_topology
 
 
 def test_parse_two_pop():
@@ -115,6 +116,60 @@ def test_ecmp_flow_conservation_random():
         routes = shortest_path_routes(topo, inverse_cap_weights(topo))
         assert len(routes) == len(topo.pops) * (len(topo.pops) - 1)
         check_flow_conservation(routes, topo, tol=1e-9)
+
+
+def _ecmp_reference(topo, w):
+    """ECMP as a per-source loop: each source's unit, pushed through the
+    pops in decreasing distance to the destination (then by pop id), split
+    evenly over each pop's shortest-path out-links."""
+    routes = {}
+    for t in topo.pops:
+        dist = _dijkstra_to(topo, w, t)
+        dag = {}
+        for l in topo.links:
+            target = w[l.id] + dist[l.dst]
+            if abs(dist[l.src] - target) <= _TIE_REL * (1.0 + abs(target)):
+                dag.setdefault(l.src, []).append(l)
+        order = sorted((p for p in topo.pops if p != t),
+                       key=lambda p: (-dist[p], p))
+        for s in topo.pops:
+            if s == t:
+                continue
+            mass, fracs = {s: 1.0}, {}
+            for u in order:
+                mu = mass.get(u, 0.0)
+                if mu == 0.0:
+                    continue
+                share = mu / len(dag[u])
+                for l in dag[u]:
+                    fracs[l.id] = fracs.get(l.id, 0.0) + share
+                    mass[l.dst] = mass.get(l.dst, 0.0) + share
+            routes[(s, t)] = fracs
+    return routes
+
+
+def _five_by_five():
+    """Pop 0 links to pops 1-5, each of them to all of pops 6-10, and each
+    of those to pop 11: toward pop 11, each fifth that pop 0 sends splits
+    five ways again, and 0.2 * (1 / 5) != 0.2 / 5 in floating point."""
+    lines = [f"pop {p} N{p}" for p in range(12)]
+    lines += [f"link 0 {a} 10" for a in range(1, 6)]
+    lines += [f"link {a} {b} 10" for a in range(1, 6) for b in range(6, 11)]
+    lines += [f"link {b} 11 10" for b in range(6, 11)]
+    return parse_topology("\n".join(lines + ["origin 0"]))
+
+
+def test_ecmp_equals_per_source_reference_exactly():
+    # the same links and the same floats as the per-source loop, under
+    # InverseCap and uniform weights
+    rng = random.Random(19)
+    topos = [random_digraph(rng.randint(3, 9), rng) for _ in range(15)]
+    topos += [random_symmetric_topology(rng.randint(4, 20), seed)
+              for seed in range(15)]
+    topos += [random_symmetric_topology(20, seed=42), _five_by_five()]
+    for topo in topos:
+        for w in (inverse_cap_weights(topo), {l.id: 1.0 for l in topo.links}):
+            assert shortest_path_routes(topo, w) == _ecmp_reference(topo, w)
 
 
 def _bfs_hops(topo, src):

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from cdnte import parse_topology
-from cdnte.traffic import (apply_routing, mlu, read_traffic_matrix,
+from cdnte.traffic import (apply_routing, check_flow_conservation, mlu,
+                           read_traffic_matrix, split_by_source,
                            validate_traffic_matrix, write_traffic_matrix)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
 
-from conftest import random_digraph, random_traffic_matrix
+from conftest import MERGE_AND_SPLIT, random_digraph, random_traffic_matrix
 
 
 def test_apply_single_commodity(two_pop):
@@ -87,3 +88,43 @@ def test_matrix_csv_errors():
             read_traffic_matrix(f"0,1,5\n1,0,{rate}\n")
     with pytest.raises(ValueError):
         validate_traffic_matrix({(0, 0): 1.0})
+
+
+def test_split_by_source_follows_each_pop_proportionally():
+    topo = parse_topology(MERGE_AND_SPLIT)
+    ids = {(l.src, l.dst): l.id for l in topo.links}
+    # rates 1 and 3 (in units of the largest rate: 1/3 and 1); pop 2
+    # sends 30% of what it carries through pop 3 and 70% through pop 4
+    flow = [0.0] * len(topo.links)
+    for arc, value in {(0, 2): 1 / 3, (1, 2): 1.0, (2, 3): 0.4, (2, 4): 14 / 15,
+                       (3, 5): 0.4, (4, 5): 14 / 15}.items():
+        flow[topo.link_at[ids[arc]]] = value
+    routing = split_by_source(topo, 5, flow, [0, 1], topo.pop_at.__getitem__)
+    for s in (0, 1):
+        assert routing[(s, 5)].keys() == {ids[(s, 2)], ids[(2, 3)],
+                                          ids[(2, 4)], ids[(3, 5)],
+                                          ids[(4, 5)]}
+        assert routing[(s, 5)][ids[(s, 2)]] == 1.0
+        for arc, want in (((2, 3), 0.3), ((3, 5), 0.3), ((2, 4), 0.7),
+                          ((4, 5), 0.7)):
+            assert routing[(s, 5)][ids[arc]] == pytest.approx(want, abs=1e-12)
+    check_flow_conservation(routing, topo, tol=1e-12)
+    loads = apply_routing(routing, {(0, 5): 1.0, (1, 5): 3.0})
+    assert loads[ids[(2, 3)]] == pytest.approx(1.2, abs=1e-12)
+    assert loads[ids[(2, 4)]] == pytest.approx(2.8, abs=1e-12)
+
+
+def test_split_by_source_rejects_cycles_and_stranded_sources():
+    topo = parse_topology(MERGE_AND_SPLIT)
+    at = {(l.src, l.dst): topo.link_at[l.id] for l in topo.links}
+    flow = [0.0] * len(topo.links)
+    for arc in ((0, 2), (2, 3), (3, 5)):
+        flow[at[arc]] = 1.0
+    key = topo.pop_at.__getitem__
+    assert split_by_source(topo, 5, flow, [0], key) == {
+        (0, 5): {topo.links[at[a]].id: 1.0 for a in ((0, 2), (2, 3), (3, 5))}}
+    with pytest.raises(ValueError, match=r"\(1, 5\) does not reach its sink"):
+        split_by_source(topo, 5, flow, [0, 1], key)
+    flow[at[(5, 0)]] = 0.5
+    with pytest.raises(ValueError, match="toward pop 5 has a cycle"):
+        split_by_source(topo, 5, flow, [0], key)
