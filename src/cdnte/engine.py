@@ -10,6 +10,7 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import add, truediv
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -20,7 +21,7 @@ from .placement import (CacheState, Placement, induced_traffic_matrix,
 from .redirection import (path_table, redirect_closest,
                           redirect_utilization_aware, serve_reason)
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
-                      apply_routing, check_flow_conservation, mlu,
+                      apply_routing, check_flow_conservation,
                       validate_traffic_matrix)
 from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
                        Trace, aggregate_demand, chunk_objects)
@@ -261,6 +262,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     origin_of = [origins[cid] for cid in trace.content_ids]
 
     rank = topo.ic_rank
+    capacities = [l.capacity for l in topo.links]
     use_util_aware = scheme.redirection == "utilization-aware"
     combined_transit = (scheme.transit is not None
                         and scheme.transit.mode == "combined")
@@ -311,9 +313,9 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
             transit_loads = apply_routing(
                 routing if combined_transit else topo.ic_routes,
                 scheme.transit.tm)
-        if use_util_aware:
-            paths = path_table(topo, routing)
-            transit_row = [transit_loads.get(l.id, 0.0) for l in topo.links]
+        # the day's routes and transit loads, by link position
+        paths = path_table(topo, routing)
+        transit_row = [transit_loads.get(l.id, 0.0) for l in topo.links]
 
         if collect_placements:
             report.placements.extend(placement_rows(day, placement))
@@ -400,17 +402,22 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                              serve_reason(client, server, origin)))
             req_pos = iv_pos
 
-            tm: TrafficMatrix = {k: b * 8.0 / iv_len
-                                 for k, b in sorted(commodity_bytes.items())}
-            loads = apply_routing(routing, tm)
-            for link_id, extra in transit_loads.items():
-                loads[link_id] = loads.get(link_id, 0.0) + extra
-            value = mlu(loads, topo)
+            # apply_routing and mlu by link position: per link, the
+            # commodities in sorted order and then transit, so the sums
+            # are the same floats
+            loads = [0.0] * len(capacities)
+            for (server, client), b in sorted(commodity_bytes.items()):
+                rate = b * 8.0 / iv_len
+                for pos, frac, _ in paths[client][server]:
+                    loads[pos] += rate * frac
+            value = max(map(truediv, map(add, loads, transit_row), capacities))
             day_mlus.append(value)
             report.intervals.append((day, iv_start, value))
             if collect_matrices:
                 report.interval_matrices.append(dict(sorted(commodity_bytes.items())))
 
+        # the day's rows and routes go before the next day's planner runs
+        del times, columns, paths
         if day_served > 0:
             hit_ratio = (day_served - day_origin) / day_served
             origin_fraction = day_origin / day_served

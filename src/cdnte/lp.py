@@ -4,18 +4,23 @@ program builders for min-MLU routing and joint placement+routing.
 All programs are minimizations. Variables have a finite lower bound
 (default 0) and an optional finite upper bound. Constraint senses are
 "<=", "=", ">=".
+
+scipy is imported where a program is first turned into a matrix or
+solved, so a run that solves no program never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .traffic import RoutingSolution, TrafficMatrix, split_by_source
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 FEAS_TOL = 1e-7     # constraint satisfaction, after row scaling
 DUAL_TOL = 1e-6     # relative duality gap at reported optima
@@ -50,7 +55,7 @@ class LinearProgram:
         self._names: Set[str] = set()
         self._coo = [(np.empty(0, np.int64), np.empty(0, np.int64),
                       np.empty(0))]
-        self._csr = sp.csr_matrix((0, 0))
+        self._csr: Optional[sp.csr_matrix] = None
 
     @property
     def num_vars(self) -> int:
@@ -118,10 +123,12 @@ class LinearProgram:
 
     def matrix(self) -> sp.csr_matrix:
         """The rows as one num_rows x num_vars CSR matrix."""
-        if self._csr.shape != (self.num_rows, self.num_vars):
+        shape = (self.num_rows, self.num_vars)
+        if self._csr is None or self._csr.shape != shape:
+            import scipy.sparse as sp
+
             rows, cols, coefs = map(np.concatenate, zip(*self._coo))
-            self._csr = sp.csr_matrix((coefs, (rows, cols)),
-                                      shape=(self.num_rows, self.num_vars))
+            self._csr = sp.csr_matrix((coefs, (rows, cols)), shape=shape)
         return self._csr
 
 
@@ -169,6 +176,7 @@ def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
     optimum: every bound and row holds within FEAS_TOL (after row
     scaling), and the primal and dual objectives agree within DUAL_TOL.
     A failed certificate raises SimplexError, never a silent wrong answer."""
+    import scipy.sparse as sp
     from scipy.optimize import linprog
 
     # linprog takes "<=" rows and "=" rows; ">=" rows go in negated

@@ -248,20 +248,34 @@ def shortest_path_routes(topo: Topology, w: WeightMap) -> RoutingSolution:
 
     At each node the commodity's mass splits evenly across all outgoing
     links that lie on some minimum-weight path to the destination.
+    Weights so far apart that the lightest link is within the tie
+    tolerance of a path length are rejected, naming the lightest and the
+    heaviest link: paths with and without that link would tie.
     """
     for link_id, weight in w.items():
         if not (weight > 0) or weight == float("inf"):
             raise TopologyError(f"weight for link {link_id} must be positive "
                                 "and finite")
+    light = min(w, key=w.__getitem__, default=None)
+    heavy = max(w, key=w.__getitem__, default=None)
     routes: RoutingSolution = {}
     for t in topo.pops:
         dist = _dijkstra_to(topo, w, t)
-        # weight 1 on each link of some shortest path to t
+        if light is not None and \
+                w[light] <= 2 * _TIE_REL * (1.0 + max(dist.values())):
+            raise TopologyError(
+                f"links {light} and {heavy} weigh {w[light]:g} and "
+                f"{w[heavy]:g}: too far apart for float path lengths to "
+                f"tell a path through link {light} from one without it")
+        # weight 1 on each link of some shortest path to t that lies more
+        # than half its weight downhill, so that a link and its reverse
+        # never both tie
         on_dag = []
         for l in topo.links:
             target = w[l.id] + dist[l.dst]
             on_dag.append(1.0 if abs(dist[l.src] - target)
-                          <= _TIE_REL * (1.0 + abs(target)) else 0.0)
+                          <= _TIE_REL * (1.0 + abs(target))
+                          and dist[l.src] - dist[l.dst] > w[l.id] / 2 else 0.0)
         routes.update(split_by_source(
             topo, t, on_dag, [p for p in topo.pops if p != t],
             key=lambda p: (-dist[p], p)))

@@ -10,9 +10,9 @@ interchangeable. In memory a trace is one `Trace`: a column per field.
 from __future__ import annotations
 
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -285,28 +285,52 @@ def _skipped(line: str) -> bool:
 def _plain_block(lines: List[str], pop_list: Optional[List[int]],
                  catalog: Optional[Catalog]) -> Optional[_Block]:
     """The block's columns when every line is a row with four fields that
-    passes every check of `_scan_block`, else None. A line that
-    `_scan_block` skips never passes: it is blank, or its first field is
-    not a number."""
-    n = len(lines)
-    if list(map(str.count, lines, repeat(",", n))).count(3) != n:
+    passes every check of `_scan_block`, else None. Empty lines are
+    skipped, as `_scan_block` skips them; any other line that it skips
+    never passes: it is blank, or its first field is not a number.
+
+    numpy's C reader reads the block. Where it and float()/int() of the
+    stripped field could disagree, the block is refused instead:
+    underscores, non-ASCII digits and integers beyond int64 fail to read;
+    a numeric field with a non-ASCII character is refused before reading
+    (the reader takes some such characters for digits); a NUL is refused
+    (a fixed-width string drops trailing NULs). The id field is as wide
+    as the longest line, so no id is cut, and padded ids are stripped
+    here as `_scan_block` strips them."""
+    if not lines:
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0), empty, empty, [], empty
+    text = "\n".join(lines)
+    width = max(map(len, lines))
+    # the id field would take more than 8 bytes per character of text
+    # (32 for non-ASCII ids): a long line among many short ones
+    if "\0" in text or width * len(lines) > 8 * len(text):
         return None
-    fields = ",".join(lines).split(",") if lines else []
-    # float() and int() ignore the padding that str.strip() removes, or
-    # raise (on "\x1f", which str.strip() removes too)
+    ascii_block = text.isascii()
+    if not (ascii_block or all(map(_ascii_numbers, lines))):
+        return None
+    # ASCII ids as bytes: a quarter of the memory of str
+    dtype = np.dtype([("ts", np.float64), ("pop", np.int64),
+                      ("id", np.bytes_ if ascii_block else np.str_, width),
+                      ("nbytes", np.int64)])
     try:
-        ts = np.array(list(map(float, fields[0::4])), dtype=np.float64)
-        pops = np.array(list(map(int, fields[1::4])), dtype=np.int64)
-        nbytes = np.array(list(map(int, fields[3::4])), dtype=np.int64)
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            # a block the reader warns on (one with no data) is refused,
+            # so no warning is printed
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+    except (ValueError, Warning):
         return None
+    # copies, so that the wide rows are freed with the block
+    ts, pops, nbytes = (rows[f].copy() for f in ("ts", "pop", "nbytes"))
     if not (np.isfinite(ts).all() and (ts >= 0).all() and (nbytes > 0).all()):
         return None
     if pop_list is not None and not np.isin(pops, pop_list).all():
         return None
-    raw = fields[2::4]
+    raw = rows["id"].tolist()
     raw_code = {cid: k for k, cid in enumerate(dict.fromkeys(raw))}
-    ids = [cid.strip() for cid in raw_code]
+    ids = [(cid.decode() if ascii_block else cid).strip() for cid in raw_code]
     if not all(ids):
         return None
     codes = np.array(list(map(raw_code.__getitem__, raw)), dtype=np.int64)
@@ -318,6 +342,12 @@ def _plain_block(lines: List[str], pop_list: Optional[List[int]],
         if (nbytes > sizes[codes]).any():
             return None
     return ts, pops, codes, ids, nbytes
+
+
+def _ascii_numbers(line: str) -> bool:
+    """Whether `line` has four fields and its three numbers are ASCII."""
+    parts = line.split(",")
+    return len(parts) == 4 and (parts[0] + parts[1] + parts[3]).isascii()
 
 
 def _scan_block(lines: List[str], lineno: int,

@@ -283,6 +283,52 @@ def test_python_m_cdnte_runs_the_cli():
     assert "solve-placement" in proc.stdout
 
 
+_NO_SCIPY_RUN = """
+import sys
+from cdnte import lp
+from cdnte.cli import main
+assert main(["gen-trace", "--config", "gen.cfg", "--out", "gen"]) == 0
+assert main(["simulate", "--config", "lru.cfg", "--out", "lru"]) == 0
+assert main(["report", "lru/report.csv", "--out", "lru"]) == 0
+print("before", [m for m in sys.modules if m.partition(".")[0] == "scipy"])
+gaps, solve = [], lp.solve_lp
+def recorded(*args, **kwargs):
+    solution = solve(*args, **kwargs)
+    gaps.append(solution.duality_gap)
+    return solution
+lp.solve_lp = recorded
+assert main(["simulate", "--config", "opt.cfg", "--out", "opt"]) == 0
+print("after", len(gaps), max(gaps) <= lp.DUAL_TOL,
+      "scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_at_the_first_solve(tmp_path):
+    # gen-trace, and simulate and report on lru inversecap schemes, solve
+    # no program and never import scipy; an optimized scheme in the same
+    # process then solves its programs and certifies each optimum
+    _write(tmp_path, "topo.txt", TOPO)
+    _write(tmp_path, "gen.cfg", SYNTH_CFG)
+    inputs = "topology = topo.txt\ntrace = gen/trace.csv\n" \
+             "catalog = gen/catalog.csv\ninterval_s = 1800\n"
+    _write(tmp_path, "lru.cfg", inputs
+           + "scheme = lru inversecap closest ratio=1\n"
+           + "scheme = lru inversecap utilization-aware ratio=1\n")
+    _write(tmp_path, "opt.cfg", inputs
+           + "scheme = optimized inversecap closest ratio=3\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = {line.split()[0]: line.split(None, 1)[1]
+             for line in proc.stdout.splitlines()}
+    assert lines["before"] == "[]"
+    solved, certified, loaded = lines["after"].split()
+    assert int(solved) > 0 and certified == "True" and loaded == "True"
+
+
 def _solve_placement_and_dump(tmp_path, scheme, day):
     """solve-placement --day `day` and simulate --dump-placements on the
     same 4-PoP, 3-day config: (planned rows, dumped rows)."""

@@ -5,6 +5,7 @@ import pytest
 
 from cdnte import (TopologyError, all_pairs_distances, inverse_cap_weights,
                    parse_topology, shortest_path_routes)
+from cdnte.cli import main
 from cdnte.topology import _TIE_REL, _dijkstra_to
 from cdnte.traffic import check_flow_conservation
 
@@ -218,6 +219,28 @@ def test_path_distance_triangle_inequality():
             for b in topo.pops:
                 for c in topo.pops:
                     assert d[(a, c)] <= d[(a, b)] + d[(b, c)] + 1e-9
+
+
+def test_ecmp_capacity_spread(tmp_path, capsys):
+    # a 1 bit/s link beside a 10 Tbit/s one weighs 1e13 InverseCap units:
+    # the fast link's weight 1 is within the tie tolerance of that length,
+    # so the topology is refused, naming both links (link 0 is 0->1,
+    # link 2 is 1->2), with exit code 1
+    text = ("pop 0 A\npop 1 B\npop 2 C\nlink 0 1 10000000\n"
+            "link 1 2 0.000001\norigin 0\n")
+    with pytest.raises(TopologyError, match="links 0 and 2 weigh 1 and 1e"):
+        parse_topology(text).ic_routes
+    topo_path, tm_path = tmp_path / "topo.txt", tmp_path / "tm.csv"
+    topo_path.write_text(text)
+    tm_path.write_text("src_pop,dst_pop,rate_mbps\n0,2,1\n")
+    assert main(["solve-routing", str(topo_path), str(tm_path)]) == 1
+    assert "links 0 and 2" in capsys.readouterr().err
+    # a 1e7 spread routes: one path each way, as the hop-count oracle has it
+    topo = parse_topology(text.replace("0.000001", "1"))
+    routes = topo.ic_routes
+    check_flow_conservation(routes, topo, tol=0.0)
+    assert routes[(0, 2)] == {0: 1.0, 2: 1.0}
+    assert routes[(2, 0)] == {3: 1.0, 1: 1.0}
 
 
 def test_unreachable_reported_defensively(parallel_paths):

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,8 @@ def _reference_parse_trace(text, pops=None, catalog=None):
             if nbytes > catalog[content].size:
                 raise TraceError(
                     f"trace row {lineno}: request exceeds object size")
+        if not (-2 ** 63 <= pop < 2 ** 63 and nbytes < 2 ** 63):
+            raise TraceError(f"trace row {lineno}: number out of range")
         requests.append((ts, pop, content, nbytes))
         if nbytes > max_bytes.get(content, 0):
             max_bytes[content] = nbytes
@@ -249,8 +252,9 @@ def _reference_parse_trace(text, pops=None, catalog=None):
 FAULTS = {
     "fields": lambda rng, row: ",".join(row[:rng.choice([1, 3])]
                                         + ["x"] * rng.choice([0, 2])),
+    # numpy's integer reader reads "\u01fe" as the digit 462
     "malformed": lambda rng, row: ",".join(
-        [row[0], rng.choice(["1.5", "p", ""]), row[2], row[3]]),
+        [row[0], rng.choice(["1.5", "1e3", "p", "", "\u01fe"]), row[2], row[3]]),
     "empty content": lambda rng, row: ",".join([row[0], row[1], " ", row[3]]),
     "non-finite": lambda rng, row: ",".join(
         [rng.choice(["inf", "nan", "-inf"])] + row[1:]),
@@ -259,23 +263,43 @@ FAULTS = {
     "pop": lambda rng, row: ",".join([row[0], "7"] + row[2:]),
     "content": lambda rng, row: ",".join(row[:2] + ["zzz"] + row[3:]),
     "size": lambda rng, row: ",".join(row[:3] + ["10_001"]),
+    "range": lambda rng, row: ",".join(
+        rng.choice([row[:3] + [str(2 ** 63)],
+                    [row[0], str(-2 ** 63 - 1)] + row[2:]])),
 }
+
+# Ids: short ones; one longer than the numbers beside it; non-ASCII ones;
+# one ending in a NUL, which a fixed-width numpy string would drop.
+TRACE_IDS = ([f"c{k}" for k in range(9)]
+             + ["c-" + "long" * 12, "é1", "ид", "c1\x00"])
+# so long that a block of short rows around it is read row by row
+LONG_ID = "L" * 300
 
 
 def _random_trace_text(rng, n_rows, fault=None, fault_at=None):
-    """A trace with padded fields, `1_000`-style numbers, comments, blank
-    and header lines anywhere, equal and out-of-order timestamps, mixed
-    line endings and, if asked, one bad row at `fault_at`."""
+    """A trace with padded fields (ASCII and not), ids from `TRACE_IDS`
+    and, in some traces, one `LONG_ID` in the middle, numbers written as
+    `1_000`, `1e3`, `+5`, `-0` or with a non-ASCII
+    digit, comments, blank and header lines anywhere, equal and
+    out-of-order timestamps, mixed line endings and, if asked, one bad
+    row at `fault_at`."""
     lines = []
     t = 0.0
     for k in range(n_rows):
         t = max(0.0, t + rng.choice([0.0, 0.0, 1.25, 7.5, -3.0]))
-        row = [f"{t:g}", str(rng.randrange(4)), f"c{rng.randrange(9)}",
+        pop = rng.randrange(4)
+        row = [f"{t:g}", str(pop), rng.choice(TRACE_IDS[:9] * 4 + TRACE_IDS),
                str(rng.randint(1, 10_000))]
+        if k == n_rows // 2 and rng.random() < 0.3:
+            row[2] = LONG_ID
         if rng.random() < 0.05:
             row[3] = f"{int(row[3]):_}"
+        if rng.random() < 0.1:
+            row[0] = rng.choice([f"{t:e}", f"+{t:g}", "-0" if t == 0 else row[0]])
+            row[1] = {0: "-0", 3: "\u0663"}.get(pop, f"+{pop}")
+            row[3] = "+" + row[3]
         if rng.random() < 0.05:
-            pads = ["", " ", "  ", "\t", "\x1f"]
+            pads = ["", " ", "  ", "\t", "\x1f", "\xa0", "\u3000"]
             row = [rng.choice(pads) + f + rng.choice(pads) for f in row]
         line = ",".join(row)
         if fault is not None and k == fault_at:
@@ -316,7 +340,7 @@ def test_parse_trace_matches_row_loop_reference(monkeypatch, block_chars):
     from cdnte import workload
     monkeypatch.setattr(workload, "_BLOCK_CHARS", block_chars)
     rng = random.Random(block_chars)
-    catalog = {f"c{k}": ContentObject(f"c{k}", 10_000) for k in range(9)}
+    catalog = {cid: ContentObject(cid, 10_000) for cid in TRACE_IDS + [LONG_ID]}
     seen = set()
     for case in range(120):
         n_rows = rng.randint(1, 60)
@@ -336,11 +360,34 @@ def test_parse_trace_matches_row_loop_reference(monkeypatch, block_chars):
 def test_parse_trace_names_bad_row_after_first_block(fault):
     # about 20k rows at the real block size: the bad row is past the first
     rng = random.Random(len(fault))
-    catalog = {f"c{k}": ContentObject(f"c{k}", 10_000) for k in range(9)}
+    catalog = {cid: ContentObject(cid, 10_000) for cid in TRACE_IDS + [LONG_ID]}
     text = _random_trace_text(rng, 20_000, fault, 19_000)
     got, expected = _parse_both(text, [0, 1, 2, 3], catalog)
     assert isinstance(expected, str) and int(expected.split()[2][:-1]) > 19_000
     assert got == expected
+
+
+@pytest.mark.parametrize("line", [
+    "1,\u01fe,c0,5", "1,0,c0,5\u01fe", "1,\u0663,c0,5", "\u0661,0,c0,5",
+    "1,0,c0\x00,5", "1,0,\x00,5", "1,0, c0\xa0,5", "1,0,\x1fc0\x1f,5",
+    "1_0,0,c0,5", "1,0,c0,2.0",
+    "1,0,c0,1e3", "1e3,+2,c0,+5", "-0,-0,c0,5", "1,0,c0,9223372036854775808",
+    "1,0,é" + "x" * 40 + ",5", "1,0,c0," + "9" * 30])
+def test_parse_trace_reader_traps_match_reference(line):
+    # one trap among plain rows, with and without a catalog
+    text = "".join(f"{k},1,c{k % 2},5\n" for k in range(6)) + line + "\n"
+    for catalog in (None, {cid: ContentObject(cid, 10 ** 6)
+                           for cid in ("c0", "c1", "c0\x00")}):
+        got, expected = _parse_both(text, None, catalog)
+        assert got == expected
+
+
+def test_parse_trace_of_blank_lines_warns_nothing():
+    # numpy's reader warns on a block with no data; parse_trace must not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        catalog, trace = parse_trace("\n\n\n\n")
+    assert caught == [] and catalog == {} and len(trace) == 0
 
 
 def test_parse_trace_rejects_numbers_beyond_int64():
