@@ -23,8 +23,8 @@ certificate tolerances are the fixed `lp.FEAS_TOL` and `lp.DUAL_TOL`.
     synth.requests_per_day = 30000
     synth.days = 7
     synth.churn = 0.2
-    synth.size_min_mb = 4
-    synth.size_max_mb = 64
+    synth.size_min_mb = 4          # MB values, here and in chunk_mb, must
+    synth.size_max_mb = 64         # come to whole bytes (10^6 per MB)
     synth.diurnal_peak_ratio = 3
     synth.pop_weights = uniform    # or comma-separated per sorted pop id
 """
@@ -36,12 +36,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .engine import SchemeSpec, TransitSpec, ValidationError
-from .traffic import finite_float, read_traffic_matrix
+from .traffic import exact_millions, finite_float, read_traffic_matrix
 from .workload import SynthParams
 
 
 class ConfigError(ValidationError):
     pass
+
+
+def _mb_bytes(text: str) -> int:
+    nbytes = exact_millions(text, "byte")
+    if abs(nbytes) >= 2 ** 63:
+        raise ValueError(f"{text!r} MB is beyond int64 bytes")
+    return nbytes
 
 
 _SYNTH_FIELDS = {
@@ -50,8 +57,8 @@ _SYNTH_FIELDS = {
     "synth.requests_per_day": ("requests_per_day", int),
     "synth.days": ("days", int),
     "synth.churn": ("churn", finite_float),
-    "synth.size_min_mb": ("size_min", lambda v: int(finite_float(v) * 1_000_000)),
-    "synth.size_max_mb": ("size_max", lambda v: int(finite_float(v) * 1_000_000)),
+    "synth.size_min_mb": ("size_min", _mb_bytes),
+    "synth.size_max_mb": ("size_max", _mb_bytes),
     "synth.diurnal_peak_ratio": ("diurnal_peak_ratio", finite_float),
 }
 
@@ -95,9 +102,7 @@ def _parse_scheme(value: str, base_dir: str) -> SchemeSpec:
             if key == "ratio":
                 spec.storage_ratio = finite_float(val)
             elif key == "chunk_mb":
-                spec.chunk_size = int(finite_float(val) * 1_000_000)
-            elif key == "chunk_bytes":
-                spec.chunk_size = int(val)
+                spec.chunk_size = _mb_bytes(val)
             elif key == "reserve":
                 spec.hybrid_reserve = finite_float(val)
             elif key == "name":
@@ -113,7 +118,7 @@ def _parse_scheme(value: str, base_dir: str) -> SchemeSpec:
                 spec.transit = TransitSpec(tm, mode)
             else:
                 raise ConfigError(f"unknown scheme option {key!r}")
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad scheme option {tok!r}: {exc}") from None
     spec.validate()
     return spec
@@ -182,7 +187,7 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
             attr, cast = _SYNTH_FIELDS[key]
             try:
                 setattr(params, attr, cast(val))
-            except (ValueError, OverflowError):
+            except ValueError:
                 raise ConfigError(f"bad value for {key}: {val!r}") from None
         cfg.synth = params
 

@@ -456,7 +456,12 @@ def _run_all(topo, catalog: Catalog, trace: Trace,
     """One report per scheme, in order, from min(jobs, runs) worker
     processes if above 1. Only the first run collects decisions and
     placements. Runs in this process share `plans` (a new table if None);
-    each worker process plans for itself, which gives the same results."""
+    each worker process plans for itself, which gives the same results.
+    If two schemes share a label, every run's label gets "#<position>"."""
+    labels = [s.label() for s in schemes]
+    if len(set(labels)) != len(labels):
+        schemes = [dataclasses.replace(s, name=f"{lab}#{i}")
+                   for i, (s, lab) in enumerate(zip(schemes, labels))]
     tasks = [(topo, catalog, trace, s, interval_s,
               collect_decisions and i == 0, collect_placements and i == 0)
              for i, s in enumerate(schemes)]
@@ -488,11 +493,6 @@ def compare_schemes(topo, catalog: Catalog, trace: Trace,
     to the first scheme's run."""
     if not schemes:
         raise ValidationError("need at least one scheme")
-    labels = [s.label() for s in schemes]
-    if len(set(labels)) != len(labels):
-        labels = [f"{lab}#{i}" for i, lab in enumerate(labels)]
-        for s, lab in zip(schemes, labels):
-            s.name = lab
     reports = _run_all(topo, catalog, trace, schemes, interval_s, jobs,
                        collect_decisions, collect_placements, None)
     days = [d.day for d in reports[0].days]

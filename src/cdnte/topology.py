@@ -16,10 +16,9 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .traffic import RoutingSolution, split_by_source
+from .traffic import RoutingSolution, exact_millions, split_by_source
 
 WeightMap = Dict[int, float]
 
@@ -54,17 +53,16 @@ class Topology:
         # positions in `pops` and `links`, which index every array
         self.pop_at = {p: i for i, p in enumerate(self.pops)}
         self.link_at = {l.id: i for i, l in enumerate(self.links)}
-        self.out_links: Dict[int, Tuple[Link, ...]] = {p: () for p in self.pops}
-        self.in_links: Dict[int, Tuple[Link, ...]] = {p: () for p in self.pops}
+        self._validate()
         out: Dict[int, List[Link]] = {p: [] for p in self.pops}
         inc: Dict[int, List[Link]] = {p: [] for p in self.pops}
         for l in self.links:
             out[l.src].append(l)
             inc[l.dst].append(l)
-        for p in self.pops:
-            self.out_links[p] = tuple(out[p])
-            self.in_links[p] = tuple(inc[p])
-        self._validate()
+        self.out_links = {p: tuple(out[p]) for p in self.pops}
+        self.in_links = {p: tuple(inc[p]) for p in self.pops}
+        if len(self.pops) > 1 and not self._strongly_connected():
+            raise TopologyError("topology is not strongly connected")
 
     @functools.cached_property
     def ic_weights(self) -> WeightMap:
@@ -93,7 +91,7 @@ class Topology:
                 raise TopologyError(f"link {l.id}: capacity must be positive")
             if l.src == l.dst:
                 raise TopologyError(f"link {l.id}: self-loop at pop {l.src}")
-            if l.src not in self.names or l.dst not in self.names:
+            if l.src not in self.pop_at or l.dst not in self.pop_at:
                 raise TopologyError(f"link {l.id}: unknown pop")
             if (l.src, l.dst) in seen_pairs:
                 raise TopologyError(
@@ -101,8 +99,6 @@ class Topology:
             seen_pairs.add((l.src, l.dst))
         if self.origin_pop not in self.names:
             raise TopologyError(f"origin pop {self.origin_pop} not declared")
-        if len(self.pops) > 1 and not self._strongly_connected():
-            raise TopologyError("topology is not strongly connected")
 
     def _strongly_connected(self) -> bool:
         def reaches_all(adjacency):
@@ -124,16 +120,12 @@ class Topology:
 
 def _capacity_bits(field: str, lineno: int) -> int:
     try:
-        mbps = Fraction(field)
-    except (ValueError, ZeroDivisionError):
-        raise TopologyError(f"line {lineno}: bad capacity {field!r}") from None
-    bits = mbps * 1_000_000
-    if bits.denominator != 1:
-        raise TopologyError(
-            f"line {lineno}: capacity {field!r} is finer than 1 bit/sec")
+        bits = exact_millions(field, "bit/sec")
+    except ValueError as exc:
+        raise TopologyError(f"line {lineno}: capacity {exc}") from None
     if bits <= 0:
         raise TopologyError(f"line {lineno}: capacity must be positive")
-    return int(bits)
+    return bits
 
 
 def parse_topology(text: str) -> Topology:
@@ -193,9 +185,6 @@ def parse_topology(text: str) -> Topology:
 
     if origin is None:
         raise TopologyError("no origin directive")
-    for l in links:
-        if l.src not in names or l.dst not in names:
-            raise TopologyError(f"link {l.src}->{l.dst} references unknown pop")
     return Topology(list(names), names, links, origin)
 
 

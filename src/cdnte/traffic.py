@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -151,6 +152,18 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text!r} is not finite")
     return value
+
+
+def exact_millions(text: str, unit: str) -> int:
+    """The decimal `text` millions of `unit` as an exact whole number of
+    `unit`; a ValueError if it is not one."""
+    try:
+        value = Fraction(text) * 1_000_000
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{text!r} is not a number") from None
+    if value.denominator != 1:
+        raise ValueError(f"{text!r} is finer than 1 {unit}")
+    return int(value)
 
 
 def read_traffic_matrix(text: str) -> TrafficMatrix:

@@ -235,10 +235,8 @@ def parse_trace(text: str, pops: Optional[Iterable[int]] = None,
     times, pop_col, codes, nbytes = [], [], [], []
     pos, lineno = 0, 1
     while pos < len(text):
-        # Cut right after a newline, so no line (nor "\r\n") is split. The
-        # first block is the first line, where a header usually is, so
-        # that the rows after it can take the fast path.
-        end = text.find("\n", pos + _BLOCK_CHARS if pos else 0)
+        # cut right after a newline, so no line (nor "\r\n") is split
+        end = text.find("\n", pos + _BLOCK_CHARS)
         end = len(text) if end < 0 else end + 1
         lines = text[pos:end].splitlines()
         block = _plain_block(lines, pop_list, catalog)
@@ -289,29 +287,19 @@ def _plain_block(lines: List[str], pop_list: Optional[List[int]],
     skipped, as `_scan_block` skips them; any other line that it skips
     never passes: it is blank, or its first field is not a number.
 
-    numpy's C reader reads the block. Where it and float()/int() of the
-    stripped field could disagree, the block is refused instead:
-    underscores, non-ASCII digits and integers beyond int64 fail to read;
-    a numeric field with a non-ASCII character is refused before reading
-    (the reader takes some such characters for digits); a NUL is refused
-    (a fixed-width string drops trailing NULs). The id field is as wide
-    as the longest line, so no id is cut, and padded ids are stripped
-    here as `_scan_block` strips them."""
+    numpy's C reader reads the block, each id as the Python string
+    between its commas, stripped here as `_scan_block` strips it. Where
+    the reader and float()/int() of the stripped field could disagree,
+    the block is refused instead: underscores, non-ASCII digits and
+    integers beyond int64 fail to read; a numeric field with a non-ASCII
+    character is refused before reading (the reader takes some such
+    characters for digits)."""
     if not lines:
         empty = np.empty(0, dtype=np.int64)
         return np.empty(0), empty, empty, [], empty
-    text = "\n".join(lines)
-    width = max(map(len, lines))
-    # the id field would take more than 8 bytes per character of text
-    # (32 for non-ASCII ids): a long line among many short ones
-    if "\0" in text or width * len(lines) > 8 * len(text):
+    if not ("".join(lines).isascii() or all(map(_ascii_numbers, lines))):
         return None
-    ascii_block = text.isascii()
-    if not (ascii_block or all(map(_ascii_numbers, lines))):
-        return None
-    # ASCII ids as bytes: a quarter of the memory of str
-    dtype = np.dtype([("ts", np.float64), ("pop", np.int64),
-                      ("id", np.bytes_ if ascii_block else np.str_, width),
+    dtype = np.dtype([("ts", np.float64), ("pop", np.int64), ("id", object),
                       ("nbytes", np.int64)])
     try:
         with warnings.catch_warnings():
@@ -322,7 +310,7 @@ def _plain_block(lines: List[str], pop_list: Optional[List[int]],
                               comments=None, ndmin=1)
     except (ValueError, Warning):
         return None
-    # copies, so that the wide rows are freed with the block
+    # copies, so that the per-row id strings are freed with the block
     ts, pops, nbytes = (rows[f].copy() for f in ("ts", "pop", "nbytes"))
     if not (np.isfinite(ts).all() and (ts >= 0).all() and (nbytes > 0).all()):
         return None
@@ -330,7 +318,7 @@ def _plain_block(lines: List[str], pop_list: Optional[List[int]],
         return None
     raw = rows["id"].tolist()
     raw_code = {cid: k for k, cid in enumerate(dict.fromkeys(raw))}
-    ids = [(cid.decode() if ascii_block else cid).strip() for cid in raw_code]
+    ids = [cid.strip() for cid in raw_code]
     if not all(ids):
         return None
     codes = np.array(list(map(raw_code.__getitem__, raw)), dtype=np.int64)

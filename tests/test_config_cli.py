@@ -387,6 +387,11 @@ def test_solve_placement_lru_plans_nothing(tmp_path):
     ("synth.size_max_mb = inf", "synth.size_max_mb"),
     ("synth.size_min_mb = 1e305", "synth.size_min_mb"),
     ("synth.churn = nan", "synth.churn"),
+    # MB values must come to whole bytes within int64
+    ("synth.size_min_mb = 0.0000005", "synth.size_min_mb"),
+    ("scheme = lru inversecap chunk_mb=1.0000005", "chunk_mb=1.0000005"),
+    ("scheme = lru inversecap chunk_mb=1e13", "chunk_mb=1e13"),
+    ("scheme = lru inversecap chunk_bytes=4", "chunk_bytes"),
 ])
 def test_non_finite_config_values_name_the_key(tmp_path, capsys, line, key):
     _write(tmp_path, "topo.txt", TOPO)
@@ -635,3 +640,25 @@ def test_simulate_sweeps_share_plans(tmp_path, monkeypatch):
         engine_mod.report_csv(own)
     assert open(os.path.join(out, "summary.csv")).read() == \
         engine_mod.summary_csv(own)
+
+
+def test_mb_values_convert_to_exact_bytes(tmp_path):
+    cfg = parse_config(SYNTH_CFG.replace("size_min_mb = 0.001",
+                                         "size_min_mb = 4.1")
+                       .replace("size_max_mb = 0.002", "size_max_mb = 8.2")
+                       + "scheme = lru inversecap closest chunk_mb=4.1\n",
+                       base_dir=str(tmp_path))
+    assert (cfg.synth.size_min, cfg.synth.size_max) == (4_100_000, 8_200_000)
+    assert cfg.schemes[1].chunk_size == 4_100_000
+
+
+def test_sweep_with_a_repeated_ratio_labels_each_run(tmp_path):
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg",
+                      SYNTH_CFG + "storage_ratios = 1,1\n")
+    out = str(tmp_path / "sweep")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
+    rows = open(os.path.join(out, "report.csv")).read().splitlines()[1:]
+    labels = list(dict.fromkeys(row.split(",")[0] for row in rows))
+    assert labels == ["lru+inversecap+closest+r1@r1#0",
+                      "lru+inversecap+closest+r1@r1#1"]

@@ -299,6 +299,10 @@ def test_compare_schemes_single_and_duplicate():
     table2 = compare_schemes(topo, catalog, reqs, dup, 3600.0)
     a, b = table2.schemes
     assert table2.p99[a] == table2.p99[b]
+    # the runs are told apart; the caller's specs keep their names
+    assert (a, b) == ("lru+inversecap+closest+r1#0",
+                      "lru+inversecap+closest+r1#1")
+    assert [s.name for s in dup] == [None, None]
 
 
 def test_sweep_validation_and_full_replication_column(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from cdnte import (TopologyError, all_pairs_distances, inverse_cap_weights,
                    parse_topology, shortest_path_routes)
 from cdnte.cli import main
-from cdnte.topology import _TIE_REL, _dijkstra_to
+from cdnte.topology import _TIE_REL, Link, Topology, _dijkstra_to
 from cdnte.traffic import check_flow_conservation
 
 from conftest import make_triangle, random_digraph, random_symmetric_topology
@@ -51,6 +51,13 @@ def test_parse_errors():
         parse_topology("pop 0 A\nlink 0 0 5\norigin 0\n")
     with pytest.raises(TopologyError, match="unknown pop"):
         parse_topology("pop 0 A\npop 1 B\nlink 0 3 5\norigin 0\n")
+
+
+def test_direct_construction_checks_link_ends():
+    names = {0: "A", 1: "B"}
+    links = [Link(0, 0, 1, 10), Link(1, 1, 0, 10), Link(2, 0, 5, 10)]
+    with pytest.raises(TopologyError, match="link 2: unknown pop"):
+        Topology([0, 1], names, links, 0)
 
 
 def test_parse_fractional_mbps_is_exact():

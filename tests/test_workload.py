@@ -269,10 +269,10 @@ FAULTS = {
 }
 
 # Ids: short ones; one longer than the numbers beside it; non-ASCII ones;
-# one ending in a NUL, which a fixed-width numpy string would drop.
+# one ending in a NUL, which the reader must keep, as str.strip() does.
 TRACE_IDS = ([f"c{k}" for k in range(9)]
              + ["c-" + "long" * 12, "é1", "ид", "c1\x00"])
-# so long that a block of short rows around it is read row by row
+# ten times the length of the rows around it
 LONG_ID = "L" * 300
 
 
@@ -399,25 +399,44 @@ def test_parse_trace_rejects_numbers_beyond_int64():
     assert list(trace.rows()) == [(1.0, -2 ** 63, "a", 2 ** 63 - 1)]
 
 
-def test_parse_trace_comment_lines_keep_blocks_on_the_fast_path(monkeypatch):
-    # "# checkpoint" before every 5000th row parses to the same Trace as
-    # the plain file, without reading any block row by row
+def _mark_comment_lines(k, line):
+    return ("# checkpoint\n" if k and k % 5000 == 0 else "") + line
+
+
+def _mark_long_ids(k, line):
+    if k % 17_000 != 8_000:
+        return line
+    ts, pop, _, nbytes = line.split(",")
+    return ",".join([ts, pop, "L" * 400, nbytes])
+
+
+@pytest.mark.parametrize("mark", [_mark_comment_lines, _mark_long_ids],
+                         ids=["comment lines", "long ids"])
+def test_parse_trace_comment_lines_keep_blocks_on_the_fast_path(monkeypatch,
+                                                                 mark):
+    # "# checkpoint" before every 5000th row, or a 400-character id in
+    # every ~17k-row block, parses without reading any block row by row
     from cdnte import workload
     _, trace = generate_synthetic_trace(
         SynthParams(requests_per_day=12_000, days=3, seed=7), make_triangle())
     lines = write_trace(trace).splitlines(keepends=True)  # header, rows
-    marked = "".join(("# checkpoint\n" if k and k % 5000 == 0 else "") + line
-                     for k, line in enumerate(lines))
+    marked = "".join(mark(k, line) for k, line in enumerate(lines))
     scanned = []
     scan = workload._scan_block
     monkeypatch.setattr(workload, "_scan_block",
                         lambda *args: scanned.append(args[1]) or scan(*args))
-    _, plain = parse_trace("".join(lines))
-    _, got = parse_trace(marked)
-    assert not scanned and marked.count("# checkpoint") == 7
-    assert got.content_ids == plain.content_ids
-    for column in ("timestamps", "pops", "contents", "nbytes"):
-        assert getattr(got, column).tobytes() == getattr(plain, column).tobytes()
+    got, expected = _parse_both(marked, None, None)
+    assert not scanned and got == expected
+    if mark is _mark_comment_lines:
+        _, plain = parse_trace("".join(lines))
+        _, got = parse_trace(marked)
+        assert not scanned and marked.count("# checkpoint") == 7
+        assert got.content_ids == plain.content_ids
+        for column in ("timestamps", "pops", "contents", "nbytes"):
+            assert (getattr(got, column).tobytes()
+                    == getattr(plain, column).tobytes())
+    else:
+        assert marked.count("L" * 400) == 2
     # a bad row among them still names its line of the marked text
     marked_lines = marked.splitlines(keepends=True)
     marked_lines[30_004] = "1.0,0,,5\n"
