@@ -116,7 +116,8 @@ def cmd_simulate(args) -> int:
     if cfg.storage_ratios:
         sweep_lines = ["scheme,storage_ratio,mean_daily_p99_mlu"]
         plans = {}  # shared by every sweep of this invocation
-        for i, scheme in enumerate(cfg.schemes):
+        # one label per sweep, so that no two runs share one
+        for i, scheme in enumerate(engine_mod.distinct_labels(cfg.schemes)):
             rows = engine_mod.sweep_storage_ratio(
                 topo, catalog, trace, scheme, cfg.storage_ratios,
                 interval_s=cfg.interval_s, jobs=cfg.jobs,

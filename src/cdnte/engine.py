@@ -1,23 +1,21 @@
 """Day-loop simulator: per epoch compute each scheme's placement and
-routing, replay requests interval by interval through redirection,
-accumulate traffic matrices and link loads, and report MLU statistics.
+routing, replay the day's requests in array passes (chunk expansion, the
+cache pass, the server pass and integer byte sums), accumulate traffic
+matrices and link loads, and report MLU statistics.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import add, truediv
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import lp as lp_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
-                        plan_placement_optimized, split_hybrid)
+                        plan_placement_optimized, replay_caches, split_hybrid)
 from .redirection import (path_table, redirect_closest,
                           redirect_utilization_aware, serve_reason)
 from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
@@ -150,9 +148,10 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
     return (chunks, origins, *split_hybrid({p: budget for p in topo.pops}, cached))
 
 
-# Plans, and each day's demand, shared by the runs on one trace: `_plan`
-# and `_demand` each key their entries by what the entry is a pure
-# function of, so the two kinds never collide.
+# Plans, each day's demand and the routings already checked, shared by
+# the runs on one trace: `_plan`, `_demand` and `_check_routing` each key
+# their entries by what the entry is a pure function of, so the kinds
+# never collide.
 PlanTable = Dict[tuple, tuple]
 
 
@@ -187,6 +186,286 @@ def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
     return plans[key]
 
 
+def _check_routing(plans: PlanTable, topo, routing: RoutingSolution,
+                   day: int) -> None:
+    """check_flow_conservation, once per routing object and topology in
+    `plans`: routings are only read, so one that passed still does. The
+    entry keeps both, so no other object can take their ids. A routing
+    that fails exits with SimplexError naming the day."""
+    key = ("checked", id(routing), id(topo))
+    if key not in plans:
+        try:
+            check_flow_conservation(routing, topo)
+        except ValueError as exc:
+            raise lp_mod.SimplexError(f"day {day} routing: {exc}") from None
+        plans[key] = (routing, topo)
+
+
+def _expand(codes: np.ndarray, req_bytes: np.ndarray, content_ids: List[str],
+            chunks: ChunkMap, chunk_at: Dict[ChunkId, int],
+            expansions: Dict[Tuple[int, int], Tuple[List[int], List[int]]]
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows as chunk accesses, in trace order: the row, chunk index and
+    bytes of each access. `ChunkMap.request_chunks` runs once per distinct
+    (content, bytes), in order of first appearance, and `expansions`
+    keeps what it returned for later days."""
+    _, size_code = np.unique(req_bytes, return_inverse=True)
+    _, first, inverse = np.unique(codes * (int(size_code.max(initial=0)) + 1)
+                                  + size_code, return_index=True,
+                                  return_inverse=True)
+    pairs = list(zip(codes[first].tolist(), req_bytes[first].tolist()))
+    for k in np.argsort(first).tolist():
+        if pairs[k] not in expansions:
+            code, nbytes = pairs[k]
+            parts = chunks.request_chunks(content_ids[code], nbytes)
+            expansions[pairs[k]] = ([chunk_at[c] for c, _ in parts],
+                                    [b for _, b in parts])
+    parts = [expansions[pair] for pair in pairs]
+    counts = np.array([len(c) for c, _ in parts], dtype=np.int64)
+    flat_chunks = np.array([i for c, _ in parts for i in c], dtype=np.int64)
+    flat_bytes = np.array([b for _, bs in parts for b in bs], dtype=np.int64)
+    per_row = counts[inverse]
+    row = np.repeat(np.arange(len(codes)), per_row)
+    at = _ranges((np.cumsum(counts) - counts)[inverse], per_row)
+    return row, flat_chunks[at], flat_bytes[at]
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges first[i] .. first[i] + counts[i] - 1, one after another."""
+    return np.repeat(first - np.cumsum(counts) + counts, counts) \
+        + np.arange(int(counts.sum()))
+
+
+def _holder_sets(masks: List[int], n_pops: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Bitmasks over pop positions as (id of each mask, table of the
+    distinct masks as a bool matrix: a row per id, a column per pop)."""
+    index: Dict[int, int] = {}
+    ids = np.array([index.setdefault(m, len(index)) for m in masks],
+                   dtype=np.int64)
+    width = (n_pops + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in index),
+                        dtype=np.uint8).reshape(len(index), width)
+    bits = np.unpackbits(raw, axis=1, count=n_pops, bitorder="little")
+    return ids, bits.astype(bool)
+
+
+def _byte_sums(groups: np.ndarray, nbytes: np.ndarray, n: int) -> np.ndarray:
+    """Integer sums of `nbytes` per group 0 .. n - 1."""
+    sums = np.zeros(n, dtype=np.int64)
+    np.add.at(sums, groups, nbytes)
+    return sums
+
+
+# A day is replayed in blocks of whole intervals, of about this many rows
+# and at most this many intervals, so that the block's arrays stay small.
+_BLOCK_ROWS = 1 << 14
+_BLOCK_INTERVALS = 256
+
+
+class _Replay:
+    """One run's replay, a day at a time. Each block of the day's rows is
+    expanded into chunk accesses, the accesses run through the PoP caches
+    in trace order (`replay_caches`), each miss gets its server
+    (`redirect_closest` for the whole block, `redirect_utilization_aware`
+    interval by interval), and the bytes are summed per (interval, server,
+    client) as integers. PoPs are held by position in `topo.pops`, chunks
+    by index in the ChunkMap."""
+
+    def __init__(self, topo, trace: Trace, scheme: SchemeSpec,
+                 chunks: ChunkMap, origins: Dict[str, int],
+                 cache_budgets: Dict[int, int], interval_s: float,
+                 collect_decisions: bool, collect_matrices: bool):
+        self.topo, self.trace, self.chunks = topo, trace, chunks
+        self.interval_s = interval_s
+        self.use_util_aware = scheme.redirection == "utilization-aware"
+        self.collect_decisions = collect_decisions
+        self.collect_matrices = collect_matrices
+        self.chunk_at = {chunk: i for i, chunk in enumerate(chunks.sizes)}
+        self.sizes = list(chunks.sizes.values())
+        self.caches: Optional[List[CacheState]] = None
+        if any(cache_budgets.values()):
+            self.caches = [CacheState(p, cache_budgets[p]) for p in topo.pops]
+        self.cached = [0] * len(self.sizes)  # per chunk, pops caching it
+        # per chunk, the day's planned holders (for replay_caches), and
+        # the chunks that have any
+        self.planned = [0] * len(self.sizes) if self.caches is not None else []
+        self.planned_at: List[int] = []
+        # (chunk indices, bytes) of each (content code, bytes) request
+        self.expansions: Dict[Tuple[int, int],
+                              Tuple[List[int], List[int]]] = {}
+        self.origin_of = np.array([topo.pop_at[origins[cid]]
+                                   for cid in trace.content_ids],
+                                  dtype=np.int64)
+        self.labels = [_chunk_label(c) for c in chunks.sizes] \
+            if collect_decisions else []
+        self.order = np.argsort(topo.ic_rank_matrix, axis=1)
+        self.capacities = np.array([l.capacity for l in topo.links],
+                                   dtype=np.float64)
+
+    def day(self, day: int, placement: Placement, routing: RoutingSolution,
+            transit_loads: LinkLoads, report: MluReport
+            ) -> Tuple[List[float], int, int, TrafficMatrix]:
+        """Replay one day. Appends its intervals, and its decisions and
+        interval matrices if collected, to `report`. Returns the interval
+        MLUs, the bytes served, the bytes the origin served, and the
+        realized matrix in bit/s."""
+        topo, n_pops = self.topo, len(self.topo.pops)
+        # the day's planned holders of each stored chunk, as bitmasks
+        stored: Dict[int, int] = {}
+        for pop, held in placement.stored.items():
+            bit = 1 << topo.pop_at[pop]
+            for chunk in held:
+                i = self.chunk_at[chunk]
+                stored[i] = stored.get(i, 0) | bit
+        if self.caches is None:
+            # holder set 0 is the empty set, for every chunk not stored
+            ids, holder_sets = _holder_sets([0, *stored.values()], n_pops)
+            holder_ids = np.zeros(len(self.sizes), dtype=np.int64)
+            holder_ids[list(stored)] = ids[1:]
+            planned = (holder_ids, holder_sets)
+        else:
+            for i in self.planned_at:
+                self.planned[i] = 0
+            for i, mask in stored.items():
+                self.planned[i] = mask
+            self.planned_at = list(stored)
+            planned = None
+        tables = (path_table(topo, routing), planned,
+                  np.array([transit_loads.get(l.id, 0.0) for l in topo.links]))
+
+        # today's interval boundaries as floats; the last may be shorter
+        n_intervals = int(math.ceil(DAY_SECONDS / self.interval_s))
+        starts = [day * DAY_SECONDS + iv * self.interval_s
+                  for iv in range(n_intervals)]
+        ends = [min(start + self.interval_s, (day + 1) * DAY_SECONDS)
+                for start in starts]
+        rows = self.trace.span(day * DAY_SECONDS, (day + 1) * DAY_SECONDS)
+        row_ends = (rows.start + np.searchsorted(
+            self.trace.timestamps[rows], ends)).tolist()
+
+        day_mlus: List[float] = []
+        served = from_origin = 0
+        commodities, sums = [], []
+        first, begin = 0, rows.start
+        for iv, end in enumerate(row_ends):
+            if (end - begin < _BLOCK_ROWS and iv - first + 1 < _BLOCK_INTERVALS
+                    and iv < n_intervals - 1):
+                continue
+            mlus, b_served, b_origin, b_commodities, b_sums = self._block(
+                day, slice(begin, end), starts[first:iv + 1],
+                ends[first:iv + 1], tables, report)
+            day_mlus += mlus
+            served += b_served
+            from_origin += b_origin
+            commodities.append(b_commodities)
+            sums.append(b_sums)
+            first, begin = iv + 1, end
+
+        # the realized matrix: the day's bytes per (server, client)
+        keys, inverse = np.unique(np.concatenate(commodities),
+                                  return_inverse=True)
+        realized = _byte_sums(inverse, np.concatenate(sums), len(keys))
+        ids = topo.pops
+        return day_mlus, served, from_origin, {
+            (ids[s], ids[c]): b * 8.0 / DAY_SECONDS
+            for (s, c), b in zip((divmod(k, n_pops) for k in keys.tolist()),
+                                 realized.tolist())}
+
+    def _block(self, day: int, rows: slice, starts: List[float],
+               ends: List[float], tables: tuple, report: MluReport):
+        """Replay the rows of the intervals that start at `starts` and end
+        at `ends`, on the day's `tables`: its routes, its planned holders
+        as (holder id per chunk, holder sets) when there are no caches,
+        and its transit loads by link position. Returns their MLUs, the
+        bytes served and served by the origin, and the byte sums per
+        (server, client) commodity, as server position * pop count +
+        client position."""
+        routes, planned, transit = tables
+        trace, ids = self.trace, self.topo.pops
+        n_pops, n_intervals = len(ids), len(starts)
+        lengths = [end - start for start, end in zip(starts, ends)]
+
+        # expand: the chunk accesses in trace order
+        codes = trace.contents[rows]
+        row, chunk, nbytes = _expand(codes, trace.nbytes[rows],
+                                     trace.content_ids, self.chunks,
+                                     self.chunk_at, self.expansions)
+        client = np.searchsorted(ids, trace.pops[rows])[row]
+        origin = self.origin_of[codes][row]
+
+        # cache pass: the misses, and the holders each one saw
+        away = np.flatnonzero(client != origin)
+        if planned is not None:
+            holder_ids, holder_sets = planned
+            holder_ids = holder_ids[chunk[away]]
+            missed = ~holder_sets[holder_ids, client[away]]
+            miss, holder_ids = away[missed], holder_ids[missed]
+        else:
+            missed, masks = replay_caches(
+                self.caches, client[away].tolist(), chunk[away].tolist(),
+                self.sizes, self.planned, self.cached)
+            miss = away[np.array(missed, dtype=np.int64)]
+            holder_ids, holder_sets = _holder_sets(masks, n_pops)
+        m_client, m_origin, m_bytes = client[miss], origin[miss], nbytes[miss]
+        m_iv = np.searchsorted(ends, trace.timestamps[rows],
+                               side="right")[row[miss]]
+
+        # server pass
+        if self.use_util_aware:
+            rates = m_bytes * 8.0 / np.array(lengths)[m_iv]
+            servers = np.empty(len(miss), dtype=np.int64)
+            bounds = np.searchsorted(m_iv, np.arange(n_intervals + 1)).tolist()
+            for lo, hi in zip(bounds, bounds[1:]):
+                if lo < hi:
+                    servers[lo:hi] = redirect_utilization_aware(
+                        m_client[lo:hi], m_origin[lo:hi], holder_ids[lo:hi],
+                        holder_sets, rates[lo:hi], transit.tolist(), routes,
+                        self.order)
+        else:
+            servers = redirect_closest(m_client, m_origin, holder_ids,
+                                       holder_sets, self.order)
+
+        # integer bytes per (interval, server, client), in sorted order
+        n_pairs = n_pops * n_pops
+        keys, inverse = np.unique(
+            (m_iv * n_pops + servers) * n_pops + m_client, return_inverse=True)
+        sums = _byte_sums(inverse, m_bytes, len(keys))
+        key_iv, commodities = keys // n_pairs, keys % n_pairs
+
+        # apply_routing and mlu by link position: np.add.at adds each
+        # link's terms in index order, the commodities in sorted order,
+        # then the transit loads, so the sums are the same floats
+        key_rates = sums * 8.0 / np.array(lengths)[key_iv]
+        n_rows = np.diff(routes.at)[commodities]
+        term = np.repeat(np.arange(len(keys)), n_rows)
+        at = _ranges(routes.at[commodities], n_rows)
+        loads = np.zeros((n_intervals, len(self.capacities)))
+        np.add.at(loads, (key_iv[term], routes.link[at]),
+                  key_rates[term] * routes.frac[at])
+        mlus = ((loads + transit) / self.capacities).max(axis=1)
+        mlus = mlus.tolist()
+        report.intervals.extend(zip([day] * n_intervals, starts, mlus))
+        if self.collect_matrices:
+            bounds = np.searchsorted(key_iv, np.arange(n_intervals + 1))
+            for lo, hi in zip(bounds, bounds[1:]):
+                report.interval_matrices.append(
+                    {(ids[k // n_pops], ids[k % n_pops]): b for k, b in zip(
+                        commodities[lo:hi].tolist(), sums[lo:hi].tolist())})
+
+        if self.collect_decisions:
+            server_of = client.copy()
+            server_of[miss] = servers
+            report.decisions.extend(
+                (ts, ids[c], self.labels[k], ids[s], serve_reason(c, s, o))
+                for ts, c, k, s, o in zip(
+                    trace.timestamps[rows][row].tolist(), client.tolist(),
+                    chunk.tolist(), server_of.tolist(), origin.tolist()))
+
+        from_origin = int(m_bytes[servers == m_origin].sum())
+        return mlus, int(nbytes.sum()), from_origin, commodities, sums
+
+
 def run_experiment(topo, catalog: Catalog, trace: Trace,
                    scheme: SchemeSpec, interval_s: float = 300.0,
                    collect_decisions: bool = False,
@@ -212,11 +491,13 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     * Transit: routed once a day, on the InverseCap routes in
       `inversecap` mode and on the day's routing in `combined` mode.
 
-    Every routing used is checked for flow conservation first; a routing
-    that fails exits the run with SimplexError naming the commodity.
+    Every routing used is checked for flow conservation first, once per
+    routing object; a routing that fails exits the run with SimplexError
+    naming the commodity.
 
-    `plans` is a table of plans and day demands shared with other runs
-    (see `_plan` and `_demand`); without one the run keeps its own.
+    `plans` is a table of plans, day demands and checked routings shared
+    with other runs (see `_plan`, `_demand` and `_check_routing`); without
+    one the run keeps its own.
     """
     scheme.validate()
     if interval_s <= 0:
@@ -253,17 +534,8 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
             if s not in pop_set or t not in pop_set:
                 raise ValidationError(f"transit commodity {(s, t)} not in topology")
 
-    caches: Dict[int, CacheState] = {}
-    if any(cache_budgets.values()):
-        caches = {p: CacheState(p, cache_budgets[p]) for p in topo.pops}
-    cached_holders: Dict[ChunkId, Set[int]] = {}  # pops whose cache holds it
-    # (chunk, bytes, chunk size) rows of each (content code, bytes) request
-    expansions: Dict[Tuple[int, int], List[Tuple[ChunkId, int, int]]] = {}
-    origin_of = [origins[cid] for cid in trace.content_ids]
-
-    rank = topo.ic_rank
-    capacities = [l.capacity for l in topo.links]
-    use_util_aware = scheme.redirection == "utilization-aware"
+    replay = _Replay(topo, trace, scheme, chunks, origins, cache_budgets,
+                     interval_s, collect_decisions, collect_matrices)
     combined_transit = (scheme.transit is not None
                         and scheme.transit.mode == "combined")
     report = MluReport(scheme.label(), interval_s, [], [], 0.0, 0.0, 0.0)
@@ -304,120 +576,16 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                     for k, rate in scheme.transit.tm.items():
                         tm[k] = tm.get(k, 0.0) + rate
                 routing = lp_mod.solve_min_mlu_routing(topo, tm)
-        try:
-            check_flow_conservation(routing, topo)
-        except ValueError as exc:
-            raise lp_mod.SimplexError(f"day {day} routing: {exc}") from None
+        _check_routing(plans, topo, routing, day)
         transit_loads: LinkLoads = {}
         if scheme.transit is not None:
             transit_loads = apply_routing(
                 routing if combined_transit else topo.ic_routes,
                 scheme.transit.tm)
-        # the day's routes and transit loads, by link position
-        paths = path_table(topo, routing)
-        transit_row = [transit_loads.get(l.id, 0.0) for l in topo.links]
-
         if collect_placements:
             report.placements.extend(placement_rows(day, placement))
-
-        planned_holders: Dict[ChunkId, Set[int]] = {}
-        for pop, stored in placement.stored.items():
-            for chunk in stored:
-                planned_holders.setdefault(chunk, set()).add(pop)
-        day_mlus: List[float] = []
-        day_served = day_origin = 0
-        realized_day: Dict[Tuple[int, int], int] = defaultdict(int)
-
-        # the day's rows, as Python floats and ints
-        rows = trace.span(*window)
-        times = trace.timestamps[rows].tolist()
-        columns = (times, trace.pops[rows].tolist(),
-                   trace.contents[rows].tolist(), trace.nbytes[rows].tolist())
-        n_intervals = int(math.ceil(DAY_SECONDS / interval_s))
-        req_pos = 0
-        for iv in range(n_intervals):
-            iv_start = day * DAY_SECONDS + iv * interval_s
-            iv_end = min(iv_start + interval_s, (day + 1) * DAY_SECONDS)
-            iv_len = iv_end - iv_start  # the day's last interval may be shorter
-            commodity_bytes: Dict[Tuple[int, int], int] = {}
-            if use_util_aware:
-                live_loads = list(transit_row)  # by link position
-
-            iv_pos = bisect_left(times, iv_end, req_pos)
-            for ts, client, code, req_bytes in zip(
-                    *(column[req_pos:iv_pos] for column in columns)):
-                cache = caches.get(client)
-                origin = origin_of[code]
-                parts = expansions.get((code, req_bytes))
-                if parts is None:
-                    parts = expansions[(code, req_bytes)] = [
-                        (chunk, nbytes, chunks.sizes[chunk]) for chunk, nbytes
-                        in chunks.request_chunks(trace.content_ids[code],
-                                                 req_bytes)]
-                for chunk, nbytes, size in parts:
-                    server = client
-                    planned = planned_holders.get(chunk)
-                    if client == origin:
-                        pass
-                    elif cache is not None and chunk in cache:
-                        cache.access(chunk, size)
-                    elif planned is not None and client in planned:
-                        pass
-                    else:
-                        # the holders, read without copying
-                        if planned is None:
-                            holders = cached_holders.get(chunk, ())
-                        else:
-                            cached = cached_holders.get(chunk)
-                            holders = planned if cached is None else planned | cached
-                        if use_util_aware:
-                            rate = nbytes * 8.0 / iv_len
-                            server = redirect_utilization_aware(
-                                client, holders, origin, live_loads,
-                                paths[client], rate, rank[client])
-                            for pos, frac, _ in paths[client][server]:
-                                live_loads[pos] += frac * rate
-                        else:
-                            server = redirect_closest(holders, origin,
-                                                      rank[client])
-                        key = (server, client)
-                        commodity_bytes[key] = commodity_bytes.get(key, 0) + nbytes
-                        realized_day[key] += nbytes
-                        if server == origin:
-                            day_origin += nbytes
-                        # pull-through admission at the client
-                        if cache is not None:
-                            _, evicted = cache.access(chunk, size)
-                            for gone in evicted:
-                                pops = cached_holders[gone]
-                                pops.discard(client)
-                                if not pops:
-                                    del cached_holders[gone]
-                            if chunk in cache:
-                                cached_holders.setdefault(chunk, set()).add(client)
-                    day_served += nbytes
-                    if collect_decisions:
-                        report.decisions.append(
-                            (ts, client, _chunk_label(chunk), server,
-                             serve_reason(client, server, origin)))
-            req_pos = iv_pos
-
-            # apply_routing and mlu by link position: per link, the
-            # commodities in sorted order and then transit, so the sums
-            # are the same floats
-            loads = [0.0] * len(capacities)
-            for (server, client), b in sorted(commodity_bytes.items()):
-                rate = b * 8.0 / iv_len
-                for pos, frac, _ in paths[client][server]:
-                    loads[pos] += rate * frac
-            value = max(map(truediv, map(add, loads, transit_row), capacities))
-            day_mlus.append(value)
-            report.intervals.append((day, iv_start, value))
-            if collect_matrices:
-                report.interval_matrices.append(dict(sorted(commodity_bytes.items())))
-
-        # the day's rows and routes go before the next day's planner runs
-        del times, columns, paths
+        day_mlus, day_served, day_origin, realized = replay.day(
+            day, placement, routing, transit_loads, report)
         if day_served > 0:
             hit_ratio = (day_served - day_origin) / day_served
             origin_fraction = day_origin / day_served
@@ -429,8 +597,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
         total_served += day_served
         total_origin += day_origin
         prev_dm = dm
-        prev_realized = {k: b * 8.0 / DAY_SECONDS
-                         for k, b in sorted(realized_day.items())}
+        prev_realized = realized
 
     if total_served > 0:
         report.hit_ratio = (total_served - total_origin) / total_served
@@ -440,6 +607,15 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     all_mlus = [v for _, _, v in report.intervals]
     report.mean_mlu = sum(all_mlus) / len(all_mlus) if all_mlus else 0.0
     return report
+
+
+def distinct_labels(schemes: List[SchemeSpec]) -> List[SchemeSpec]:
+    """`schemes`, each named "<label>#<position>" if two share a label."""
+    labels = [s.label() for s in schemes]
+    if len(set(labels)) == len(labels):
+        return list(schemes)
+    return [dataclasses.replace(s, name=f"{lab}#{i}")
+            for i, (s, lab) in enumerate(zip(schemes, labels))]
 
 
 def _run_task(task, plans: Optional[PlanTable] = None) -> MluReport:
@@ -457,11 +633,8 @@ def _run_all(topo, catalog: Catalog, trace: Trace,
     processes if above 1. Only the first run collects decisions and
     placements. Runs in this process share `plans` (a new table if None);
     each worker process plans for itself, which gives the same results.
-    If two schemes share a label, every run's label gets "#<position>"."""
-    labels = [s.label() for s in schemes]
-    if len(set(labels)) != len(labels):
-        schemes = [dataclasses.replace(s, name=f"{lab}#{i}")
-                   for i, (s, lab) in enumerate(zip(schemes, labels))]
+    Labels are made distinct by `distinct_labels`."""
+    schemes = distinct_labels(schemes)
     tasks = [(topo, catalog, trace, s, interval_s,
               collect_decisions and i == 0, collect_placements and i == 0)
              for i, s in enumerate(schemes)]

@@ -1,13 +1,14 @@
-"""Per-PoP content placement: online LRU caching, once-a-day optimized
-placement from a demand matrix, the future-knowledge variant, and the
-hybrid budget split."""
+"""Per-PoP content placement: online LRU caching and replay's pass of a
+day's chunk accesses through the caches, once-a-day optimized placement
+from a demand matrix, the future-knowledge variant, and the hybrid
+budget split."""
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 import numpy as np
 
@@ -17,7 +18,8 @@ from .workload import ChunkId, ChunkMap, DemandMatrix
 
 
 class CacheState:
-    """Byte-budgeted LRU cache for one PoP.
+    """Byte-budgeted LRU cache for one PoP, keyed by any chunk key: a
+    ChunkId, or in replay the chunk's index.
 
     Whole chunks only; a chunk larger than the budget bypasses the cache
     (miss, no insertion, no eviction).
@@ -28,14 +30,14 @@ class CacheState:
             raise ValueError("cache budget must be >= 0")
         self.pop = pop
         self.budget = budget
-        self.resident: "OrderedDict[ChunkId, int]" = OrderedDict()
+        self.resident: "OrderedDict[Hashable, int]" = OrderedDict()
         self.used = 0
 
-    def __contains__(self, chunk: ChunkId) -> bool:
+    def __contains__(self, chunk: Hashable) -> bool:
         return chunk in self.resident
 
-    def access(self, chunk: ChunkId, size: int) -> Tuple[str, List[ChunkId]]:
-        """Returns ("hit", []) or ("miss", evicted chunk ids)."""
+    def access(self, chunk: Hashable, size: int) -> Tuple[str, List[Hashable]]:
+        """Returns ("hit", []) or ("miss", evicted chunk keys)."""
         if size <= 0:
             raise ValueError("chunk size must be positive")
         if chunk in self.resident:
@@ -51,6 +53,41 @@ class CacheState:
         self.resident[chunk] = size
         self.used += size
         return "miss", evicted
+
+
+def replay_caches(caches: List[CacheState], clients: List[int],
+                  chunks: List[int], sizes: List[int], planned: List[int],
+                  cached: List[int]) -> Tuple[List[int], List[int]]:
+    """Run chunk accesses through the PoP caches in order. Access k asks
+    at pop position `clients[k]`, not the chunk's origin, for chunk index
+    `chunks[k]` of size `sizes[chunk]`. It is local if the client's cache
+    holds the chunk (a hit, which refreshes it) or the client is one of
+    the chunk's planned holders. Otherwise it misses, and the client's
+    cache admits the chunk whichever server then serves it, so a PoP's
+    cache contents depend only on its own accesses.
+
+    `planned[chunk]` and `cached[chunk]` are bitmasks over pop positions:
+    the planned holders, and the PoPs whose cache holds the chunk, which
+    this keeps up to date. Returns the positions of the misses and, for
+    each, the mask of its holders (planned or cached) when it missed."""
+    misses, masks = [], []
+    for k, (client, chunk) in enumerate(zip(clients, chunks)):
+        cache = caches[client]
+        bit = 1 << client
+        if planned[chunk] & bit:
+            if chunk in cache:
+                cache.access(chunk, sizes[chunk])
+            continue
+        state, evicted = cache.access(chunk, sizes[chunk])
+        if state == "hit":
+            continue
+        misses.append(k)
+        masks.append(planned[chunk] | cached[chunk])
+        for gone in evicted:
+            cached[gone] &= ~bit
+        if chunk in cache:
+            cached[chunk] |= bit
+    return misses, masks
 
 
 @dataclass
@@ -146,10 +183,10 @@ class _SwapSearch:
     nearest-replica traffic routed on InverseCap paths.
 
     The surrogate is kept in arrays, with pops indexed in ascending id
-    order: a pop x pop rank matrix (row c is client c's row of
-    `Topology.ic_rank`, so a masked argmin is `nearest_replica`), each
-    (server, client) pair's InverseCap link fractions, per-chunk holder
-    masks and a float64 link-load vector. A move re-serves only the
+    order: the pop x pop rank matrix `Topology.ic_rank_matrix` (so a
+    masked argmin is `nearest_replica`), each (server, client) pair's
+    InverseCap link fractions, per-chunk holder masks and a float64
+    link-load vector. A move re-serves only the
     demand pairs whose server changes, in a fixed order: the dropped
     chunk before the added one, clients ascending, the old route taken
     off before the new one is put on. Each link's load thus sees the same
@@ -167,7 +204,7 @@ class _SwapSearch:
         self.x_vals = x_vals
         pops, at = topo.pops, topo.pop_at
         self.caps = np.array([float(l.capacity) for l in topo.links])
-        self.rank = np.array([[topo.ic_rank[c][p] for p in pops] for c in pops])
+        self.rank = topo.ic_rank_matrix
         self.routes = np.zeros((len(pops), len(pops), len(topo.links)))
         for (s, c), fracs in topo.ic_routes.items():
             if s != c:

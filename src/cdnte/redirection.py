@@ -1,11 +1,19 @@
-"""Request redirection: pick the serving PoP for a chunk access that has
-no local copy. The rules read tables built ahead of replay: each client's
-rank of every PoP (`Topology.ic_rank`, once per topology) and each route
-as rows (once per day)."""
+"""Request redirection: pick the serving PoP for the chunk accesses that
+have no local copy, many accesses per call. PoPs are named by their
+position in `Topology.pops`. The rules read tables built ahead of replay:
+each client's PoPs in rank order (the argsort of
+`Topology.ic_rank_matrix`, once per run) and the day's routes as flat
+rows (`path_table`, once per day). An access's replica holders are one
+row of a holder-set table, a bool matrix with a column per PoP."""
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Tuple
+import functools
+import math
+from dataclasses import dataclass
+from typing import List, Tuple
+
+import numpy as np
 
 from .traffic import RoutingSolution
 
@@ -13,21 +21,42 @@ LOCAL_HIT = "local-hit"
 REMOTE_REPLICA = "remote-replica"
 ORIGIN = "origin"
 
-Ranks = Dict[int, int]  # one client's rank of each server pop
-RouteRows = List[Tuple[int, float, int]]  # (link position, fraction, capacity)
+
+@dataclass(eq=False)
+class Routes:
+    """A routing by pop position, as flat rows. The route server->client
+    is commodity k = server * pop count + client; its rows are
+    at[k] .. at[k + 1] - 1, each a link (its position in `topo.links`),
+    the flow fraction on it and the link's capacity."""
+    at: np.ndarray
+    link: np.ndarray
+    frac: np.ndarray
+    capacity: np.ndarray
+
+    @functools.cached_property
+    def by_client(self) -> List[List[List[Tuple[int, float, float]]]]:
+        """The same rows as (link, fraction, capacity) tuples, indexed
+        [client][server], for the utilization-aware rule's loop."""
+        n = math.isqrt(len(self.at) - 1)
+        at = self.at.tolist()
+        rows = list(zip(self.link.tolist(), self.frac.tolist(),
+                        self.capacity.tolist()))
+        return [[rows[at[s * n + c]:at[s * n + c + 1]] for s in range(n)]
+                for c in range(n)]
 
 
-def path_table(topo, routing: RoutingSolution
-               ) -> Dict[int, Dict[int, RouteRows]]:
-    """`routing` as rows indexed [client][server]: the route server->client
-    as (position in topo.links, flow fraction, link capacity) rows."""
-    pos = topo.link_at
-    table: Dict[int, Dict[int, RouteRows]] = {c: {} for c in topo.pops}
+def path_table(topo, routing: RoutingSolution) -> Routes:
+    """`routing` as `Routes`, each route's rows in the routing's order."""
+    n, at = len(topo.pops), topo.pop_at
+    rows: List[list] = [[] for _ in range(n * n)]
     for (server, client), fracs in routing.items():
-        table[client][server] = [
-            (pos[link_id], frac, topo.links[pos[link_id]].capacity)
-            for link_id, frac in fracs.items()]
-    return table
+        rows[at[server] * n + at[client]] = [
+            (topo.link_at[link_id], frac) for link_id, frac in fracs.items()]
+    link = np.array([pos for r in rows for pos, _ in r], dtype=np.int64)
+    capacities = np.array([l.capacity for l in topo.links], dtype=np.float64)
+    return Routes(np.cumsum([0] + [len(r) for r in rows]), link,
+                  np.array([frac for r in rows for _, frac in r],
+                           dtype=np.float64), capacities[link])
 
 
 def serve_reason(client: int, server: int, origin: int) -> str:
@@ -39,46 +68,74 @@ def serve_reason(client: int, server: int, origin: int) -> str:
     return REMOTE_REPLICA
 
 
-def redirect_closest(holders: Collection[int], origin: int, rank: Ranks) -> int:
-    """Replay's rule for a client with no local copy: the replica holder
-    the client ranks first (its row of `Topology.ic_rank`), and the origin
-    only when no replica exists.
+def redirect_closest(clients: np.ndarray, origins: np.ndarray,
+                     holder_ids: np.ndarray, holder_sets: np.ndarray,
+                     order: np.ndarray) -> np.ndarray:
+    """Replay's rule, for every access at once: the replica holder the
+    client ranks first (its row of `order`), and the origin only when no
+    replica exists. Access k asks at `clients[k]` for a chunk whose origin
+    is `origins[k]` and whose holders are row `holder_ids[k]` of
+    `holder_sets`. Each distinct (client, holder set) is resolved once.
 
     This differs from `placement.nearest_replica`, the planner's rule,
     which also counts the origin as a candidate and so picks it whenever
     it is closer than every replica."""
-    if holders:
-        return min(holders, key=rank.__getitem__)
-    return origin
+    if not len(clients):
+        return np.zeros(0, dtype=np.int64)
+    n_sets = len(holder_sets)
+    pairs, inverse = np.unique(clients * n_sets + holder_ids,
+                               return_inverse=True)
+    by_rank = order[pairs // n_sets]
+    ranked = np.take_along_axis(holder_sets[pairs % n_sets], by_rank, axis=1)
+    first = ranked.argmax(axis=1)  # the first holder, if any
+    found = ranked[np.arange(len(pairs)), first]
+    servers = by_rank[np.arange(len(pairs)), first]
+    return np.where(found[inverse], servers[inverse], origins)
 
 
-def _bottleneck(rows: RouteRows, loads: List[float], rate: float) -> float:
-    worst = 0.0
-    for pos, frac, capacity in rows:
-        if frac <= 0.0:
+def redirect_utilization_aware(clients: np.ndarray, origins: np.ndarray,
+                               holder_ids: np.ndarray,
+                               holder_sets: np.ndarray, rates: np.ndarray,
+                               loads: List[float], routes: Routes,
+                               order: np.ndarray) -> List[int]:
+    """The utilization-aware rule, for one interval's accesses in order
+    (arguments as in `redirect_closest`; `rates[k]` is access k's rate).
+    Among the candidate servers, the replica holders plus the origin, each
+    access takes the one whose route to the client has the smallest
+    bottleneck utilization after adding its rate on the route's
+    flow-carrying links; ties break by the client's rank. `loads`, by
+    link position, holds the interval's load so far and takes each chosen
+    route's rate, so later accesses see it. A local copy short-circuits."""
+    n = len(clients)
+    # each access's candidates in the client's rank order, as one flat list
+    held = holder_sets[holder_ids]
+    held[np.arange(n), origins] = True
+    ranked = np.take_along_axis(held, order[clients], axis=1)
+    which, place = np.nonzero(ranked)
+    candidates = order[clients[which], place].tolist()
+    ends = np.cumsum(ranked.sum(axis=1)).tolist()
+    paths = routes.by_client
+    servers = []
+    start = 0
+    for client, end, rate in zip(clients.tolist(), ends, rates.tolist()):
+        if candidates[start] == client:  # ranks first: a local copy
+            servers.append(client)
+            start = end
             continue
-        util = (loads[pos] + frac * rate) / capacity
-        if util > worst:
-            worst = util
-    return worst
-
-
-def redirect_utilization_aware(client: int, holders: Collection[int],
-                               origin: int, loads: List[float],
-                               paths: Dict[int, RouteRows], rate: float,
-                               rank: Ranks) -> int:
-    """Among all candidate servers (replicas plus origin), pick the one
-    whose route to `client` (`paths[server]`, the client's row of
-    `path_table`) has the smallest bottleneck utilization after adding
-    `rate` on its flow-carrying links; `loads` is indexed by link
-    position. A local copy short-circuits. Ties break by the client's
-    `rank`: the closer server, then the lowest pop id."""
-    if client in holders or client == origin:
-        return client
-    best = origin
-    best_key = (_bottleneck(paths[origin], loads, rate), rank[origin])
-    for server in holders:
-        key = (_bottleneck(paths[server], loads, rate), rank[server])
-        if key < best_key:
-            best, best_key = server, key
-    return best
+        route = paths[client]
+        best, best_rows, least = client, (), math.inf
+        for server in candidates[start:end]:
+            rows = route[server]
+            worst = 0.0
+            for pos, frac, capacity in rows:
+                if frac > 0.0:
+                    util = (loads[pos] + frac * rate) / capacity
+                    if util > worst:
+                        worst = util
+            if worst < least:
+                best, best_rows, least = server, rows, worst
+        for pos, frac, _ in best_rows:
+            loads[pos] += frac * rate
+        servers.append(best)
+        start = end
+    return servers

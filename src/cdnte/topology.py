@@ -18,6 +18,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .traffic import RoutingSolution, exact_millions, split_by_source
 
 WeightMap = Dict[int, float]
@@ -40,8 +42,8 @@ class Topology:
 
     The InverseCap facts every layer reads are derived once, on first
     use: the link weights (`ic_weights`), the ECMP routes on them
-    (`ic_routes`) and each client's rank of every pop (`ic_rank`).
-    Callers must not mutate them."""
+    (`ic_routes`) and each client's rank of every pop (`ic_rank`, and
+    by position `ic_rank_matrix`). Callers must not mutate them."""
 
     def __init__(self, pops: List[int], names: Dict[int, str],
                  links: List[Link], origin_pop: int):
@@ -81,6 +83,13 @@ class Topology:
         return {c: {p: i for i, p in enumerate(
                     sorted(self.pops, key=lambda p: (dists[(c, p)], p)))}
                 for c in self.pops}
+
+    @functools.cached_property
+    def ic_rank_matrix(self) -> np.ndarray:
+        """`ic_rank` by position: [c, p] is the rank client c gives pop
+        p, so row c's argsort lists the pops in client c's order."""
+        return np.array([[self.ic_rank[c][p] for p in self.pops]
+                         for c in self.pops], dtype=np.int64)
 
     def _validate(self) -> None:
         if not self.pops:

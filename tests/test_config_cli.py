@@ -160,6 +160,25 @@ def test_simulate_sweep_mode(tmp_path):
     assert len(sweep) == 3
 
 
+def test_sweeps_of_identical_schemes_keep_their_rows_apart(tmp_path):
+    # two identical scheme lines give two sweeps; each sweep's runs get the
+    # scheme's "#<position>", so report.csv keeps two series of 96 rows
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg = SYNTH_CFG + ("scheme = lru inversecap closest ratio=1\n"
+                       "storage_ratios = 1\n")
+    cfg_path = _write(tmp_path, "exp.cfg", cfg)
+    out = str(tmp_path / "sweep")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
+    label = "lru+inversecap+closest+r1"
+    rows = open(os.path.join(out, "report.csv")).read().splitlines()[1:]
+    counts = {}
+    for row in rows:
+        counts[row.split(",")[0]] = counts.get(row.split(",")[0], 0) + 1
+    assert counts == {f"{label}#0@r1": 96, f"{label}#1@r1": 96}
+    sweep = open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]
+    assert [row.split(",")[0] for row in sweep] == [f"{label}#0", f"{label}#1"]
+
+
 def test_simulate_decision_and_placement_dumps(tmp_path):
     _write(tmp_path, "topo.txt", TOPO)
     cfg = SYNTH_CFG.replace("scheme = lru inversecap closest ratio=1",

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import defaultdict
 
@@ -5,10 +6,10 @@ import pytest
 
 from cdnte import lp as lp_mod
 from cdnte import parse_topology
-from cdnte.engine import (PLACEMENTS, ROUTINGS, SchemeSpec, TransitSpec,
-                          ValidationError, compare_schemes, comparison_csv,
-                          report_csv, run_experiment, summary_csv,
-                          sweep_storage_ratio)
+from cdnte.engine import (PLACEMENTS, ROUTINGS, DayStats, SchemeSpec,
+                          TransitSpec, ValidationError, compare_schemes,
+                          comparison_csv, report_csv, run_experiment,
+                          summary_csv, sweep_storage_ratio)
 from cdnte.placement import Placement, induced_traffic_matrix
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
@@ -641,11 +642,12 @@ class _RefLru:
         self.items.append((chunk, size))
 
 
-def _reference_replay(topo, catalog, reqs, scheme, interval_s, placed,
-                      routings, transit_loads):
+def _reference_replay(topo, catalog, reqs, scheme, interval_s, placed, route):
     """The per-chunk replay loop written plainly: set holders from the
     reported placements plus a reference LRU, sorted candidates, dict live
-    loads. Returns (decisions, interval MLUs)."""
+    loads. `route(day, realized)` gives the day's routing and transit loads
+    from yesterday's realized matrix. Returns the decisions, the interval
+    MLUs, the DayStats and each day's realized matrix in bit/s."""
     chunks = chunk_objects(catalog, scheme.chunk_size)
     pops = list(topo.pops)
     origins = {c: (o.origin if o.origin is not None else topo.origin_pop)
@@ -659,16 +661,20 @@ def _reference_replay(topo, catalog, reqs, scheme, interval_s, placed,
     dists = all_pairs_distances(topo, w)
     caps = {l.id: l.capacity for l in topo.links}
     util_aware = scheme.redirection == "utilization-aware"
-    decisions, mlus = [], []
+    decisions, mlus, days, realized_days = [], [], [], []
+    realized = {}
     reqs = sorted(reqs, key=lambda r: r.timestamp)
-    for day, routing in enumerate(routings):
-        stored = placed[day]
-        for iv in range(int(86400 / interval_s)):
+    for day, stored in enumerate(placed):
+        routing, transit_loads = route(day, realized)
+        day_mlus, day_bytes = [], defaultdict(int)
+        served = from_origin = 0
+        for iv in range(math.ceil(86400 / interval_s)):
             start = day * 86400.0 + iv * interval_s
-            live = dict(transit_loads[day])
+            end = min(start + interval_s, (day + 1) * 86400.0)
+            live = dict(transit_loads)
             commodity = defaultdict(int)
             for r in reqs:
-                if not start <= r.timestamp < start + interval_s:
+                if not start <= r.timestamp < end:
                     continue
                 client, origin = r.pop, origins[r.content]
                 for chunk, nbytes in chunks.request_chunks(r.content, r.nbytes):
@@ -684,7 +690,7 @@ def _reference_replay(topo, catalog, reqs, scheme, interval_s, placed,
                                    if chunk in stored.get(p, ())
                                    or caches[p].holds(chunk)}
                         if util_aware:
-                            rate = nbytes * 8.0 / interval_s
+                            rate = nbytes * 8.0 / (end - start)
                             best = None
                             for cand in sorted((holders | {origin}) - {client}):
                                 worst = 0.0
@@ -706,18 +712,114 @@ def _reference_replay(topo, catalog, reqs, scheme, interval_s, placed,
                         else:
                             server = origin
                         commodity[(server, client)] += nbytes
+                        day_bytes[(server, client)] += nbytes
+                        if server == origin:
+                            from_origin += nbytes
                         caches[client].admit(chunk, chunks.sizes[chunk])
+                    served += nbytes
                     reason = ("local-hit" if server == client else
                               "origin" if server == origin else
                               "remote-replica")
                     decisions.append((r.timestamp, client,
                                       f"{chunk[0]}#{chunk[1]}", server, reason))
-            tm = {k: b * 8.0 / interval_s for k, b in sorted(commodity.items())}
+            tm = {k: b * 8.0 / (end - start)
+                  for k, b in sorted(commodity.items())}
             loads = apply_routing(routing, tm)
-            for link_id, extra in transit_loads[day].items():
+            for link_id, extra in transit_loads.items():
                 loads[link_id] = loads.get(link_id, 0.0) + extra
-            mlus.append(mlu(loads, topo))
-    return decisions, mlus
+            day_mlus.append(mlu(loads, topo))
+        mlus += day_mlus
+        ordered = sorted(day_mlus)
+        p99 = ordered[math.ceil(0.99 * len(ordered)) - 1]
+        hit, share = 1.0, 0.0
+        if served:
+            hit, share = (served - from_origin) / served, from_origin / served
+        days.append(DayStats(day, p99, sum(day_mlus) / len(day_mlus), hit,
+                             share))
+        realized = {k: b * 8.0 / 86400.0 for k, b in sorted(day_bytes.items())}
+        realized_days.append(realized)
+    return decisions, mlus, days, realized_days
+
+
+def _route_by_rule(topo, catalog, trace, scheme, placed):
+    """route(day, realized) for `_reference_replay`: the day's routing by
+    the rule in run_experiment's docstring, rebuilt from the reported
+    placements, and its transit loads."""
+    chunks = chunk_objects(catalog, scheme.chunk_size)
+    origins = {c: (o.origin if o.origin is not None else topo.origin_pop)
+               for c, o in catalog.items()}
+    ic = shortest_path_routes(topo, inverse_cap_weights(topo))
+    transit = scheme.transit
+
+    def route(day, realized):
+        if scheme.routing == "inversecap" or (
+                scheme.routing == "min-mlu-prior-day" and day == 0):
+            routing = ic
+        else:
+            if scheme.routing == "min-mlu-future":
+                demand_day = day
+            elif scheme.placement in ("optimized", "hybrid"):
+                demand_day = day - 1
+            else:
+                demand_day = None  # yesterday's realized matrix
+            tm = realized
+            if demand_day is not None:
+                dm = aggregate_demand(trace, (demand_day * 86400.0,
+                                              (demand_day + 1) * 86400.0),
+                                      chunks)
+                tm = induced_traffic_matrix(dm, Placement(placed[day]),
+                                            origins, topo)
+            if transit is not None and transit.mode == "combined":
+                tm = dict(tm)
+                for k, rate in transit.tm.items():
+                    tm[k] = tm.get(k, 0.0) + rate
+            routing = lp_mod.solve_min_mlu_routing(topo, tm)
+        loads = {}
+        if transit is not None:
+            loads = apply_routing(
+                routing if transit.mode == "combined" else ic, transit.tm)
+        return routing, loads
+
+    return route
+
+
+def _replay_and_reference(topo, catalog, reqs, scheme, monkeypatch,
+                          interval_s=3600.0):
+    """run_experiment and the reference on the same scheme. Returns both,
+    and the matrices the run's min-MLU routings ran on."""
+    trace = Trace.from_rows(reqs)
+    routed_on = []
+    real = lp_mod.solve_min_mlu_routing
+
+    def recorded(topo, tm):
+        routed_on.append(dict(tm))
+        return real(topo, tm)
+
+    monkeypatch.setattr(lp_mod, "solve_min_mlu_routing", recorded)
+    rep = run_experiment(topo, catalog, trace, scheme, interval_s,
+                         collect_decisions=True, collect_placements=True)
+    monkeypatch.undo()
+    # the day count comes from the requests, and lru schemes store
+    # nothing, whatever the run reports
+    n_days = int(max(r.timestamp for r in reqs) // 86400) + 1
+    assert len(rep.days) == n_days
+    placed = [defaultdict(set) for _ in range(n_days)]
+    if scheme.placement == "lru":
+        assert not rep.placements
+    else:
+        for epoch, pop, chunk in rep.placements:
+            placed[epoch][pop].add(chunk)
+    ref = _reference_replay(topo, catalog, reqs, scheme, interval_s, placed,
+                            _route_by_rule(topo, catalog, trace, scheme,
+                                           placed))
+    return rep, ref, routed_on
+
+
+def _assert_same_replay(rep, ref):
+    decisions, mlus, days, _ = ref
+    assert rep.decisions == decisions
+    assert [v for _, _, v in rep.intervals] == mlus
+    assert rep.days == days
 
 
 def _random_requests(rng, topo, days, n_objects, per_day, own_origins):
@@ -742,14 +844,14 @@ def _random_requests(rng, topo, days, n_objects, per_day, own_origins):
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
-def test_replay_matches_reference_hybrid_util_aware_combined(seed):
+def test_replay_matches_reference_hybrid_util_aware_combined(seed,
+                                                             monkeypatch):
     # hybrid + utilization-aware + chunks + min-mlu-prior-day with combined
     # transit: the day's routing is rebuilt by its rule, the replay by the
     # plain reference loop, and both must agree exactly
     rng = random.Random(seed)
     topo = random_symmetric_topology(6, seed, extra_link_prob=0.3)
     catalog, reqs = _random_requests(rng, topo, 3, 12, 150, own_origins=True)
-    trace = Trace.from_rows(reqs)
     pops = list(topo.pops)
     transit_tm = {tuple(rng.sample(pops, 2)): rng.uniform(1e3, 1e5)
                   for _ in range(3)}
@@ -757,58 +859,110 @@ def test_replay_matches_reference_hybrid_util_aware_combined(seed):
                         storage_ratio=0.8, chunk_size=2500,
                         hybrid_reserve=0.4,
                         transit=TransitSpec(transit_tm, "combined"))
-    rep = run_experiment(topo, catalog, trace, scheme, 3600.0,
-                         collect_decisions=True, collect_placements=True)
-
-    placed = [defaultdict(set) for _ in rep.days]
-    for epoch, pop, chunk in rep.placements:
-        placed[epoch][pop].add(chunk)
-    ic = shortest_path_routes(topo, inverse_cap_weights(topo))
-    chunks = chunk_objects(catalog, scheme.chunk_size)
-    origins = {c: o.origin for c, o in catalog.items()}
-    routings, transit_loads = [], []
-    for day in range(len(rep.days)):
-        if day == 0:
-            routing = ic
-        else:
-            dm = aggregate_demand(trace, ((day - 1) * 86400.0, day * 86400.0),
-                                  chunks)
-            tm = dict(induced_traffic_matrix(dm, Placement(placed[day]),
-                                             origins, topo))
-            for k, rate in transit_tm.items():
-                tm[k] = tm.get(k, 0.0) + rate
-            routing = lp_mod.solve_min_mlu_routing(topo, tm)
-        routings.append(routing)
-        transit_loads.append(apply_routing(routing, transit_tm))
-
-    decisions, mlus = _reference_replay(topo, catalog, reqs, scheme, 3600.0,
-                                        placed, routings, transit_loads)
-    assert any(p for p in placed[1].values())
-    assert {d[4] for d in decisions} == {"local-hit", "origin",
-                                         "remote-replica"}
-    assert rep.decisions == decisions
-    assert [v for _, _, v in rep.intervals] == mlus
+    rep, ref, _ = _replay_and_reference(topo, catalog, reqs, scheme,
+                                        monkeypatch)
+    assert any(epoch == 1 for epoch, _, _ in rep.placements)
+    assert {d[4] for d in ref[0]} == {"local-hit", "origin",
+                                      "remote-replica"}
+    _assert_same_replay(rep, ref)
 
 
 @pytest.mark.parametrize("seed", [5, 17, 23])
-def test_replay_matches_reference_lru_util_aware_ecmp_ties(seed):
+def test_replay_matches_reference_lru_util_aware_ecmp_ties(seed, monkeypatch):
     # equal capacities: hop-count distances tie often and ECMP splits
     # flows, so the tie-break decides many requests
     rng = random.Random(seed)
     topo = random_digraph(7, rng, caps=(1000,))
     catalog, reqs = _random_requests(rng, topo, 2, 10, 200, own_origins=False)
-    trace = Trace.from_rows(reqs)
     scheme = SchemeSpec("lru", "inversecap", "utilization-aware",
                         storage_ratio=0.6)
-    rep = run_experiment(topo, catalog, trace, scheme, 3600.0,
-                         collect_decisions=True)
     ic = shortest_path_routes(topo, inverse_cap_weights(topo))
     assert any(len(fracs) > 1 and any(f < 1.0 for f in fracs.values())
                for fracs in ic.values())  # some route splits
-    decisions, mlus = _reference_replay(
-        topo, catalog, reqs, scheme, 3600.0, [{}, {}], [ic, ic], [{}, {}])
-    assert rep.decisions == decisions
-    assert [v for _, _, v in rep.intervals] == mlus
+    rep, ref, _ = _replay_and_reference(topo, catalog, reqs, scheme,
+                                        monkeypatch)
+    _assert_same_replay(rep, ref)
+
+
+def test_replay_matches_reference_with_a_short_tail_interval(monkeypatch):
+    # 7000 s intervals leave a 2400 s tail each day: its byte rates, and
+    # the utilization-aware rule's access rates, divide by the tail's
+    # length; transit loads of the same size as those rates make the
+    # choice depend on the divisor
+    rng = random.Random(13)
+    topo = random_digraph(6, rng, caps=(1000,))
+    catalog, reqs = _random_requests(rng, topo, 2, 8, 400, own_origins=True)
+    transit = TransitSpec({(0, 3): 20.0, (2, 5): 40.0, (4, 1): 30.0},
+                          "inversecap")
+    scheme = SchemeSpec("lru", "inversecap", "utilization-aware",
+                        storage_ratio=1.0, transit=transit)
+    rep, ref, _ = _replay_and_reference(topo, catalog, reqs, scheme,
+                                        monkeypatch, interval_s=7000.0)
+    _assert_same_replay(rep, ref)
+    assert rep.intervals[12][1] == 84000.0
+    assert any(d[0] >= 84000.0 and d[4] == "remote-replica"
+               for d in rep.decisions)
+
+
+_CLOSEST_SCHEMES = {
+    "lru": dict(placement="lru", routing="inversecap", storage_ratio=0.6),
+    "hybrid": dict(placement="hybrid", routing="inversecap",
+                   storage_ratio=0.8, hybrid_reserve=0.4,
+                   transit="inversecap"),
+    "optimized-chunked": dict(placement="optimized", routing="inversecap",
+                              storage_ratio=0.8, chunk_size=2500),
+    "future": dict(placement="future", routing="min-mlu-future",
+                   storage_ratio=0.8),
+    "zero-budgets": dict(placement="optimized", routing="min-mlu-prior-day",
+                         storage_ratio=1e-9),
+    "lru-realized": dict(placement="lru", routing="min-mlu-prior-day",
+                         storage_ratio=0.6, transit="combined"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLOSEST_SCHEMES))
+def test_replay_matches_reference_closest(case, monkeypatch):
+    # every placement under the closest rule, against the plain reference
+    # loop: decisions, interval MLUs, day statistics, and for lru the
+    # realized matrix that the next day's min-MLU routing runs on
+    rng = random.Random(41)
+    topo = random_symmetric_topology(6, 41, extra_link_prob=0.3)
+    catalog, reqs = _random_requests(rng, topo, 3, 12, 150, own_origins=True)
+    spec = dict(_CLOSEST_SCHEMES[case])
+    mode = spec.pop("transit", None)
+    transit = None
+    if mode is not None:
+        transit = TransitSpec({(1, 4): 5e4, (3, 0): 2e4}, mode)
+    scheme = SchemeSpec(redirection="closest", transit=transit, **spec)
+    rep, ref, routed_on = _replay_and_reference(topo, catalog, reqs, scheme,
+                                                monkeypatch)
+    _assert_same_replay(rep, ref)
+    reasons = {d[4] for d in rep.decisions}
+    if case == "zero-budgets":
+        assert not rep.placements and "remote-replica" not in reasons
+    else:
+        assert "remote-replica" in reasons
+    if case == "lru-realized":
+        realized = ref[3]
+        assert routed_on == [
+            {**day, **{k: day.get(k, 0.0) + rate
+                       for k, rate in transit.tm.items()}}
+            for day in realized[:-1]]
+
+
+@pytest.mark.parametrize("redirection", ["closest", "utilization-aware"])
+def test_replay_matches_reference_past_63_pops(redirection, monkeypatch):
+    # holder sets are bitmasks over pop positions: 70 pops need more than
+    # one 64-bit word, and caches at positions 64-69 must count as holders
+    rng = random.Random(7)
+    topo = random_symmetric_topology(70, 7, extra_link_prob=0.02)
+    catalog, reqs = _random_requests(rng, topo, 2, 4, 120, own_origins=False)
+    scheme = SchemeSpec("lru", "inversecap", redirection, storage_ratio=4.0,
+                        chunk_size=3000)
+    rep, ref, _ = _replay_and_reference(topo, catalog, reqs, scheme,
+                                        monkeypatch)
+    _assert_same_replay(rep, ref)
+    assert any(d[3] >= 64 and d[4] == "remote-replica" for d in rep.decisions)
 
 
 def test_runs_share_each_days_demand_per_trace(monkeypatch):
@@ -860,3 +1014,29 @@ def test_run_rejects_a_routing_that_breaks_conservation(monkeypatch):
     with pytest.raises(lp_mod.SimplexError,
                        match=r"day 1 routing: .*\(2, 1\)"):
         run_experiment(_origin_triangle(), catalog, trace, scheme, 3600.0)
+
+
+def test_each_routing_object_checked_once_per_table(monkeypatch):
+    # the InverseCap routes serve every inversecap day of every run on a
+    # table, and are checked once; each min-MLU routing is a new object
+    # and is checked on the day it is made
+    import cdnte.engine as engine_mod
+    checked = []
+    real = engine_mod.check_flow_conservation
+
+    def counted(routing, topo):
+        checked.append(id(routing))
+        return real(routing, topo)
+
+    monkeypatch.setattr(engine_mod, "check_flow_conservation", counted)
+    catalog, trace = _daily_trace(3)
+    topo, plans = _origin_triangle(), {}
+    for _ in range(2):
+        run_experiment(topo, catalog, trace,
+                       SchemeSpec("lru", "inversecap", storage_ratio=1.0),
+                       3600.0, plans=plans)
+    assert checked == [id(topo.ic_routes)]
+    run_experiment(topo, catalog, trace,
+                   SchemeSpec("lru", "min-mlu-prior-day", storage_ratio=1.0),
+                   3600.0, plans=plans)
+    assert len(checked) == 3 and len(set(checked[1:])) == 2

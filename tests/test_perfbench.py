@@ -34,6 +34,7 @@ synth.size_max_mb = 2
 scheme = optimized inversecap closest ratio=1
 scheme = future min-mlu-future closest ratio=1
 scheme = lru min-mlu-prior-day closest ratio=1
+scheme = hybrid min-mlu-prior-day utilization-aware ratio=1 reserve=0.5 chunk_mb=1
 """
 
 
@@ -58,3 +59,9 @@ def test_launch_runs_and_checks_every_scheme(tmp_path, flags):
     checked = got["property_checked"]
     assert checked["plans"] > 0 and checked["routings"] > 0
     assert checked["relaxations"] > 0
+    if flags:
+        # the tracer wraps the cache pass and both redirection rules
+        calls = got["layers"]["calls"]
+        for name in ("placement.cache_access", "redirection.closest",
+                     "redirection.util_aware"):
+            assert calls.get(name, 0) > 0, name

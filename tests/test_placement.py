@@ -5,7 +5,8 @@ import pytest
 from cdnte import lp as L
 from cdnte import parse_topology
 from cdnte.placement import (CacheState, _SwapSearch, induced_traffic_matrix,
-                             plan_placement_optimized, split_hybrid)
+                             plan_placement_optimized, replay_caches,
+                             split_hybrid)
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
@@ -39,6 +40,25 @@ def test_lru_oversized_bypass():
     assert outcome == "miss" and evicted == []
     assert ("big", 0) not in cache and ("a", 0) in cache
     assert cache.used == 1
+
+
+def test_replay_caches_refreshes_a_planned_copy_and_tracks_holders():
+    # pop positions 0 and 1, caches of two unit chunks; chunks 0-2
+    caches = [CacheState(0, 2), CacheState(1, 2)]
+    sizes, cached = [1, 1, 1], [0, 0, 0]
+    misses, masks = replay_caches(caches, [0, 0, 1], [0, 1, 0], sizes,
+                                  [0, 0, 0], cached)
+    assert misses == [0, 1, 2]
+    assert masks == [0, 0, 0b01]  # pop 1's miss saw pop 0's cached copy
+    assert cached == [0b11, 0b01, 0]
+    # pop 0 now stores chunk 0 by plan: the access is local, and it still
+    # refreshes the cached copy, so chunk 1 is evicted next, not chunk 0
+    planned = [0b01, 0, 0b10]
+    misses, masks = replay_caches(caches, [0, 0, 1], [0, 2, 2], sizes,
+                                  planned, cached)
+    assert misses == [1]
+    assert masks == [0b10]  # the planned holder
+    assert cached == [0b11, 0, 0b01]
 
 
 class _ReferenceLru:

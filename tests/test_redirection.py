@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cdnte import parse_topology
@@ -21,8 +22,41 @@ def _tables(topo):
     return _dists(topo), topo.ic_rank, routes, path_table(topo, routes)
 
 
+def _order(topo):
+    """Each client's pops in rank order, by position, as replay has it."""
+    return np.argsort(topo.ic_rank_matrix, axis=1)
+
+
 def _load_list(topo, loads):
     return [loads.get(link.id, 0.0) for link in topo.links]
+
+
+def _accesses(topo, accesses):
+    """(client, holders, origin) triples by pop id as the rules' arrays:
+    clients, origins, holder ids and a holder-set table by position."""
+    at = topo.pop_at
+    sets = np.zeros((len(accesses), len(topo.pops)), dtype=bool)
+    for k, (_, holders, _) in enumerate(accesses):
+        sets[k, [at[h] for h in holders]] = True
+    return (np.array([at[c] for c, _, _ in accesses], dtype=np.int64),
+            np.array([at[o] for _, _, o in accesses], dtype=np.int64),
+            np.arange(len(accesses)), sets)
+
+
+def _closest(topo, client, holders, origin):
+    """redirect_closest for one access, by pop id."""
+    server, = redirect_closest(*_accesses(topo, [(client, holders, origin)]),
+                               _order(topo))
+    return topo.pops[server]
+
+
+def _util_aware(topo, client, holders, origin, loads, paths, rate):
+    """redirect_utilization_aware for one access, by pop id; `loads` is by
+    link position and `paths` a path_table."""
+    server, = redirect_utilization_aware(
+        *_accesses(topo, [(client, holders, origin)]), np.array([rate]),
+        list(loads), paths, _order(topo))
+    return topo.pops[server]
 
 
 def test_closest_argmin_distance():
@@ -40,17 +74,16 @@ def test_closest_argmin_distance():
     assert d[(1, 2)] == pytest.approx(1.0)
     assert d[(1, 3)] == pytest.approx(2.0)
     assert topo.ic_rank[1] == {1: 0, 2: 1, 3: 2}
-    server = redirect_closest({2, 3}, origin=3, rank=topo.ic_rank[1])
+    server = _closest(topo, 1, {2, 3}, 3)
     assert server == 2
     assert serve_reason(1, server, 3) == "remote-replica"
 
 
 def test_closest_local_hit_and_origin_fallback():
     topo = parse_topology("pop 0 A\npop 1 B\nlink 0 1 10\norigin 0\n")
-    rank = topo.ic_rank
-    local = redirect_closest({1}, origin=0, rank=rank[1])
+    local = _closest(topo, 1, {1}, 0)
     assert local == 1 and serve_reason(1, local, 0) == "local-hit"
-    fallback = redirect_closest(set(), origin=0, rank=rank[1])
+    fallback = _closest(topo, 1, set(), 0)
     assert fallback == 0 and serve_reason(1, fallback, 0) == "origin"
 
 
@@ -65,7 +98,7 @@ def test_closest_tie_breaks_lowest_pop():
     origin 0
     """)
     assert topo.ic_rank[0] == {0: 0, 1: 1, 2: 2}
-    server = redirect_closest({1, 2}, origin=1, rank=topo.ic_rank[0])
+    server = _closest(topo, 0, {1, 2}, 1)
     assert server == 1  # equal distance, lowest id wins
 
 
@@ -87,13 +120,11 @@ def _square():
 
 def test_utilization_aware_prefers_cooler_path():
     topo = _square()
-    _, rank, _, paths = _tables(topo)
+    _, _, _, paths = _tables(topo)
     link_20 = [l.id for l in topo.links if (l.src, l.dst) == (2, 0)][0]
     link_30 = [l.id for l in topo.links if (l.src, l.dst) == (3, 0)][0]
     loads = _load_list(topo, {link_20: 9e6, link_30: 4e6})  # 0.9 vs 0.4
-    server = redirect_utilization_aware(0, {2, 3}, origin=1, loads=loads,
-                                        paths=paths[0], rate=1e5,
-                                        rank=rank[0])
+    server = _util_aware(topo, 0, {2, 3}, 1, loads, paths, 1e5)
     assert server == 3
     # verify the hand-computed bottleneck metrics pick the same winner
     m2 = (9e6 + 1e5) / 10e6
@@ -118,44 +149,40 @@ def test_utilization_aware_zero_loads_agrees_with_closest():
     link 3 4 10
     origin 4
     """)
-    _, rank, _, paths = _tables(topo)
+    _, _, _, paths = _tables(topo)
     zeros = _load_list(topo, {})
     rng = random.Random(47)
     for _ in range(30):
         holders = set(rng.sample([1, 2, 3], rng.randint(0, 3)))
-        a = redirect_closest(holders, origin=4, rank=rank[0])
-        b = redirect_utilization_aware(0, holders, origin=4, loads=zeros,
-                                       paths=paths[0], rate=1e5, rank=rank[0])
+        a = _closest(topo, 0, holders, 4)
+        b = _util_aware(topo, 0, holders, 4, zeros, paths, 1e5)
         assert a == b
         assert serve_reason(0, a, 4) == serve_reason(0, b, 4)
 
 
 def test_utilization_aware_local_short_circuit():
     topo = _square()
-    _, rank, _, paths = _tables(topo)
+    _, _, _, paths = _tables(topo)
     loads = _load_list(topo, {0: 1e9})
-    server = redirect_utilization_aware(0, {0, 2}, origin=1, loads=loads,
-                                        paths=paths[0], rate=1e5,
-                                        rank=rank[0])
+    server = _util_aware(topo, 0, {0, 2}, 1, loads, paths, 1e5)
     assert server == 0 and serve_reason(0, server, 1) == "local-hit"
+    assert _util_aware(topo, 1, {2}, 1, loads, paths, 1e5) == 1
 
 
 def test_decisions_always_serveable_and_deterministic():
     rng = random.Random(53)
     topo = _square()
-    _, rank, _, paths = _tables(topo)
+    _, _, _, paths = _tables(topo)
     for _ in range(50):
         holders = set(p for p in topo.pops if rng.random() < 0.4)
         origin = rng.choice(list(topo.pops))
         client = rng.choice(list(topo.pops))
-        a = redirect_closest(holders, origin, rank[client])
+        a = _closest(topo, client, holders, origin)
         assert a in holders | {origin, client}
         loads = [rng.uniform(0, 2e7) for _ in topo.links]
-        b = redirect_utilization_aware(client, holders, origin, loads,
-                                       paths[client], 1e5, rank[client])
+        b = _util_aware(topo, client, holders, origin, loads, paths, 1e5)
         assert b in holders | {origin, client}
-        b2 = redirect_utilization_aware(client, holders, origin, loads,
-                                        paths[client], 1e5, rank[client])
+        b2 = _util_aware(topo, client, holders, origin, loads, paths, 1e5)
         assert b == b2
 
 
@@ -165,12 +192,11 @@ def test_closest_invariant_under_capacity_scaling():
         [f"pop {p} N{p}" for p in base.pops]
         + [f"arc {l.src} {l.dst} {l.capacity * 7 // 1_000_000}" for l in base.links]
         + ["origin 1"]))
-    r1, r2 = base.ic_rank, scaled.ic_rank
     rng = random.Random(59)
     for _ in range(20):
         holders = set(rng.sample([1, 2, 3], rng.randint(1, 3)))
-        a = redirect_closest(holders, origin=1, rank=r1[0])
-        b = redirect_closest(holders, origin=1, rank=r2[0])
+        a = _closest(base, 0, holders, 1)
+        b = _closest(scaled, 0, holders, 1)
         assert a == b
 
 
@@ -193,7 +219,7 @@ def test_rules_match_brute_force_definitions_with_ties():
     distance_ties = bottleneck_ties = 0
     for _ in range(40):
         topo = random_digraph(rng.randint(6, 8), rng, caps=(1000,))
-        d, rank, routes, paths = _tables(topo)
+        d, _, routes, paths = _tables(topo)
         caps = {l.id: l.capacity for l in topo.links}
         pops = list(topo.pops)
         for _ in range(25):
@@ -206,7 +232,7 @@ def test_rules_match_brute_force_definitions_with_ties():
 
             expected = (min(holders, key=lambda j: (d[(client, j)], j))
                         if holders else origin)
-            assert redirect_closest(holders, origin, rank[client]) == expected
+            assert _closest(topo, client, holders, origin) == expected
             if len({d[(client, j)] for j in holders}) < len(holders):
                 distance_ties += 1
 
@@ -222,8 +248,66 @@ def test_rules_match_brute_force_definitions_with_ties():
                           for j in holders | {origin})
             if len(keys) > 1 and keys[0][0] == keys[1][0]:
                 bottleneck_ties += 1
-            got = redirect_utilization_aware(
-                client, holders, origin, _load_list(topo, loads),
-                paths[client], rate, rank[client])
+            got = _util_aware(topo, client, holders, origin,
+                             _load_list(topo, loads), paths, rate)
             assert got == keys[0][2]
     assert distance_ties > 50 and bottleneck_ties > 50
+
+
+def test_rules_on_many_accesses_match_one_at_a_time():
+    # one call over many accesses gives each the server a call of its own
+    # gives; under the utilization-aware rule, each access sees the rates
+    # of the ones before it, which changes some choices
+    rng = random.Random(71)
+    topo = random_digraph(7, rng, caps=(1000,))
+    _, _, _, paths = _tables(topo)
+    order = _order(topo)
+    pops = list(topo.pops)
+    accesses = []
+    for _ in range(80):
+        client, origin = rng.sample(pops, 2)
+        others = [p for p in pops if p != client]
+        accesses.append((client, set(rng.sample(others, rng.randint(0, 4))),
+                         origin))
+    rates = np.array([rng.choice((1e7, 3e8)) for _ in accesses])
+    arrays = _accesses(topo, accesses)
+    batch = redirect_closest(*arrays, order)
+    assert [topo.pops[s] for s in batch] == [
+        _closest(topo, c, h, o) for c, h, o in accesses]
+
+    loads = [0.0] * len(topo.links)
+    batch = redirect_utilization_aware(*arrays, rates, loads, paths, order)
+    one_by_one, alone = [0.0] * len(topo.links), []
+    for k, (c, h, o) in enumerate(accesses):
+        one = _accesses(topo, [(c, h, o)])
+        server, = redirect_utilization_aware(*one, rates[k:k + 1],
+                                             one_by_one, paths, order)
+        assert server == batch[k]
+        alone.append(_util_aware(topo, c, h, o, [0.0] * len(topo.links),
+                                paths, rates[k]))
+    assert loads == one_by_one
+    assert [topo.pops[s] for s in batch] != alone
+
+
+def test_rank_matrix_and_path_table_by_position():
+    # ic_rank_matrix is ic_rank by position, and path_table keeps each
+    # route's (link, fraction) rows in the routing's order, with the
+    # link's capacity, under commodity server position * pops + client;
+    # by_client has the same rows by [client][server]
+    rng = random.Random(5)
+    topo = random_digraph(6, rng, caps=(1000, 2500))
+    pops, n = topo.pops, len(topo.pops)
+    assert topo.ic_rank_matrix.tolist() == [
+        [topo.ic_rank[c][p] for p in pops] for c in pops]
+    _, _, routes, table = _tables(topo)
+    for (server, client), fracs in routes.items():
+        k = topo.pop_at[server] * n + topo.pop_at[client]
+        rows = range(table.at[k], table.at[k + 1])
+        assert [(topo.links[table.link[r]].id, table.frac[r])
+                for r in rows] == list(fracs.items())
+        assert [table.capacity[r] for r in rows] == [
+            topo.links[table.link[r]].capacity for r in rows]
+        by_client = table.by_client[topo.pop_at[client]][topo.pop_at[server]]
+        assert by_client == [(table.link[r], table.frac[r],
+                              table.capacity[r]) for r in rows]
+    assert table.at[-1] == sum(len(f) for f in routes.values())
