@@ -17,7 +17,8 @@ from . import topology as topo_mod
 from .config import ConfigError, ExperimentConfig, load_config, resolve_pop_weights
 from .engine import ValidationError, scheme_inputs
 from .placement import Placement, induced_traffic_matrix, plan_placement
-from .traffic import apply_routing, finite_float, mlu, read_traffic_matrix
+from .traffic import (finite_float, link_loads, path_table,
+                      read_traffic_matrix)
 from .workload import (DAY_SECONDS, aggregate_demand,
                        generate_synthetic_trace, parse_catalog, parse_trace,
                        write_catalog, write_trace)
@@ -161,8 +162,8 @@ def cmd_solve_routing(args) -> int:
     for (s, t) in tm:
         if s not in topo.names or t not in topo.names:
             raise ValidationError(f"matrix references unknown pop in {(s, t)}")
-    routing = lp_mod.solve_min_mlu_routing(topo, tm)
-    value = mlu(apply_routing(routing, tm), topo)
+    routes = path_table(topo, lp_mod.solve_min_mlu_routing(topo, tm))
+    value = float((link_loads(topo, routes, tm) / routes.capacities).max())
     print(f"alpha = {value:.6g}")
     return 0
 

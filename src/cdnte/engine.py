@@ -16,11 +16,11 @@ import numpy as np
 from . import lp as lp_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
                         plan_placement_optimized, replay_caches, split_hybrid)
-from .redirection import (path_table, redirect_closest,
-                          redirect_utilization_aware, serve_reason)
-from .traffic import (LinkLoads, RoutingSolution, TrafficMatrix,
-                      apply_routing, check_flow_conservation,
-                      validate_traffic_matrix)
+from .redirection import (redirect_closest, redirect_utilization_aware,
+                          serve_reason)
+from .traffic import (Routes, RoutingSolution, TrafficMatrix,
+                      check_flow_conservation, flat_ranges, link_loads,
+                      path_table, validate_traffic_matrix)
 from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
                        Trace, aggregate_demand, chunk_objects)
 
@@ -148,10 +148,10 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
     return (chunks, origins, *split_hybrid({p: budget for p in topo.pops}, cached))
 
 
-# Plans, each day's demand and the routings already checked, shared by
-# the runs on one trace: `_plan`, `_demand` and `_check_routing` each key
-# their entries by what the entry is a pure function of, so the kinds
-# never collide.
+# Plans, each day's demand and the routings already checked, with their
+# Routes, shared by the runs on one trace: `_plan`, `_demand` and
+# `_check_routing` each key their entries by what the entry is a pure
+# function of, so the kinds never collide.
 PlanTable = Dict[tuple, tuple]
 
 
@@ -187,18 +187,22 @@ def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
 
 
 def _check_routing(plans: PlanTable, topo, routing: RoutingSolution,
-                   day: int) -> None:
-    """check_flow_conservation, once per routing object and topology in
-    `plans`: routings are only read, so one that passed still does. The
-    entry keeps both, so no other object can take their ids. A routing
-    that fails exits with SimplexError naming the day."""
+                   day: int) -> Routes:
+    """check_flow_conservation, then the routing's `Routes`, once per
+    routing object and topology in `plans` (the InverseCap routes' are the
+    topology's own): routings are only read, so one that passed still
+    does. The entry keeps both, so no other object can take their ids. A
+    routing that fails exits with SimplexError naming the day."""
     key = ("checked", id(routing), id(topo))
     if key not in plans:
         try:
             check_flow_conservation(routing, topo)
         except ValueError as exc:
             raise lp_mod.SimplexError(f"day {day} routing: {exc}") from None
-        plans[key] = (routing, topo)
+        plans[key] = (routing, topo, topo.ic_paths
+                      if routing is topo.ic_routes else
+                      path_table(topo, routing))
+    return plans[key][2]
 
 
 def _expand(codes: np.ndarray, req_bytes: np.ndarray, content_ids: List[str],
@@ -226,14 +230,8 @@ def _expand(codes: np.ndarray, req_bytes: np.ndarray, content_ids: List[str],
     flat_bytes = np.array([b for _, bs in parts for b in bs], dtype=np.int64)
     per_row = counts[inverse]
     row = np.repeat(np.arange(len(codes)), per_row)
-    at = _ranges((np.cumsum(counts) - counts)[inverse], per_row)
+    at = flat_ranges((np.cumsum(counts) - counts)[inverse], per_row)
     return row, flat_chunks[at], flat_bytes[at]
-
-
-def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges first[i] .. first[i] + counts[i] - 1, one after another."""
-    return np.repeat(first - np.cumsum(counts) + counts, counts) \
-        + np.arange(int(counts.sum()))
 
 
 def _holder_sets(masks: List[int], n_pops: int
@@ -300,16 +298,15 @@ class _Replay:
         self.labels = [_chunk_label(c) for c in chunks.sizes] \
             if collect_decisions else []
         self.order = np.argsort(topo.ic_rank_matrix, axis=1)
-        self.capacities = np.array([l.capacity for l in topo.links],
-                                   dtype=np.float64)
 
-    def day(self, day: int, placement: Placement, routing: RoutingSolution,
-            transit_loads: LinkLoads, report: MluReport
+    def day(self, day: int, placement: Placement, routes: Routes,
+            transit: np.ndarray, report: MluReport
             ) -> Tuple[List[float], int, int, TrafficMatrix]:
-        """Replay one day. Appends its intervals, and its decisions and
-        interval matrices if collected, to `report`. Returns the interval
-        MLUs, the bytes served, the bytes the origin served, and the
-        realized matrix in bit/s."""
+        """Replay one day on `routes`, with the `transit` loads by link
+        position. Appends its intervals, and its decisions and interval
+        matrices if collected, to `report`. Returns the interval MLUs, the
+        bytes served, the bytes the origin served, and the realized matrix
+        in bit/s."""
         topo, n_pops = self.topo, len(self.topo.pops)
         # the day's planned holders of each stored chunk, as bitmasks
         stored: Dict[int, int] = {}
@@ -331,8 +328,7 @@ class _Replay:
                 self.planned[i] = mask
             self.planned_at = list(stored)
             planned = None
-        tables = (path_table(topo, routing), planned,
-                  np.array([transit_loads.get(l.id, 0.0) for l in topo.links]))
+        tables = (routes, planned, transit)
 
         # today's interval boundaries as floats; the last may be shorter
         n_intervals = int(math.ceil(DAY_SECONDS / self.interval_s))
@@ -433,18 +429,12 @@ class _Replay:
         sums = _byte_sums(inverse, m_bytes, len(keys))
         key_iv, commodities = keys // n_pairs, keys % n_pairs
 
-        # apply_routing and mlu by link position: np.add.at adds each
-        # link's terms in index order, the commodities in sorted order,
-        # then the transit loads, so the sums are the same floats
-        key_rates = sums * 8.0 / np.array(lengths)[key_iv]
-        n_rows = np.diff(routes.at)[commodities]
-        term = np.repeat(np.arange(len(keys)), n_rows)
-        at = _ranges(routes.at[commodities], n_rows)
-        loads = np.zeros((n_intervals, len(self.capacities)))
-        np.add.at(loads, (key_iv[term], routes.link[at]),
-                  key_rates[term] * routes.frac[at])
-        mlus = ((loads + transit) / self.capacities).max(axis=1)
-        mlus = mlus.tolist()
+        # each interval's loads, the commodities in sorted order, then the
+        # transit loads: the floats of apply_routing and mlu
+        loads = np.zeros((n_intervals, len(routes.capacities)))
+        routes.add_loads(loads, commodities,
+                         sums * 8.0 / np.array(lengths)[key_iv], key_iv)
+        mlus = ((loads + transit) / routes.capacities).max(axis=1).tolist()
         report.intervals.extend(zip([day] * n_intervals, starts, mlus))
         if self.collect_matrices:
             bounds = np.searchsorted(key_iv, np.arange(n_intervals + 1))
@@ -538,6 +528,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                      interval_s, collect_decisions, collect_matrices)
     combined_transit = (scheme.transit is not None
                         and scheme.transit.mode == "combined")
+    transit_tm = scheme.transit.tm if scheme.transit is not None else {}
     report = MluReport(scheme.label(), interval_s, [], [], 0.0, 0.0, 0.0)
     total_served = total_origin = 0
     prev_dm: Optional[DemandMatrix] = None  # yesterday's; None for lru
@@ -576,16 +567,13 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                     for k, rate in scheme.transit.tm.items():
                         tm[k] = tm.get(k, 0.0) + rate
                 routing = lp_mod.solve_min_mlu_routing(topo, tm)
-        _check_routing(plans, topo, routing, day)
-        transit_loads: LinkLoads = {}
-        if scheme.transit is not None:
-            transit_loads = apply_routing(
-                routing if combined_transit else topo.ic_routes,
-                scheme.transit.tm)
+        routes = _check_routing(plans, topo, routing, day)
+        transit = link_loads(topo, routes if combined_transit
+                             else topo.ic_paths, transit_tm)
         if collect_placements:
             report.placements.extend(placement_rows(day, placement))
         day_mlus, day_served, day_origin, realized = replay.day(
-            day, placement, routing, transit_loads, report)
+            day, placement, routes, transit, report)
         if day_served > 0:
             hit_ratio = (day_served - day_origin) / day_served
             origin_fraction = day_origin / day_served

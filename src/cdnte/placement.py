@@ -184,16 +184,18 @@ class _SwapSearch:
 
     The surrogate is kept in arrays, with pops indexed in ascending id
     order: the pop x pop rank matrix `Topology.ic_rank_matrix` (so a
-    masked argmin is `nearest_replica`), each (server, client) pair's
-    InverseCap link fractions, per-chunk holder masks and a float64
-    link-load vector. A move re-serves only the
+    masked argmin is `nearest_replica`), the rows of the InverseCap
+    `Topology.ic_paths`, per-chunk holder masks and a float64 link-load
+    vector, which `Routes.add_loads` sums. A move re-serves only the
     demand pairs whose server changes, in a fixed order: the dropped
     chunk before the added one, clients ascending, the old route taken
     off before the new one is put on. Each link's load thus sees the same
     float operations as in a per-link evaluation of the move, and the
     search's choices do not depend on the array form. A move is evaluated
     in full only if it lowers the load on every link at the current
-    maximum; otherwise its surrogate cannot fall below the current one.
+    maximum (each kept with its [server][client] column of route
+    fractions); otherwise its surrogate cannot fall below the current
+    one.
     """
 
     def __init__(self, topo, dm, budgets, chunks, origins, stored, x_vals):
@@ -203,13 +205,10 @@ class _SwapSearch:
         self.origins = origins
         self.x_vals = x_vals
         pops, at = topo.pops, topo.pop_at
-        self.caps = np.array([float(l.capacity) for l in topo.links])
+        self.n = len(pops)
         self.rank = topo.ic_rank_matrix
-        self.routes = np.zeros((len(pops), len(pops), len(topo.links)))
-        for (s, c), fracs in topo.ic_routes.items():
-            if s != c:
-                for link_id, frac in fracs.items():
-                    self.routes[at[s], at[c], topo.link_at[link_id]] = frac
+        self.routes = topo.ic_paths
+        self.caps = self.routes.capacities
         window = dm.window_seconds
         self.rates: Dict[Tuple[ChunkId, int], float] = {}
         self.chunk_ids: List[ChunkId] = []
@@ -241,18 +240,24 @@ class _SwapSearch:
         cand = self.holds.copy()
         cand[np.arange(len(self.chunk_ids)), self.origin_at] = True
         self.servers = np.where(cand[self.pair_chunk], self.rank[self.clients],
-                                len(self.topo.pops)).argmin(axis=1)
-        loads = np.zeros(len(self.caps))
-        for rate, s, c in zip(self.pair_rates, self.servers.tolist(),
-                              self.clients.tolist()):
-            if s != c:
-                loads += rate * self.routes[s, c]
+                                self.n).argmin(axis=1)
+        loads = self.routes.add_loads(np.zeros(len(self.caps)),
+                                      self.servers * self.n + self.clients,
+                                      np.array(self.pair_rates))
         self.loads = loads
         util = loads / self.caps
         self.value = max(0.0, float(util.max()))
         # the links at the maximum, with their loads and route columns
-        self.top = [(m, float(loads[m]), self.routes[:, :, m].tolist())
+        self.top = [(m, float(loads[m]), self._column(m))
                     for m in np.flatnonzero(util == self.value).tolist()]
+
+    def _column(self, m: int) -> List[List[float]]:
+        """Every route's fraction on link position `m`, [server][client]."""
+        on = np.flatnonzero(self.routes.link == m)
+        col = np.zeros(self.n * self.n)
+        col[np.searchsorted(self.routes.at, on, side="right") - 1] = \
+            self.routes.frac[on]
+        return col.reshape(self.n, self.n).tolist()
 
     def _gains(self, p: int) -> Dict[int, List[Tuple[float, int, int, int]]]:
         """Per chunk row, the pairs that would move to pop index `p` if it
@@ -284,11 +289,13 @@ class _SwapSearch:
         return out
 
     def _moved(self, loads: np.ndarray, changes) -> np.ndarray:
-        loads = loads.copy()
-        for rate, old, new, c in changes:
-            loads -= rate * self.routes[old, c]
-            loads += rate * self.routes[new, c]
-        return loads
+        n = self.n
+        commodities = [k for _, old, new, c in changes
+                       for k in (old * n + c, new * n + c)]
+        rates = [r for rate, _, _, _ in changes for r in (-rate, rate)]
+        return self.routes.add_loads(
+            loads.copy(), np.array(commodities, dtype=np.int64),
+            np.array(rates, dtype=np.float64))
 
     def _try(self, base: np.ndarray, changes) -> float:
         """Surrogate after applying `changes` to `base` (the current loads,

@@ -2,61 +2,23 @@
 have no local copy, many accesses per call. PoPs are named by their
 position in `Topology.pops`. The rules read tables built ahead of replay:
 each client's PoPs in rank order (the argsort of
-`Topology.ic_rank_matrix`, once per run) and the day's routes as flat
-rows (`path_table`, once per day). An access's replica holders are one
-row of a holder-set table, a bool matrix with a column per PoP."""
+`Topology.ic_rank_matrix`, once per run) and the day's routing as
+`traffic.Routes` (built once per routing object). An access's replica
+holders are one row of a holder-set table, a bool matrix with a column
+per PoP."""
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from .traffic import RoutingSolution
+from .traffic import Routes
 
 LOCAL_HIT = "local-hit"
 REMOTE_REPLICA = "remote-replica"
 ORIGIN = "origin"
-
-
-@dataclass(eq=False)
-class Routes:
-    """A routing by pop position, as flat rows. The route server->client
-    is commodity k = server * pop count + client; its rows are
-    at[k] .. at[k + 1] - 1, each a link (its position in `topo.links`),
-    the flow fraction on it and the link's capacity."""
-    at: np.ndarray
-    link: np.ndarray
-    frac: np.ndarray
-    capacity: np.ndarray
-
-    @functools.cached_property
-    def by_client(self) -> List[List[List[Tuple[int, float, float]]]]:
-        """The same rows as (link, fraction, capacity) tuples, indexed
-        [client][server], for the utilization-aware rule's loop."""
-        n = math.isqrt(len(self.at) - 1)
-        at = self.at.tolist()
-        rows = list(zip(self.link.tolist(), self.frac.tolist(),
-                        self.capacity.tolist()))
-        return [[rows[at[s * n + c]:at[s * n + c + 1]] for s in range(n)]
-                for c in range(n)]
-
-
-def path_table(topo, routing: RoutingSolution) -> Routes:
-    """`routing` as `Routes`, each route's rows in the routing's order."""
-    n, at = len(topo.pops), topo.pop_at
-    rows: List[list] = [[] for _ in range(n * n)]
-    for (server, client), fracs in routing.items():
-        rows[at[server] * n + at[client]] = [
-            (topo.link_at[link_id], frac) for link_id, frac in fracs.items()]
-    link = np.array([pos for r in rows for pos, _ in r], dtype=np.int64)
-    capacities = np.array([l.capacity for l in topo.links], dtype=np.float64)
-    return Routes(np.cumsum([0] + [len(r) for r in rows]), link,
-                  np.array([frac for r in rows for _, frac in r],
-                           dtype=np.float64), capacities[link])
 
 
 def serve_reason(client: int, server: int, origin: int) -> str:
@@ -123,17 +85,23 @@ def redirect_utilization_aware(clients: np.ndarray, origins: np.ndarray,
             start = end
             continue
         route = paths[client]
-        best, best_rows, least = client, (), math.inf
-        for server in candidates[start:end]:
-            rows = route[server]
-            worst = 0.0
-            for pos, frac, capacity in rows:
-                if frac > 0.0:
-                    util = (loads[pos] + frac * rate) / capacity
-                    if util > worst:
-                        worst = util
-            if worst < least:
-                best, best_rows, least = server, rows, worst
+        if end - start == 1:  # the origin alone: nothing to compare
+            best = candidates[start]
+            best_rows = route[best]
+        else:
+            best, best_rows, least = client, (), math.inf
+            for server in candidates[start:end]:
+                rows = route[server]
+                worst = 0.0
+                for pos, frac, capacity in rows:
+                    if frac > 0.0:
+                        util = (loads[pos] + frac * rate) / capacity
+                        if util > worst:
+                            worst = util
+                            if worst >= least:  # it can no longer win
+                                break
+                if worst < least:
+                    best, best_rows, least = server, rows, worst
         for pos, frac, _ in best_rows:
             loads[pos] += frac * rate
         servers.append(best)

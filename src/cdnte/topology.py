@@ -20,7 +20,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .traffic import RoutingSolution, exact_millions, split_by_source
+from .traffic import (Routes, RoutingSolution, exact_millions, path_table,
+                      split_by_source)
 
 WeightMap = Dict[int, float]
 
@@ -42,8 +43,9 @@ class Topology:
 
     The InverseCap facts every layer reads are derived once, on first
     use: the link weights (`ic_weights`), the ECMP routes on them
-    (`ic_routes`) and each client's rank of every pop (`ic_rank`, and
-    by position `ic_rank_matrix`). Callers must not mutate them."""
+    (`ic_routes`, and as `traffic.Routes` `ic_paths`) and each client's
+    rank of every pop (`ic_rank`, and by position `ic_rank_matrix`).
+    Callers must not mutate them."""
 
     def __init__(self, pops: List[int], names: Dict[int, str],
                  links: List[Link], origin_pop: int):
@@ -73,6 +75,10 @@ class Topology:
     @functools.cached_property
     def ic_routes(self) -> RoutingSolution:
         return shortest_path_routes(self, self.ic_weights)
+
+    @functools.cached_property
+    def ic_paths(self) -> Routes:
+        return path_table(self, self.ic_routes)
 
     @functools.cached_property
     def ic_rank(self) -> Dict[int, Dict[int, int]]:

@@ -9,15 +9,18 @@ Value conventions used throughout the package:
   fractions (fraction of the commodity's rate carried by that link),
 * link loads map a link id to bits/sec.
 
-Everything here is a pure transformation over those plain dicts.
+The dicts are the reference; `Routes` is a routing as arrays by
+position, with the one link-load sum that replay and the planner use.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +96,76 @@ def check_flow_conservation(routing: RoutingSolution, topo,
                 raise ValueError(
                     f"conservation violated for {(src, dst)} at pop {pop}: "
                     f"net {value}, expected {want}")
+
+
+def flat_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges first[i] .. first[i] + counts[i] - 1, one after another."""
+    return np.repeat(first - np.cumsum(counts) + counts, counts) \
+        + np.arange(int(counts.sum()))
+
+
+@dataclass(eq=False)
+class Routes:
+    """A routing by pop position, as flat rows. The route server->client
+    is commodity k = server * pop count + client; its rows are
+    at[k] .. at[k + 1] - 1, each a link (its position in `topo.links`)
+    and the flow fraction on it; `capacities` is by link position."""
+    at: np.ndarray
+    link: np.ndarray
+    frac: np.ndarray
+    capacities: np.ndarray
+
+    def add_loads(self, out: np.ndarray, commodities: np.ndarray,
+                  rates: np.ndarray,
+                  groups: Optional[np.ndarray] = None) -> np.ndarray:
+        """Add rates[i] routed on commodity commodities[i] to the loads
+        `out` by link position (with `groups`, to row groups[i] of a 2-d
+        `out`) and return it. Each link's terms are added in the order of
+        `commodities`, a route's in the routing's order: for commodities
+        in sorted order, the floats of `apply_routing`."""
+        first = self.at[commodities]
+        n_rows = self.at[commodities + 1] - first
+        term = np.repeat(np.arange(len(commodities)), n_rows)
+        at = flat_ranges(first, n_rows)
+        link = self.link[at]
+        np.add.at(out, link if groups is None else (groups[term], link),
+                  rates[term] * self.frac[at])
+        return out
+
+    @functools.cached_property
+    def by_client(self) -> List[List[List[Tuple[int, float, float]]]]:
+        """The same rows as (link, fraction, capacity) tuples, indexed
+        [client][server], for the utilization-aware rule's loop."""
+        n = math.isqrt(len(self.at) - 1)
+        at = self.at.tolist()
+        rows = list(zip(self.link.tolist(), self.frac.tolist(),
+                        self.capacities[self.link].tolist()))
+        return [[rows[at[s * n + c]:at[s * n + c + 1]] for s in range(n)]
+                for c in range(n)]
+
+
+def path_table(topo, routing: RoutingSolution) -> Routes:
+    """`routing` as `Routes`, each route's rows in the routing's order."""
+    n, at = len(topo.pops), topo.pop_at
+    rows: List[list] = [[] for _ in range(n * n)]
+    for (server, client), fracs in routing.items():
+        rows[at[server] * n + at[client]] = [
+            (topo.link_at[link_id], frac) for link_id, frac in fracs.items()]
+    flat = [row for r in rows for row in r]
+    return Routes(np.cumsum([0] + [len(r) for r in rows]),
+                  np.array([pos for pos, _ in flat], dtype=np.int64),
+                  np.array([frac for _, frac in flat], dtype=np.float64),
+                  np.array([l.capacity for l in topo.links], dtype=np.float64))
+
+
+def link_loads(topo, routes: Routes, tm: TrafficMatrix) -> np.ndarray:
+    """`apply_routing` by link position, on `routes`, to the same floats."""
+    n, at = len(topo.pops), topo.pop_at
+    keys = sorted(tm)
+    return routes.add_loads(
+        np.zeros(len(topo.links)),
+        np.array([at[s] * n + at[t] for s, t in keys], dtype=np.int64),
+        np.array([tm[k] for k in keys], dtype=np.float64))
 
 
 def split_by_source(topo, sink: int, weights, sources: List[int],

@@ -45,6 +45,14 @@ def _load_default_workload():
     return topo, catalog, requests
 
 
+@pytest.fixture(scope="module")
+def default_plans():
+    """The default workload and one plan table for criteria 6 and 7: the
+    `optimized` ratio-2 plans of criterion 6 for days 1-6 are the `future`
+    ratio-2 plans of criterion 7 for days 0-5, so they are solved once."""
+    return (*_load_default_workload(), {})
+
+
 def test_criterion_1_lp_analytic_instances():
     t0 = time.perf_counter()
     # single A->B link, demand d, capacity c: alpha* = d/c
@@ -302,17 +310,17 @@ def test_criterion_5_engine_oracle_equivalence():
 
 
 @pytest.mark.slow
-def test_criterion_6_optimized_placement_beats_origin_min_mlu():
+def test_criterion_6_optimized_placement_beats_origin_min_mlu(default_plans):
     t0 = time.perf_counter()
-    topo, catalog, requests = _load_default_workload()
+    topo, catalog, requests, plans = default_plans
     placement_scheme = SchemeSpec("optimized", "inversecap", "closest",
                                   storage_ratio=2.0, name="optimized+ic")
     origin_scheme = SchemeSpec("optimized", "min-mlu-prior-day", "closest",
                                storage_ratio=1e-9, name="origin+minmlu")
     rep_placement = run_experiment(topo, catalog, requests, placement_scheme,
-                                   INTERVAL_S)
+                                   INTERVAL_S, plans=plans)
     rep_origin = run_experiment(topo, catalog, requests, origin_scheme,
-                                INTERVAL_S)
+                                INTERVAL_S, plans=plans)
     a = rep_placement.mean_daily_p99()
     b = rep_origin.mean_daily_p99()
     elapsed = time.perf_counter() - t0
@@ -323,16 +331,18 @@ def test_criterion_6_optimized_placement_beats_origin_min_mlu():
 
 
 @pytest.mark.slow
-def test_criterion_7_lru_gap_shrinks_with_storage():
+def test_criterion_7_lru_gap_shrinks_with_storage(default_plans):
     t0 = time.perf_counter()
-    topo, catalog, requests = _load_default_workload()
+    topo, catalog, requests, plans = default_plans
     ratios = [0.25, 0.5, 1.0, 2.0, 4.0]
     lru_rows = sweep_storage_ratio(
         topo, catalog, requests,
-        SchemeSpec("lru", "inversecap", "closest"), ratios, INTERVAL_S)
+        SchemeSpec("lru", "inversecap", "closest"), ratios, INTERVAL_S,
+        plans=plans)
     fut_rows = sweep_storage_ratio(
         topo, catalog, requests,
-        SchemeSpec("future", "min-mlu-future", "closest"), ratios, INTERVAL_S)
+        SchemeSpec("future", "min-mlu-future", "closest"), ratios, INTERVAL_S,
+        plans=plans)
     lru_series = [row.mean_daily_p99 for row in lru_rows]
     fut_series = [row.mean_daily_p99 for row in fut_rows]
     assert all(v > 0 for v in fut_series)

@@ -1040,3 +1040,39 @@ def test_each_routing_object_checked_once_per_table(monkeypatch):
                    SchemeSpec("lru", "min-mlu-prior-day", storage_ratio=1.0),
                    3600.0, plans=plans)
     assert len(checked) == 3 and len(set(checked[1:])) == 2
+
+
+def test_path_table_built_once_per_routing_object(monkeypatch):
+    # a routing's Routes are built with its conservation check, not per
+    # day or per run: the InverseCap routes (day 0's routing and every
+    # day's transit) get one table per topology, each min-MLU routing
+    # one, and the planner's routing, the same object on every day and
+    # in every run on the plan table, one
+    import cdnte.engine as engine_mod
+    import cdnte.topology as topo_mod
+    built = []
+    real = engine_mod.path_table
+
+    def counted(topo, routing):
+        built.append(id(routing))
+        return real(topo, routing)
+
+    monkeypatch.setattr(engine_mod, "path_table", counted)
+    monkeypatch.setattr(topo_mod, "path_table", counted)
+    catalog, trace = _daily_trace(4)
+    topo, plans = _origin_triangle(), {}
+    run_experiment(topo, catalog, trace,
+                   SchemeSpec("lru", "min-mlu-prior-day", storage_ratio=1.0,
+                              transit=TransitSpec({(0, 1): 2e3},
+                                                  "inversecap")),
+                   3600.0, plans=plans)
+    assert len(built) == 4 and len(set(built)) == 4
+    assert built[0] == id(topo.ic_routes)
+    for _ in range(2):  # every day's demand, so every day's plan, is one
+        run_experiment(topo, catalog, trace,
+                       SchemeSpec("future", "min-mlu-future",
+                                  storage_ratio=1.0), 3600.0, plans=plans)
+    assert len(built) == 5 and len(set(built)) == 5
+    run_experiment(topo, catalog, trace,
+                   SchemeSpec("lru", "inversecap", storage_ratio=1.0), 3600.0)
+    assert len(built) == 5

@@ -4,9 +4,9 @@ import pytest
 
 from cdnte import lp as L
 from cdnte import parse_topology
-from cdnte.placement import (CacheState, _SwapSearch, induced_traffic_matrix,
-                             plan_placement_optimized, replay_caches,
-                             split_hybrid)
+from cdnte.placement import (CacheState, Placement, _SwapSearch,
+                             induced_traffic_matrix, plan_placement_optimized,
+                             replay_caches, split_hybrid)
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
@@ -315,3 +315,47 @@ def test_swap_search_moves_match_from_scratch_surrogate():
                     evaluated += 1
                     assert value == pytest.approx(scratch, rel=1e-12, abs=0)
     assert evaluated > 0 and pruned > 0 and id_ties > 0
+
+
+def test_swap_search_loads_match_induced_matrix_after_every_move():
+    # the search sums its loads over InverseCap route rows, pair by pair;
+    # after every move it applies they equal apply_routing of the induced
+    # nearest-replica matrix of the placement so far (per commodity, so
+    # to rounding), and its surrogate that matrix's MLU
+    rng = random.Random(4141)
+    instances = _equal_capacity_instances(rng, 30)
+    while len(instances) < 60:
+        topo = random_digraph(rng.randint(5, 8), rng)
+        catalog = {f"c{k}": ContentObject(f"c{k}", rng.randint(1, 3))
+                   for k in range(rng.randint(3, 6))}
+        origins = {cid: rng.choice(topo.pops) for cid in catalog}
+        demand = {((cid, 0), pop): rng.randint(1, 9)
+                  for cid in catalog for pop in topo.pops
+                  if rng.random() < 0.5}
+        if demand:
+            instances.append((topo, catalog, chunk_objects(catalog, None),
+                              origins, DemandMatrix(0.0, 1.0, demand),
+                              {p: rng.randint(0, 4) for p in topo.pops}))
+    applied = 0
+    for topo, _, chunks, origins, dm, budgets in instances:
+        search = _SwapSearch(topo, dm, budgets, chunks, origins, {}, {})
+
+        def check():
+            tm = induced_traffic_matrix(dm, Placement(search.stored),
+                                        origins, topo)
+            loads = apply_routing(topo.ic_routes, tm)
+            assert search.loads.tolist() == pytest.approx(
+                [loads.get(l.id, 0.0) for l in topo.links], rel=1e-12, abs=0)
+            assert search.value == pytest.approx(mlu(loads, topo),
+                                                 rel=1e-12, abs=0)
+
+        def apply(pop, drop, add, real=search._apply):
+            nonlocal applied
+            real(pop, drop, add)
+            applied += 1
+            check()
+
+        check()
+        search._apply = apply
+        search.run()
+    assert applied > 100

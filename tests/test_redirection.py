@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from cdnte import parse_topology
-from cdnte.redirection import (path_table, redirect_closest,
-                               redirect_utilization_aware, serve_reason)
+from cdnte.redirection import (redirect_closest, redirect_utilization_aware,
+                               serve_reason)
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
+from cdnte.traffic import path_table
 
 from conftest import random_digraph
 
@@ -291,9 +292,10 @@ def test_rules_on_many_accesses_match_one_at_a_time():
 
 def test_rank_matrix_and_path_table_by_position():
     # ic_rank_matrix is ic_rank by position, and path_table keeps each
-    # route's (link, fraction) rows in the routing's order, with the
-    # link's capacity, under commodity server position * pops + client;
-    # by_client has the same rows by [client][server]
+    # route's (link, fraction) rows in the routing's order under
+    # commodity server position * pops + client, and each link's
+    # capacity by position; by_client has the same rows by
+    # [client][server], with the link's capacity
     rng = random.Random(5)
     topo = random_digraph(6, rng, caps=(1000, 2500))
     pops, n = topo.pops, len(topo.pops)
@@ -305,9 +307,65 @@ def test_rank_matrix_and_path_table_by_position():
         rows = range(table.at[k], table.at[k + 1])
         assert [(topo.links[table.link[r]].id, table.frac[r])
                 for r in rows] == list(fracs.items())
-        assert [table.capacity[r] for r in rows] == [
-            topo.links[table.link[r]].capacity for r in rows]
         by_client = table.by_client[topo.pop_at[client]][topo.pop_at[server]]
         assert by_client == [(table.link[r], table.frac[r],
-                              table.capacity[r]) for r in rows]
+                              topo.links[table.link[r]].capacity)
+                             for r in rows]
+    assert table.capacities.tolist() == [l.capacity for l in topo.links]
     assert table.at[-1] == sum(len(f) for f in routes.values())
+
+
+def test_utilization_aware_batch_matches_brute_force_with_live_loads():
+    # one call over many accesses against a plain loop: each access
+    # takes the candidate (holders and origin) with the least bottleneck
+    # after its rate on the loads the accesses before it left, then the
+    # client's rank; a local copy serves in place, and an access with no
+    # holder goes to the origin. Equal capacities make ties common
+    rng = random.Random(89)
+    origin_only = ties = local = 0
+    for _ in range(30):
+        topo = random_digraph(rng.randint(4, 8), rng,
+                              caps=rng.choice([(1000,), (1000, 2500)]))
+        _, rank, routes, paths = _tables(topo)
+        pops = list(topo.pops)
+        accesses = []
+        for _ in range(60):
+            client, origin = rng.sample(pops, 2)
+            holders = set() if rng.random() < 0.3 else \
+                set(rng.sample(pops, rng.randint(1, 3)))
+            accesses.append((client, holders, origin))
+        rates = [rng.choice((1e6, 5e7, 3e8)) for _ in accesses]
+        start = [rng.choice((0.0, 0.0, rng.uniform(0, 8e8)))
+                 for _ in topo.links]
+        loads = list(start)
+        got = redirect_utilization_aware(
+            *_accesses(topo, accesses), np.array(rates), loads, paths,
+            _order(topo))
+
+        want = list(start)
+        for (client, holders, origin), rate, server in zip(accesses, rates,
+                                                           got):
+            candidates = holders | {origin}
+            if client in candidates:
+                local += 1
+                assert topo.pops[server] == client
+                continue
+            route = {s: [(topo.link_at[l], f)
+                         for l, f in routes[(s, client)].items()]
+                     for s in candidates}
+
+            def metric(s):
+                return max([(want[pos] + f * rate)
+                            / topo.links[pos].capacity
+                            for pos, f in route[s] if f > 0.0] + [0.0])
+
+            keys = sorted((metric(s), rank[client][s], s) for s in candidates)
+            if len(keys) == 1:
+                origin_only += 1
+            elif keys[0][0] == keys[1][0]:
+                ties += 1
+            assert topo.pops[server] == keys[0][2]
+            for pos, f in route[keys[0][2]]:
+                want[pos] += f * rate
+        assert loads == want
+    assert origin_only > 100 and ties > 100 and local > 100

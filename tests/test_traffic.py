@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from cdnte import parse_topology
-from cdnte.traffic import (apply_routing, check_flow_conservation, mlu,
+from cdnte.traffic import (apply_routing, check_flow_conservation,
+                           link_loads, mlu, path_table,
                            read_traffic_matrix, split_by_source,
                            validate_traffic_matrix, write_traffic_matrix)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
@@ -128,3 +130,60 @@ def test_split_by_source_rejects_cycles_and_stranded_sources():
     flow[at[(5, 0)]] = 0.5
     with pytest.raises(ValueError, match="toward pop 5 has a cycle"):
         split_by_source(topo, 5, flow, [0], key)
+
+
+def test_routes_loads_equal_apply_routing_bit_for_bit():
+    # Routes.add_loads, through link_loads, gives apply_routing's floats
+    # on random routings, with pop ids apart from their positions, routes
+    # listing links in any order and zero rates; with a second matrix
+    # routed on another routing added after, as replay adds transit; and
+    # per group, as replay sums its intervals
+    rng = random.Random(83)
+    for _ in range(40):
+        ids = sorted(rng.sample(range(100), rng.randint(2, 7)))
+        topo = parse_topology("\n".join(
+            [f"pop {p} N{p}" for p in ids]
+            + [f"arc {a} {b} {rng.choice((1, 3, 10))}"
+               for a in ids for b in ids if a != b]
+            + [f"origin {ids[0]}"]))
+        link_ids = [l.id for l in topo.links]
+
+        def random_routing():
+            return {(s, t): {l: rng.choice((1.0, 0.5, rng.random()))
+                             for l in rng.sample(link_ids, rng.randint(
+                                 1, len(link_ids)))}
+                    for s in ids for t in ids
+                    if s != t and rng.random() < 0.8}
+
+        def random_matrix(routing):
+            return {k: rng.choice((0.0, rng.uniform(1.0, 1e9)))
+                    for k in routing if rng.random() < 0.7}
+
+        def by_position(loads):
+            return [loads.get(link_id, 0.0) for link_id in link_ids]
+
+        routing, transit_routing = random_routing(), random_routing()
+        tm, transit_tm = random_matrix(routing), random_matrix(transit_routing)
+        routes = path_table(topo, routing)
+        loads = link_loads(topo, routes, tm)
+        want = apply_routing(routing, tm)
+        assert loads.tolist() == by_position(want)
+
+        transit = link_loads(topo, path_table(topo, transit_routing),
+                             transit_tm)
+        for link_id, extra in apply_routing(transit_routing,
+                                            transit_tm).items():
+            want[link_id] = want.get(link_id, 0.0) + extra
+        assert (loads + transit).tolist() == by_position(want)
+
+        at, n = topo.pop_at, len(ids)
+        commodities = np.array([at[s] * n + at[t] for s, t in sorted(tm)],
+                               dtype=np.int64)
+        rates = np.array([tm[k] for k in sorted(tm)])
+        group = np.array([rng.randrange(3) for _ in tm], dtype=np.int64)
+        grouped = routes.add_loads(np.zeros((3, len(link_ids))),
+                                   commodities, rates, group)
+        for g in range(3):
+            part = {k: tm[k] for k, kg in zip(sorted(tm), group) if kg == g}
+            assert grouped[g].tolist() == by_position(
+                apply_routing(routing, part))
