@@ -16,8 +16,8 @@ import numpy as np
 from . import lp as lp_mod
 from .placement import (CacheState, Placement, induced_traffic_matrix,
                         plan_placement_optimized, replay_caches, split_hybrid)
-from .redirection import (redirect_closest, redirect_utilization_aware,
-                          serve_reason)
+from .redirection import (holder_table, placed_masks, redirect_closest,
+                          redirect_utilization_aware, serve_reason)
 from .traffic import (Routes, RoutingSolution, TrafficMatrix,
                       check_flow_conservation, flat_ranges, link_loads,
                       path_table, validate_traffic_matrix)
@@ -234,20 +234,6 @@ def _expand(codes: np.ndarray, req_bytes: np.ndarray, content_ids: List[str],
     return row, flat_chunks[at], flat_bytes[at]
 
 
-def _holder_sets(masks: List[int], n_pops: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Bitmasks over pop positions as (id of each mask, table of the
-    distinct masks as a bool matrix: a row per id, a column per pop)."""
-    index: Dict[int, int] = {}
-    ids = np.array([index.setdefault(m, len(index)) for m in masks],
-                   dtype=np.int64)
-    width = (n_pops + 7) // 8
-    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in index),
-                        dtype=np.uint8).reshape(len(index), width)
-    bits = np.unpackbits(raw, axis=1, count=n_pops, bitorder="little")
-    return ids, bits.astype(bool)
-
-
 def _byte_sums(groups: np.ndarray, nbytes: np.ndarray, n: int) -> np.ndarray:
     """Integer sums of `nbytes` per group 0 .. n - 1."""
     sums = np.zeros(n, dtype=np.int64)
@@ -297,7 +283,7 @@ class _Replay:
                                   dtype=np.int64)
         self.labels = [_chunk_label(c) for c in chunks.sizes] \
             if collect_decisions else []
-        self.order = np.argsort(topo.ic_rank_matrix, axis=1)
+        self.order = topo.ic_order
 
     def day(self, day: int, placement: Placement, routes: Routes,
             transit: np.ndarray, report: MluReport
@@ -309,18 +295,10 @@ class _Replay:
         in bit/s."""
         topo, n_pops = self.topo, len(self.topo.pops)
         # the day's planned holders of each stored chunk, as bitmasks
-        stored: Dict[int, int] = {}
-        for pop, held in placement.stored.items():
-            bit = 1 << topo.pop_at[pop]
-            for chunk in held:
-                i = self.chunk_at[chunk]
-                stored[i] = stored.get(i, 0) | bit
+        stored = placed_masks(placement.stored, topo.pop_at, self.chunk_at)
         if self.caches is None:
-            # holder set 0 is the empty set, for every chunk not stored
-            ids, holder_sets = _holder_sets([0, *stored.values()], n_pops)
-            holder_ids = np.zeros(len(self.sizes), dtype=np.int64)
-            holder_ids[list(stored)] = ids[1:]
-            planned = (holder_ids, holder_sets)
+            planned = holder_table([stored.get(i, 0)
+                                    for i in range(len(self.sizes))], n_pops)
         else:
             for i in self.planned_at:
                 self.planned[i] = 0
@@ -402,7 +380,7 @@ class _Replay:
                 self.caches, client[away].tolist(), chunk[away].tolist(),
                 self.sizes, self.planned, self.cached)
             miss = away[np.array(missed, dtype=np.int64)]
-            holder_ids, holder_sets = _holder_sets(masks, n_pops)
+            holder_ids, holder_sets = holder_table(masks, n_pops)
         m_client, m_origin, m_bytes = client[miss], origin[miss], nbytes[miss]
         m_iv = np.searchsorted(ends, trace.timestamps[rows],
                                side="right")[row[miss]]
@@ -490,8 +468,8 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     one the run keeps its own.
     """
     scheme.validate()
-    if interval_s <= 0:
-        raise ValidationError("interval_s must be positive")
+    if not 0 < interval_s < math.inf:
+        raise ValidationError("interval_s must be positive and finite")
     if len(topo.pops) < 2 or not topo.links:
         raise ValidationError("topology must have at least 2 pops and links")
     if not len(trace):

@@ -13,6 +13,7 @@ from typing import Dict, Hashable, List, Set, Tuple
 import numpy as np
 
 from . import lp as lp_mod
+from .redirection import holder_table, placed_masks, redirect_closest
 from .traffic import RoutingSolution, TrafficMatrix
 from .workload import ChunkId, ChunkMap, DemandMatrix
 
@@ -111,39 +112,68 @@ def split_hybrid(budgets: Dict[int, int], reserve: float) -> Tuple[Dict[int, int
     return planned, cache
 
 
-def nearest_replica(holders: Set[int], origin: int, rank: Dict[int, int]) -> int:
-    """The planner's rule: of the replica holders and the origin, the one
-    the client ranks first (its row of `Topology.ic_rank`), so a local
-    copy wins.
+class _DemandPairs:
+    """The pairs of a demand matrix with positive bytes, in sorted (chunk,
+    client) order: each pair's row of `chunk_ids` (`pair_chunk`), client
+    position and rate in bit/s over the window (`pair_rates`, and by
+    (chunk, pop) `rates`), and each chunk row's origin position."""
 
-    This differs from `redirection.redirect_closest`, which replay uses:
-    it serves from the origin only when no replica exists, so a remote
-    replica wins there even when the origin is closer."""
-    return min(holders | {origin}, key=rank.__getitem__)
+    def __init__(self, dm: DemandMatrix, topo, origins: Dict[str, int]):
+        self.topo = topo
+        at = topo.pop_at
+        window = dm.window_seconds
+        self.rates: Dict[Tuple[ChunkId, int], float] = {}
+        self.chunk_ids: List[ChunkId] = []
+        pair_chunk, clients = [], []
+        for (chunk, pop), nbytes in sorted(dm.demand.items()):
+            if nbytes > 0:
+                if not self.chunk_ids or self.chunk_ids[-1] != chunk:
+                    self.chunk_ids.append(chunk)
+                self.rates[(chunk, pop)] = nbytes * 8.0 / window
+                pair_chunk.append(len(self.chunk_ids) - 1)
+                clients.append(at[pop])
+        self.pair_chunk = np.array(pair_chunk, dtype=np.int64)
+        self.clients = np.array(clients, dtype=np.int64)
+        self.pair_rates = list(self.rates.values())
+        self.origin_at = np.array([at[origins[c[0]]]
+                                   for c in self.chunk_ids], dtype=np.int64)
+        self.row = {c: k for k, c in enumerate(self.chunk_ids)}
+
+    def holders(self, stored: Dict[int, Set[ChunkId]]) -> np.ndarray:
+        """The holders in `stored` (pop id -> chunks) as a bool matrix, a
+        row per chunk row and a column per pop position."""
+        masks = placed_masks(stored, self.topo.pop_at, self.row)
+        ids, table = holder_table([masks.get(k, 0)
+                                   for k in range(len(self.chunk_ids))],
+                                  len(self.topo.pops))
+        return table[ids]
+
+    def closest(self, holds: np.ndarray, pairs=slice(None)) -> np.ndarray:
+        """The server of each pair in `pairs` by `redirect_closest`, the
+        chunk's holders its row of `holds` plus its origin."""
+        with_origin = holds.copy()
+        with_origin[np.arange(len(holds)), self.origin_at] = True
+        rows = self.pair_chunk[pairs]
+        return redirect_closest(self.clients[pairs], self.origin_at[rows],
+                                rows, with_origin, self.topo.ic_order)
 
 
 def induced_traffic_matrix(dm: DemandMatrix, placement: Placement,
                            origins: Dict[str, int], topo) -> TrafficMatrix:
-    """Traffic matrix when each PoP's demand is served by its nearest
-    replica (utilization-blind assignment), rates averaged over the
-    demand window."""
-    window = dm.window_seconds
-    holders_by_chunk: Dict[ChunkId, Set[int]] = {}
-    for pop, stored in placement.stored.items():
-        for chunk in stored:
-            holders_by_chunk.setdefault(chunk, set()).add(pop)
-    tm: TrafficMatrix = {}
-    for (chunk, pop) in sorted(dm.demand):
-        nbytes = dm.demand[(chunk, pop)]
-        if nbytes <= 0:
-            continue
-        server = nearest_replica(holders_by_chunk.get(chunk, set()),
-                                 origins[chunk[0]], topo.ic_rank[pop])
-        if server == pop:
-            continue
-        key = (server, pop)
-        tm[key] = tm.get(key, 0.0) + nbytes * 8.0 / window
-    return tm
+    """Traffic matrix when each PoP's demand is served by the holder it
+    ranks first, the origin counted as one (utilization-blind assignment
+    by `redirect_closest`), rates averaged over the demand window and
+    summed per (server, client) in sorted (chunk, client) order."""
+    pairs = _DemandPairs(dm, topo, origins)
+    servers = pairs.closest(pairs.holders(placement.stored))
+    remote = servers != pairs.clients
+    n, ids = len(topo.pops), topo.pops
+    keys, inverse = np.unique(servers[remote] * n + pairs.clients[remote],
+                              return_inverse=True)
+    rates = np.zeros(len(keys))
+    np.add.at(rates, inverse, np.array(pairs.pair_rates)[remote])
+    return {(ids[k // n], ids[k % n]): rate
+            for k, rate in zip(keys.tolist(), rates.tolist())}
 
 
 def _round_placement(lp: lp_mod.LinearProgram, sol, dm: DemandMatrix,
@@ -173,74 +203,49 @@ def _round_placement(lp: lp_mod.LinearProgram, sol, dm: DemandMatrix,
     return Placement(stored)
 
 
-class _SwapSearch:
+class _SwapSearch(_DemandPairs):
     """Deterministic local improvement of a rounded placement.
 
     The relaxation's x values can prefer a fractionally-shared replica
     over a pop's own dominant demand; integrally that can double the
     realized MLU. This pass greedily applies swap/add moves per PoP while
-    they lower a surrogate objective: the MLU of the induced
-    nearest-replica traffic routed on InverseCap paths.
+    they lower a surrogate objective: the MLU of the induced traffic
+    (`induced_traffic_matrix`'s servers) routed on InverseCap paths.
 
     The surrogate is kept in arrays, with pops indexed in ascending id
-    order: the pop x pop rank matrix `Topology.ic_rank_matrix` (so a
-    masked argmin is `nearest_replica`), the rows of the InverseCap
-    `Topology.ic_paths`, per-chunk holder masks and a float64 link-load
-    vector, which `Routes.add_loads` sums. A move re-serves only the
-    demand pairs whose server changes, in a fixed order: the dropped
-    chunk before the added one, clients ascending, the old route taken
-    off before the new one is put on. Each link's load thus sees the same
-    float operations as in a per-link evaluation of the move, and the
-    search's choices do not depend on the array form. A move is evaluated
-    in full only if it lowers the load on every link at the current
-    maximum (each kept with its [server][client] column of route
-    fractions); otherwise its surrogate cannot fall below the current
-    one.
+    order: per-chunk holder rows, which `closest` resolves with replay's
+    `redirect_closest` and the origin counted as a holder, the rank
+    matrix `Topology.ic_rank_matrix`, the rows of the InverseCap
+    `Topology.ic_paths` and a float64 link-load vector, which
+    `Routes.add_loads` sums. A move re-serves only the demand pairs whose
+    server changes, in a fixed order: the dropped chunk before the added
+    one, clients ascending, the old route taken off before the new one is
+    put on. Each link's load thus sees the same float operations as in a
+    per-link evaluation of the move, and the search's choices do not
+    depend on the array form. A move is evaluated in full only if it
+    lowers the load on every link at the current maximum (each kept with
+    its [server][client] column of route fractions); otherwise its
+    surrogate cannot fall below the current one.
     """
 
     def __init__(self, topo, dm, budgets, chunks, origins, stored, x_vals):
-        self.topo = topo
+        super().__init__(dm, topo, origins)
         self.budgets = budgets
         self.chunks = chunks
         self.origins = origins
         self.x_vals = x_vals
-        pops, at = topo.pops, topo.pop_at
-        self.n = len(pops)
+        self.n = len(topo.pops)
         self.rank = topo.ic_rank_matrix
         self.routes = topo.ic_paths
         self.caps = self.routes.capacities
-        window = dm.window_seconds
-        self.rates: Dict[Tuple[ChunkId, int], float] = {}
-        self.chunk_ids: List[ChunkId] = []
-        pair_chunk, clients = [], []
-        for (chunk, pop), nbytes in sorted(dm.demand.items()):
-            if nbytes > 0:
-                if not self.chunk_ids or self.chunk_ids[-1] != chunk:
-                    self.chunk_ids.append(chunk)
-                self.rates[(chunk, pop)] = nbytes * 8.0 / window
-                pair_chunk.append(len(self.chunk_ids) - 1)
-                clients.append(at[pop])
-        self.pair_chunk = np.array(pair_chunk, dtype=np.int64)
-        self.clients = np.array(clients, dtype=np.int64)
-        self.pair_rates = list(self.rates.values())
-        self.origin_at = np.array([at[origins[c[0]]]
-                                   for c in self.chunk_ids], dtype=np.int64)
-        self.holds = np.zeros((len(self.chunk_ids), len(pops)), dtype=bool)
-        self.row = {c: k for k, c in enumerate(self.chunk_ids)}
         self.stored = {p: set(s) for p, s in stored.items()}
-        for pop, chunk_set in self.stored.items():
-            for chunk in chunk_set:
-                if chunk in self.row:
-                    self.holds[self.row[chunk], at[pop]] = True
+        self.holds = self.holders(self.stored)
         self._rebuild()
 
     def _rebuild(self) -> None:
         """Servers, loads and surrogate from scratch, pairs in sorted
         (chunk, client) order."""
-        cand = self.holds.copy()
-        cand[np.arange(len(self.chunk_ids)), self.origin_at] = True
-        self.servers = np.where(cand[self.pair_chunk], self.rank[self.clients],
-                                self.n).argmin(axis=1)
+        self.servers = self.closest(self.holds)
         loads = self.routes.add_loads(np.zeros(len(self.caps)),
                                       self.servers * self.n + self.clients,
                                       np.array(self.pair_rates))
@@ -276,17 +281,12 @@ class _SwapSearch:
         k = self.row.get(chunk)
         if k is None:
             return []
-        cand = self.holds[k].copy()
-        cand[p] = False
-        cand[self.origin_at[k]] = True
-        idx = np.flatnonzero(cand)
-        out = []
-        served = (self.pair_chunk == k) & (self.servers == p)
-        for q in np.flatnonzero(served).tolist():
-            c = int(self.clients[q])
-            out.append((self.pair_rates[q], p,
-                        int(idx[np.argmin(self.rank[c, idx])]), c))
-        return out
+        served = np.flatnonzero((self.pair_chunk == k) & (self.servers == p))
+        holds = self.holds.copy()
+        holds[k, p] = False
+        return [(self.pair_rates[q], p, new, int(self.clients[q]))
+                for q, new in zip(served.tolist(),
+                                  self.closest(holds, served).tolist())]
 
     def _moved(self, loads: np.ndarray, changes) -> np.ndarray:
         n = self.n
@@ -382,8 +382,8 @@ def plan_placement(dm: DemandMatrix, topo, budgets: Dict[int, int],
 def plan_placement_optimized(dm: DemandMatrix, topo, budgets: Dict[int, int],
                              chunks: ChunkMap, origins: Dict[str, int]
                              ) -> Tuple[Placement, RoutingSolution]:
-    """`plan_placement`, then min-MLU routing on the traffic matrix induced
-    by nearest-replica assignment. The `future` placement is this planner
+    """`plan_placement`, then min-MLU routing on the placement's
+    `induced_traffic_matrix`. The `future` placement is this planner
     fed the upcoming day's demand instead of the prior day's."""
     placement = plan_placement(dm, topo, budgets, chunks, origins)
     tm = induced_traffic_matrix(dm, placement, origins, topo)

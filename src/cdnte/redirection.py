@@ -1,16 +1,16 @@
 """Request redirection: pick the serving PoP for the chunk accesses that
 have no local copy, many accesses per call. PoPs are named by their
 position in `Topology.pops`. The rules read tables built ahead of replay:
-each client's PoPs in rank order (the argsort of
-`Topology.ic_rank_matrix`, once per run) and the day's routing as
-`traffic.Routes` (built once per routing object). An access's replica
-holders are one row of a holder-set table, a bool matrix with a column
-per PoP."""
+each client's PoPs in rank order (`Topology.ic_order`) and the day's
+routing as `traffic.Routes` (built once per routing object). An access's
+replica holders are one row of a holder-set table, a bool matrix with a
+column per PoP, which `holder_table` builds from bitmasks over PoP
+positions; replay and the planner both build theirs this way."""
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 import numpy as np
 
@@ -30,18 +30,48 @@ def serve_reason(client: int, server: int, origin: int) -> str:
     return REMOTE_REPLICA
 
 
+def placed_masks(stored: Dict[int, Iterable[Hashable]],
+                 pop_at: Dict[int, int], chunk_at: Dict[Hashable, int]
+                 ) -> Dict[int, int]:
+    """Per chunk index (`chunk_at` of the chunk), the bitmask of the
+    positions of the PoPs whose `stored` set (pop id -> chunks) holds it.
+    Chunks without an index are left out."""
+    masks: Dict[int, int] = {}
+    for pop, held in stored.items():
+        bit = 1 << pop_at[pop]
+        for chunk in held:
+            i = chunk_at.get(chunk)
+            if i is not None:
+                masks[i] = masks.get(i, 0) | bit
+    return masks
+
+
+def holder_table(masks: List[int], n_pops: int
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Bitmasks over pop positions as (id of each mask, table of the
+    distinct masks as a bool matrix: a row per id, a column per pop)."""
+    index: Dict[int, int] = {}
+    ids = np.array([index.setdefault(m, len(index)) for m in masks],
+                   dtype=np.int64)
+    width = (n_pops + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in index),
+                        dtype=np.uint8).reshape(len(index), width)
+    bits = np.unpackbits(raw, axis=1, count=n_pops, bitorder="little")
+    return ids, bits.astype(bool)
+
+
 def redirect_closest(clients: np.ndarray, origins: np.ndarray,
                      holder_ids: np.ndarray, holder_sets: np.ndarray,
                      order: np.ndarray) -> np.ndarray:
-    """Replay's rule, for every access at once: the replica holder the
-    client ranks first (its row of `order`), and the origin only when no
-    replica exists. Access k asks at `clients[k]` for a chunk whose origin
-    is `origins[k]` and whose holders are row `holder_ids[k]` of
-    `holder_sets`. Each distinct (client, holder set) is resolved once.
-
-    This differs from `placement.nearest_replica`, the planner's rule,
-    which also counts the origin as a candidate and so picks it whenever
-    it is closer than every replica."""
+    """The one nearest-server rule, for every access at once: the holder
+    the client ranks first (its row of `order`, `Topology.ic_order`), and
+    the origin only when the access has no holder. Access k asks at
+    `clients[k]` for a chunk whose origin is `origins[k]` and whose
+    holders are row `holder_ids[k]` of `holder_sets`. Each distinct
+    (client, holder set) is resolved once. Replay passes the replica
+    holders alone, so a remote replica wins even when the origin is
+    closer; the planner also sets each chunk's origin bit, the one
+    difference between the two."""
     if not len(clients):
         return np.zeros(0, dtype=np.int64)
     n_sets = len(holder_sets)

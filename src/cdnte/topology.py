@@ -44,7 +44,7 @@ class Topology:
     The InverseCap facts every layer reads are derived once, on first
     use: the link weights (`ic_weights`), the ECMP routes on them
     (`ic_routes`, and as `traffic.Routes` `ic_paths`) and each client's
-    rank of every pop (`ic_rank`, and by position `ic_rank_matrix`).
+    order of the pops (`ic_order`, and its inverse `ic_rank_matrix`).
     Callers must not mutate them."""
 
     def __init__(self, pops: List[int], names: Dict[int, str],
@@ -81,21 +81,20 @@ class Topology:
         return path_table(self, self.ic_routes)
 
     @functools.cached_property
-    def ic_rank(self) -> Dict[int, Dict[int, int]]:
-        """The one tie-break between servers: each client ranks every pop
-        by (InverseCap distance client->pop, pop id), so the client itself
-        ranks 0."""
+    def ic_order(self) -> np.ndarray:
+        """The one tie-break between servers: row c lists the pop
+        positions in the order client c ranks them, by (InverseCap
+        distance c->pop, pop id), so the client itself comes first."""
         dists = all_pairs_distances(self, self.ic_weights)
-        return {c: {p: i for i, p in enumerate(
-                    sorted(self.pops, key=lambda p: (dists[(c, p)], p)))}
-                for c in self.pops}
+        return np.array([[self.pop_at[p] for p in sorted(
+                              self.pops, key=lambda p: (dists[(c, p)], p))]
+                         for c in self.pops], dtype=np.int64)
 
     @functools.cached_property
     def ic_rank_matrix(self) -> np.ndarray:
-        """`ic_rank` by position: [c, p] is the rank client c gives pop
-        p, so row c's argsort lists the pops in client c's order."""
-        return np.array([[self.ic_rank[c][p] for p in self.pops]
-                         for c in self.pops], dtype=np.int64)
+        """`ic_order` inverted: [c, p] is the rank client c gives pop p,
+        all by position."""
+        return np.argsort(self.ic_order, axis=1)
 
     def _validate(self) -> None:
         if not self.pops:

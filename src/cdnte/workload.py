@@ -64,14 +64,6 @@ class Trace:
         self.content_ids = [content_ids[i] for i in used]
         self.nbytes = np.asarray(nbytes, dtype=np.int64)[order]
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Row]) -> "Trace":
-        rows = list(rows)
-        code: Dict[str, int] = {}
-        contents = [code.setdefault(row[2], len(code)) for row in rows]
-        return cls([row[0] for row in rows], [row[1] for row in rows],
-                   contents, list(code), [row[3] for row in rows])
-
     def __len__(self) -> int:
         return len(self.timestamps)
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: canned topologies and seeded random instances."""
+"""Shared test helpers: canned topologies, seeded random instances, and
+traces and server ranks in the forms the reference loops use."""
 
 import random
 from collections import namedtuple
@@ -6,10 +7,29 @@ from collections import namedtuple
 import pytest
 
 from cdnte import parse_topology
+from cdnte.workload import Trace
 
 # one request as named fields, for the reference loops written in tests
-# (a `Trace` is built from these with `Trace.from_rows`)
+# (a `Trace` is built from these with `trace_from_rows`)
 Row = namedtuple("Row", "timestamp pop content nbytes")
+
+
+def trace_from_rows(rows):
+    """A `Trace` of (timestamp, pop, content id, bytes) rows; content
+    codes in order of first appearance."""
+    rows = list(rows)
+    code = {}
+    contents = [code.setdefault(row[2], len(code)) for row in rows]
+    return Trace([row[0] for row in rows], [row[1] for row in rows],
+                 contents, list(code), [row[3] for row in rows])
+
+
+def ic_rank(topo):
+    """Each client's rank of every pop, by pop id: {client: {pop: rank}},
+    read off `Topology.ic_order`."""
+    pops = topo.pops
+    return {c: {pops[p]: i for i, p in enumerate(row)}
+            for c, row in zip(pops, topo.ic_order.tolist())}
 
 
 def make_two_pop(cap_mbps=10):

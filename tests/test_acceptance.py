@@ -22,12 +22,12 @@ from cdnte.placement import (CacheState, Placement, induced_traffic_matrix,
                              plan_placement_optimized)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
 from cdnte.traffic import apply_routing, check_flow_conservation, mlu
-from cdnte.workload import (ContentObject, DemandMatrix, SynthParams, Trace,
+from cdnte.workload import (ContentObject, DemandMatrix, SynthParams,
                             chunk_objects, generate_synthetic_trace)
 
 from conftest import (Row, make_parallel_paths, make_triangle, make_two_pop,
                       random_digraph, random_symmetric_topology,
-                      random_traffic_matrix)
+                      random_traffic_matrix, trace_from_rows)
 
 # the default synthetic workload: 20-pop random topology, Zipf alpha 0.8,
 # churn 0.2, 7 days, seed 42 (catalog size, volume and sizes are the
@@ -296,7 +296,7 @@ def test_criterion_5_engine_oracle_equivalence():
                                 catalog[cid].size))
         ratio = rng.choice([0.3, 0.6, 1.0])
         interval = 7200.0
-        rep = run_experiment(topo, catalog, Trace.from_rows(requests),
+        rep = run_experiment(topo, catalog, trace_from_rows(requests),
                              SchemeSpec("lru", "inversecap", "closest",
                                         storage_ratio=ratio),
                              interval, collect_matrices=True)
@@ -384,7 +384,7 @@ def test_criterion_8_full_replication_exact_zero():
                 t += 120.0
     scheme = SchemeSpec("optimized", "inversecap", "closest",
                         storage_ratio=float(len(topo.pops)))
-    rep = run_experiment(topo, catalog, Trace.from_rows(requests), scheme,
+    rep = run_experiment(topo, catalog, trace_from_rows(requests), scheme,
                          3600.0)
     after_day0 = [v for day, _, v in rep.intervals if day >= 1]
     assert after_day0 and all(v == 0.0 for v in after_day0)

@@ -2,6 +2,7 @@ import math
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from cdnte import lp as lp_mod
@@ -9,16 +10,17 @@ from cdnte import parse_topology
 from cdnte.engine import (PLACEMENTS, ROUTINGS, DayStats, SchemeSpec,
                           TransitSpec, ValidationError, compare_schemes,
                           comparison_csv, report_csv, run_experiment,
-                          summary_csv, sweep_storage_ratio)
+                          scheme_inputs, summary_csv, sweep_storage_ratio)
 from cdnte.placement import Placement, induced_traffic_matrix
+from cdnte.redirection import holder_table, placed_masks, redirect_closest
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
-from cdnte.workload import (ContentObject, SynthParams, Trace,
-                            aggregate_demand, chunk_objects,
-                            generate_synthetic_trace)
+from cdnte.workload import (ContentObject, SynthParams, aggregate_demand,
+                            chunk_objects, generate_synthetic_trace)
 
-from conftest import Row, random_digraph, random_symmetric_topology
+from conftest import (Row, ic_rank, random_digraph, random_symmetric_topology,
+                      trace_from_rows)
 
 
 def _origin_triangle():
@@ -43,7 +45,7 @@ def _daily_trace(days, pops=(0, 1), objects=("A", "B"), size=1000):
             for c in objects:
                 reqs.append((t, pop, c, size))
                 t += 10.0
-    return catalog, Trace.from_rows(reqs)
+    return catalog, trace_from_rows(reqs)
 
 
 def test_full_replication_zero_after_day0():
@@ -64,6 +66,15 @@ def test_single_pop_topology_rejected():
     with pytest.raises(ValidationError, match="at least 2 pops"):
         run_experiment(topo, catalog, reqs,
                        SchemeSpec("lru", "inversecap"), 3600.0)
+
+
+@pytest.mark.parametrize("interval_s", [math.inf, math.nan, 0.0, -300.0])
+def test_run_rejects_an_interval_that_is_not_positive_and_finite(interval_s):
+    topo = _origin_triangle()
+    catalog, reqs = _daily_trace(1)
+    with pytest.raises(ValidationError, match="interval_s"):
+        run_experiment(topo, catalog, reqs,
+                       SchemeSpec("lru", "inversecap"), interval_s)
 
 
 def test_stationary_workload_optimized_equals_future_from_day1():
@@ -368,7 +379,7 @@ def test_chunked_requests_preserve_bytes_and_split_servers():
         reqs.append((day * 86400.0 + 60.0, 1, "big", 1500))
     scheme = SchemeSpec("lru", "inversecap", "closest", storage_ratio=0.9,
                         chunk_size=1000)
-    rep = run_experiment(topo, catalog, Trace.from_rows(reqs), scheme, 3600.0,
+    rep = run_experiment(topo, catalog, trace_from_rows(reqs), scheme, 3600.0,
                          collect_matrices=True, collect_decisions=True)
     # network bytes never exceed requested bytes, and every decision names
     # a real chunk of the object
@@ -395,7 +406,7 @@ def test_utilization_aware_spreads_chunks_of_one_request():
     origin 3
     """)
     catalog = {"x": ContentObject("x", 2000)}
-    reqs = Trace.from_rows([
+    reqs = trace_from_rows([
         (10.0, 1, "x", 2000),
         (20.0, 2, "x", 2000),
         (7200.0, 0, "x", 2000),
@@ -500,7 +511,7 @@ def test_short_tail_interval_reads_same_mlu(redirection):
     # 1000 B/s load from the origin must read the same MLU in it
     topo = parse_topology("pop 0 A\npop 1 B\nlink 0 1 1000\norigin 0\n")
     catalog = {"A": ContentObject("A", 10_000)}
-    reqs = Trace.from_rows((float(t), 1, "A", 10_000)
+    reqs = trace_from_rows((float(t), 1, "A", 10_000)
                            for t in range(0, 86_400, 10))
     scheme = SchemeSpec("lru", "inversecap", redirection, storage_ratio=1e-9)
     rep = run_experiment(topo, catalog, reqs, scheme, interval_s=1000.0)
@@ -543,7 +554,7 @@ def _shifting_trace(days):
             for pop, c in ((0, "A"), (1, "B")):
                 reqs.append((t, pop, c, 1000))
                 t += 10.0
-    return catalog, Trace.from_rows(reqs)
+    return catalog, trace_from_rows(reqs)
 
 
 def _planner_vs_oracle():
@@ -605,7 +616,7 @@ def test_inversecap_facts_derived_once_per_topology(monkeypatch):
     monkeypatch.undo()
     assert topo.ic_routes == shortest_path_routes(topo,
                                                   inverse_cap_weights(topo))
-    assert topo.ic_rank == _origin_triangle().ic_rank
+    assert ic_rank(topo) == ic_rank(_origin_triangle())
 
 
 def test_compare_schemes_shared_plans_match_parallel_jobs():
@@ -787,7 +798,7 @@ def _replay_and_reference(topo, catalog, reqs, scheme, monkeypatch,
                           interval_s=3600.0):
     """run_experiment and the reference on the same scheme. Returns both,
     and the matrices the run's min-MLU routings ran on."""
-    trace = Trace.from_rows(reqs)
+    trace = trace_from_rows(reqs)
     routed_on = []
     real = lp_mod.solve_min_mlu_routing
 
@@ -1076,3 +1087,60 @@ def test_path_table_built_once_per_routing_object(monkeypatch):
     run_experiment(topo, catalog, trace,
                    SchemeSpec("lru", "inversecap", storage_ratio=1.0), 3600.0)
     assert len(built) == 5
+
+
+def test_future_day_replay_is_the_planners_rule_without_the_origin_bit():
+    # a `future` + `closest` day with no cache: replay's realized matrix is
+    # redirect_closest over the day's demand pairs with the placement's
+    # holder table, and the planner's induced matrix is the same call with
+    # each chunk's origin bit set; on this day the bit changes servers
+    rng = random.Random(83)
+    topo = random_symmetric_topology(8, 83, extra_link_prob=0.3)
+    catalog, reqs = _random_requests(rng, topo, 1, 30, 400, own_origins=True)
+    trace = trace_from_rows(reqs)
+    scheme = SchemeSpec("future", "inversecap", "closest", storage_ratio=2.0)
+    rep = run_experiment(topo, catalog, trace, scheme, 3600.0,
+                         collect_placements=True, collect_matrices=True)
+    realized = defaultdict(float)
+    for matrix in rep.interval_matrices:
+        for key, nbytes in matrix.items():
+            realized[key] += nbytes
+    realized = {k: b * 8.0 / 86400.0 for k, b in realized.items()}
+
+    chunks, origins, _, cache_budgets = scheme_inputs(topo, catalog, scheme)
+    assert not any(cache_budgets.values())
+    dm = aggregate_demand(trace, (0.0, 86400.0), chunks)
+    placement = Placement()
+    for _, pop, chunk in rep.placements:
+        placement.stored.setdefault(pop, set()).add(chunk)
+    at, pops = topo.pop_at, topo.pops
+    pairs = sorted(k for k, nbytes in dm.demand.items() if nbytes > 0)
+    chunk_at = {c: i for i, c in enumerate(sorted({c for c, _ in pairs}))}
+    origin_of = [at[origins[c[0]]] for c in chunk_at]
+    masks = placed_masks(placement.stored, at, chunk_at)
+    clients = np.array([at[p] for _, p in pairs])
+    rows = np.array([chunk_at[c] for c, _ in pairs])
+
+    def served(origin_bit):
+        ids, table = holder_table([masks.get(i, 0) | origin_bit << o
+                                   for i, o in enumerate(origin_of)],
+                                  len(pops))
+        origin = np.array(origin_of)[rows]
+        servers = redirect_closest(clients, origin, ids[rows], table,
+                                   topo.ic_order)
+        tm = {}
+        for pair, s, c, o in zip(pairs, servers.tolist(), clients.tolist(),
+                                 origin.tolist()):
+            # a client that is the chunk's origin serves itself
+            if s != c and c != o:
+                key = (pops[s], pops[c])
+                tm[key] = tm.get(key, 0.0) \
+                    + dm.demand[pair] * 8.0 / dm.window_seconds
+        return tm
+
+    replay_rule, planner_rule = served(0), served(1)
+    assert realized.keys() == replay_rule.keys()
+    for key, rate in replay_rule.items():
+        assert realized[key] == pytest.approx(rate, rel=1e-12, abs=0)
+    assert induced_traffic_matrix(dm, placement, origins, topo) == planner_rule
+    assert replay_rule != planner_rule

@@ -359,3 +359,59 @@ def test_swap_search_loads_match_induced_matrix_after_every_move():
         search._apply = apply
         search.run()
     assert applied > 100
+
+
+def _relabelled(topo, rng):
+    """`topo` with its pops renumbered at random, so pop ids and their
+    positions in `Topology.pops` differ."""
+    ids = dict(zip(topo.pops, rng.sample(range(100), len(topo.pops))))
+    return parse_topology("\n".join(
+        [f"pop {ids[p]} N{p}" for p in topo.pops]
+        + [f"arc {ids[l.src]} {ids[l.dst]} {l.capacity // 10**6}"
+           for l in topo.links]
+        + [f"origin {ids[topo.origin_pop]}"]))
+
+
+def test_induced_matrix_matches_nearest_of_holders_and_origin():
+    # equal capacities make InverseCap distances hop counts, so the
+    # (distance, pop id) tie-break decides many pairs; the placement may
+    # store chunks nobody demands and copies at their origin, and some
+    # pairs demand zero bytes
+    rng = random.Random(4242)
+    id_ties = origin_wins = 0
+    for _ in range(60):
+        topo = _relabelled(random_digraph(rng.randint(3, 8), rng,
+                                          caps=(1000,)), rng)
+        dists = all_pairs_distances(topo, inverse_cap_weights(topo))
+        pops = list(topo.pops)
+        objects = [f"o{k}" for k in range(rng.randint(1, 5))]
+        origins = {cid: rng.choice(pops) for cid in objects}
+        chunks = [(cid, k) for cid in objects for k in range(rng.randint(1, 2))]
+        demand = {(chunk, pop): rng.choice((0, 1, 7, 100))
+                  for chunk in chunks for pop in pops if rng.random() < 0.6}
+        stored = {pop: {c for c in chunks + [("unasked", 0)]
+                        if rng.random() < 0.3} for pop in pops}
+        dm = DemandMatrix(0.0, rng.choice((1.0, 300.0)), demand)
+
+        holders = {}
+        for pop, held in stored.items():
+            for chunk in held:
+                holders.setdefault(chunk, set()).add(pop)
+        want = {}
+        for (chunk, client), nbytes in sorted(demand.items()):
+            if nbytes <= 0:
+                continue
+            origin = origins[chunk[0]]
+            candidates = holders.get(chunk, set()) | {origin}
+            server = min(candidates, key=lambda j: (dists[(client, j)], j))
+            if any(j != server and dists[(client, j)] == dists[(client, server)]
+                   for j in candidates):
+                id_ties += 1
+            if server == origin and len(candidates) > 1:
+                origin_wins += 1
+            if server != client:
+                want[(server, client)] = want.get((server, client), 0.0) \
+                    + nbytes * 8.0 / dm.window_seconds
+        assert induced_traffic_matrix(dm, Placement(stored), origins,
+                                      topo) == want
+    assert id_ties > 50 and origin_wins > 50

@@ -10,7 +10,7 @@ from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import path_table
 
-from conftest import random_digraph
+from conftest import ic_rank, random_digraph
 
 
 def _dists(topo):
@@ -20,12 +20,12 @@ def _dists(topo):
 def _tables(topo):
     """(dists, rank table, InverseCap routes, their path table)."""
     routes = shortest_path_routes(topo, inverse_cap_weights(topo))
-    return _dists(topo), topo.ic_rank, routes, path_table(topo, routes)
+    return _dists(topo), ic_rank(topo), routes, path_table(topo, routes)
 
 
 def _order(topo):
     """Each client's pops in rank order, by position, as replay has it."""
-    return np.argsort(topo.ic_rank_matrix, axis=1)
+    return topo.ic_order
 
 
 def _load_list(topo, loads):
@@ -74,7 +74,7 @@ def test_closest_argmin_distance():
     d = _dists(topo)
     assert d[(1, 2)] == pytest.approx(1.0)
     assert d[(1, 3)] == pytest.approx(2.0)
-    assert topo.ic_rank[1] == {1: 0, 2: 1, 3: 2}
+    assert ic_rank(topo)[1] == {1: 0, 2: 1, 3: 2}
     server = _closest(topo, 1, {2, 3}, 3)
     assert server == 2
     assert serve_reason(1, server, 3) == "remote-replica"
@@ -98,7 +98,7 @@ def test_closest_tie_breaks_lowest_pop():
     link 1 2 10
     origin 0
     """)
-    assert topo.ic_rank[0] == {0: 0, 1: 1, 2: 2}
+    assert ic_rank(topo)[0] == {0: 0, 1: 1, 2: 2}
     server = _closest(topo, 0, {1, 2}, 1)
     assert server == 1  # equal distance, lowest id wins
 
@@ -209,8 +209,8 @@ def test_ic_rank_orders_by_distance_then_pop_id():
         d = _dists(topo)
         for c in topo.pops:
             order = sorted(topo.pops, key=lambda p: (d[(c, p)], p))
-            assert topo.ic_rank[c] == {p: i for i, p in enumerate(order)}
-            assert topo.ic_rank[c][c] == 0
+            assert ic_rank(topo)[c] == {p: i for i, p in enumerate(order)}
+            assert ic_rank(topo)[c][c] == 0
 
 
 def test_rules_match_brute_force_definitions_with_ties():
@@ -291,7 +291,7 @@ def test_rules_on_many_accesses_match_one_at_a_time():
 
 
 def test_rank_matrix_and_path_table_by_position():
-    # ic_rank_matrix is ic_rank by position, and path_table keeps each
+    # ic_rank_matrix inverts ic_order, and path_table keeps each
     # route's (link, fraction) rows in the routing's order under
     # commodity server position * pops + client, and each link's
     # capacity by position; by_client has the same rows by
@@ -300,7 +300,8 @@ def test_rank_matrix_and_path_table_by_position():
     topo = random_digraph(6, rng, caps=(1000, 2500))
     pops, n = topo.pops, len(topo.pops)
     assert topo.ic_rank_matrix.tolist() == [
-        [topo.ic_rank[c][p] for p in pops] for c in pops]
+        [ic_rank(topo)[c][p] for p in pops] for c in pops]
+    assert (np.argsort(topo.ic_rank_matrix, axis=1) == topo.ic_order).all()
     _, _, routes, table = _tables(topo)
     for (server, client), fracs in routes.items():
         k = topo.pop_at[server] * n + topo.pop_at[client]

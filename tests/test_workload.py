@@ -5,12 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cdnte.workload import (ContentObject, SynthParams, Trace, TraceError,
+from cdnte.workload import (ContentObject, SynthParams, TraceError,
                             aggregate_demand, chunk_objects,
                             generate_synthetic_trace, parse_catalog,
                             parse_trace, write_catalog, write_trace)
 
-from conftest import make_triangle
+from conftest import make_triangle, trace_from_rows
 
 
 def test_parse_trace_single_row():
@@ -95,7 +95,7 @@ def test_chunking_conserves_bytes():
 def test_aggregate_demand_examples():
     cat = {"a": ContentObject("a", 1000)}
     chunks = chunk_objects(cat, None)
-    dm = aggregate_demand(Trace.from_rows([]), (0, 100), chunks)
+    dm = aggregate_demand(trace_from_rows([]), (0, 100), chunks)
     assert dm.demand == {}
 
     _, reqs = parse_trace("1,0,a,100\n2,0,a,200\n")
@@ -111,7 +111,7 @@ def test_aggregate_demand_additive_over_windows():
     rng = random.Random(5)
     cat = {f"o{i}": ContentObject(f"o{i}", 1000) for i in range(4)}
     chunks = chunk_objects(cat, 300)
-    reqs = Trace.from_rows(
+    reqs = trace_from_rows(
         (rng.uniform(0, 300), rng.choice([0, 1]), f"o{rng.randrange(4)}",
          rng.randint(1, 1000)) for _ in range(200))
     a = aggregate_demand(reqs, (0, 120), chunks).demand
