@@ -250,11 +250,13 @@ _BLOCK_INTERVALS = 256
 class _Replay:
     """One run's replay, a day at a time. Each block of the day's rows is
     expanded into chunk accesses, the accesses run through the PoP caches
-    in trace order (`replay_caches`), each miss gets its server
-    (`redirect_closest` for the whole block, `redirect_utilization_aware`
-    interval by interval), and the bytes are summed per (interval, server,
-    client) as integers. PoPs are held by position in `topo.pops`, chunks
-    by index in the ChunkMap."""
+    in trace order (`replay_caches`: a hit or a planned holder is local,
+    a miss is admitted), each miss gets its server (`redirect_closest`
+    for the whole block, `redirect_utilization_aware` interval by
+    interval), and the bytes are summed per (interval, server, client) as
+    integers. Only the caches and their `cached` masks outlive a day; the
+    planned holders come from each day's placement (`placed_masks`). PoPs
+    are held by position in `topo.pops`, chunks by index in the ChunkMap."""
 
     def __init__(self, topo, trace: Trace, scheme: SchemeSpec,
                  chunks: ChunkMap, origins: Dict[str, int],
@@ -271,10 +273,6 @@ class _Replay:
         if any(cache_budgets.values()):
             self.caches = [CacheState(p, cache_budgets[p]) for p in topo.pops]
         self.cached = [0] * len(self.sizes)  # per chunk, pops caching it
-        # per chunk, the day's planned holders (for replay_caches), and
-        # the chunks that have any
-        self.planned = [0] * len(self.sizes) if self.caches is not None else []
-        self.planned_at: List[int] = []
         # (chunk indices, bytes) of each (content code, bytes) request
         self.expansions: Dict[Tuple[int, int],
                               Tuple[List[int], List[int]]] = {}
@@ -294,18 +292,12 @@ class _Replay:
         bytes served, the bytes the origin served, and the realized matrix
         in bit/s."""
         topo, n_pops = self.topo, len(self.topo.pops)
-        # the day's planned holders of each stored chunk, as bitmasks
-        stored = placed_masks(placement.stored, topo.pop_at, self.chunk_at)
+        # the day's planned holders of each chunk, as a holder table when
+        # there are no caches
+        planned = placed_masks(placement.stored, topo.pop_at, self.chunk_at,
+                               len(self.sizes))
         if self.caches is None:
-            planned = holder_table([stored.get(i, 0)
-                                    for i in range(len(self.sizes))], n_pops)
-        else:
-            for i in self.planned_at:
-                self.planned[i] = 0
-            for i, mask in stored.items():
-                self.planned[i] = mask
-            self.planned_at = list(stored)
-            planned = None
+            planned = holder_table(planned, n_pops)
         tables = (routes, planned, transit)
 
         # today's interval boundaries as floats; the last may be shorter
@@ -350,10 +342,10 @@ class _Replay:
                ends: List[float], tables: tuple, report: MluReport):
         """Replay the rows of the intervals that start at `starts` and end
         at `ends`, on the day's `tables`: its routes, its planned holders
-        as (holder id per chunk, holder sets) when there are no caches,
-        and its transit loads by link position. Returns their MLUs, the
-        bytes served and served by the origin, and the byte sums per
-        (server, client) commodity, as server position * pop count +
+        (`placed_masks`' list, or its holder table when there are no
+        caches) and its transit loads by link position. Returns their
+        MLUs, the bytes served and served by the origin, and the byte sums
+        per (server, client) commodity, as server position * pop count +
         client position."""
         routes, planned, transit = tables
         trace, ids = self.trace, self.topo.pops
@@ -370,7 +362,7 @@ class _Replay:
 
         # cache pass: the misses, and the holders each one saw
         away = np.flatnonzero(client != origin)
-        if planned is not None:
+        if self.caches is None:
             holder_ids, holder_sets = planned
             holder_ids = holder_ids[chunk[away]]
             missed = ~holder_sets[holder_ids, client[away]]
@@ -378,7 +370,7 @@ class _Replay:
         else:
             missed, masks = replay_caches(
                 self.caches, client[away].tolist(), chunk[away].tolist(),
-                self.sizes, self.planned, self.cached)
+                self.sizes, planned, self.cached)
             miss = away[np.array(missed, dtype=np.int64)]
             holder_ids, holder_sets = holder_table(masks, n_pops)
         m_client, m_origin, m_bytes = client[miss], origin[miss], nbytes[miss]

@@ -23,7 +23,10 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 FEAS_TOL = 1e-7     # constraint satisfaction, after row scaling
-DUAL_TOL = 1e-6     # relative duality gap at reported optima
+# duality gap at reported optima, relative to the larger of the primal and
+# dual objectives, or to GAP_FLOOR where both are smaller (a zero optimum)
+DUAL_TOL = 1e-6
+GAP_FLOOR = 1e-9
 # HiGHS's own primal and dual feasibility tolerances (its default is 1e-7),
 # tightened so that its answers pass the 1e-9 absolute bound check in
 # _verify_solution and a zero optimum does not come back as 2e-8
@@ -174,7 +177,8 @@ def _verify_solution(lp: LinearProgram, x: np.ndarray) -> None:
 def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
     """Solve with HiGHS through scipy.optimize.linprog and certify the
     optimum: every bound and row holds within FEAS_TOL (after row
-    scaling), and the primal and dual objectives agree within DUAL_TOL.
+    scaling), and the primal and dual objectives agree within DUAL_TOL
+    of the larger one (of GAP_FLOOR at a zero optimum).
     A failed certificate raises SimplexError, never a silent wrong answer."""
     import scipy.sparse as sp
     from scipy.optimize import linprog
@@ -206,7 +210,7 @@ def solve_lp(lp: LinearProgram, method: str = "highs") -> LpSolution:
                  + np.dot(lp.lo, res.lower.marginals)
                  + hi @ res.upper.marginals)
     primal = float(res.fun)
-    gap = abs(primal - dual) / max(1.0, abs(primal))
+    gap = abs(primal - dual) / max(abs(primal), abs(dual), GAP_FLOOR)
     if gap > DUAL_TOL:
         raise SimplexError(f"duality gap {gap:.3e} exceeds {DUAL_TOL}")
     return LpSolution("optimal", float(np.dot(lp.obj, x)), x, duality_gap=gap,

@@ -61,11 +61,12 @@ def replay_caches(caches: List[CacheState], clients: List[int],
                   cached: List[int]) -> Tuple[List[int], List[int]]:
     """Run chunk accesses through the PoP caches in order. Access k asks
     at pop position `clients[k]`, not the chunk's origin, for chunk index
-    `chunks[k]` of size `sizes[chunk]`. It is local if the client's cache
-    holds the chunk (a hit, which refreshes it) or the client is one of
-    the chunk's planned holders. Otherwise it misses, and the client's
-    cache admits the chunk whichever server then serves it, so a PoP's
-    cache contents depend only on its own accesses.
+    `chunks[k]` of size `sizes[chunk]`. A hit, when the client's cache
+    holds the chunk, refreshes it. An access by a planned holder with no
+    cached copy is local and changes nothing. Any other access misses,
+    and `CacheState.access` admits the chunk to the client's cache
+    whichever server then serves it, so a PoP's cache contents depend
+    only on its own accesses.
 
     `planned[chunk]` and `cached[chunk]` are bitmasks over pop positions:
     the planned holders, and the PoPs whose cache holds the chunk, which
@@ -74,19 +75,17 @@ def replay_caches(caches: List[CacheState], clients: List[int],
     misses, masks = [], []
     for k, (client, chunk) in enumerate(zip(clients, chunks)):
         cache = caches[client]
+        if chunk in cache.resident:
+            cache.resident.move_to_end(chunk)
+            continue
         bit = 1 << client
         if planned[chunk] & bit:
-            if chunk in cache:
-                cache.access(chunk, sizes[chunk])
-            continue
-        state, evicted = cache.access(chunk, sizes[chunk])
-        if state == "hit":
             continue
         misses.append(k)
         masks.append(planned[chunk] | cached[chunk])
-        for gone in evicted:
+        for gone in cache.access(chunk, sizes[chunk])[1]:
             cached[gone] &= ~bit
-        if chunk in cache:
+        if sizes[chunk] <= cache.budget:
             cached[chunk] |= bit
     return misses, masks
 
@@ -142,10 +141,9 @@ class _DemandPairs:
     def holders(self, stored: Dict[int, Set[ChunkId]]) -> np.ndarray:
         """The holders in `stored` (pop id -> chunks) as a bool matrix, a
         row per chunk row and a column per pop position."""
-        masks = placed_masks(stored, self.topo.pop_at, self.row)
-        ids, table = holder_table([masks.get(k, 0)
-                                   for k in range(len(self.chunk_ids))],
-                                  len(self.topo.pops))
+        ids, table = holder_table(
+            placed_masks(stored, self.topo.pop_at, self.row,
+                         len(self.chunk_ids)), len(self.topo.pops))
         return table[ids]
 
     def closest(self, holds: np.ndarray, pairs=slice(None)) -> np.ndarray:

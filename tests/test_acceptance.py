@@ -3,7 +3,9 @@ with its measured numbers (run with -s to see them live).
 
 Criteria 1-5 are exact oracle/analytic checks; 6-7 reproduce directional
 findings on the default synthetic workload; 8-9 are exactness and
-reproducibility gates.
+reproducibility gates; 10 reproduces the paper's note on traffic
+engineering: optimized routing gains little over InverseCap once caches
+distribute content, and more as transit traffic grows.
 """
 
 import itertools
@@ -17,7 +19,8 @@ import pytest
 from cdnte import lp as L
 from cdnte import parse_topology
 from cdnte.cli import main as cli_main
-from cdnte.engine import SchemeSpec, run_experiment, sweep_storage_ratio
+from cdnte.engine import (SchemeSpec, TransitSpec, run_experiment,
+                          sweep_storage_ratio)
 from cdnte.placement import (CacheState, Placement, induced_traffic_matrix,
                              plan_placement_optimized)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
@@ -421,3 +424,77 @@ scheme = optimized min-mlu-prior-day closest ratio=1 name=opt
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2, f"{name} differs between identical runs"
     print("\nPASS criterion 9: repeated runs produce byte-identical CSVs")
+
+
+# criterion 10: the transit draws, each 12 distinct (source, sink) PoP pairs
+# with weights in [2, 8] summing to 1, scaled to s times the trace's mean
+# content rate; and the margins chosen from the measured gains below
+TRANSIT_SEEDS = (1, 2, 3)
+TRANSIT_SHARES = (0.5, 2.0, 8.0)
+# measured at s = 0: origin-only 1.2181 / lru 1.1219 = 1.086 (no draw, so
+# no spread); at s = 0.5 the draws spread 1.112-1.215 (lru) and
+# 1.227-1.265 (origin), so 1.04 keeps about half the measured gap
+SHARE0_MARGIN = 1.04
+# measured: the smallest s = 8 draw over the s = 0 gain is 1.586 / 1.122
+# = 1.413 (lru) and 1.337 / 1.218 = 1.097 (origin); the s = 8 draws
+# spread 1.586-2.221 and 1.337-1.804, so 1.05 keeps about half the
+# smaller gap
+SHARE8_MARGIN = 1.05
+
+
+def _transit_draw(topo, seed):
+    rng = random.Random(seed)
+    pairs = rng.sample([(s, t) for s in topo.pops for t in topo.pops
+                        if s != t], 12)
+    weights = [rng.uniform(2.0, 8.0) for _ in pairs]
+    total = sum(weights)
+    return {pair: w / total for pair, w in zip(pairs, weights)}
+
+
+def test_criterion_10_routing_gain_grows_with_transit():
+    t0 = time.perf_counter()
+    topo, catalog, requests = _load_default_workload()
+    mean_rate = float(requests.nbytes.sum()) * 8.0 / (requests.days * 86400.0)
+    placements = {"lru": ("lru", 1.0), "origin": ("optimized", 1e-9)}
+    plans = {}
+
+    def gain(placement, tm):
+        """Mean daily p99 under InverseCap over the one under min-MLU."""
+        kind, ratio = placements[placement]
+        transit = None if tm is None else TransitSpec(tm, "combined")
+        ic, opt = (run_experiment(
+            topo, catalog, requests,
+            SchemeSpec(kind, routing, "closest", storage_ratio=ratio,
+                       transit=transit), INTERVAL_S, plans=plans
+        ).mean_daily_p99() for routing in ("inversecap", "min-mlu-prior-day"))
+        return ic / opt
+
+    # gains[placement][share] is one value per transit draw
+    gains = {p: {0.0: [gain(p, None)]} for p in placements}
+    for seed in TRANSIT_SEEDS:
+        draw = _transit_draw(topo, seed)
+        for share in TRANSIT_SHARES:
+            tm = {k: w * share * mean_rate for k, w in draw.items()}
+            for p in placements:
+                gains[p].setdefault(share, []).append(gain(p, tm))
+    elapsed = time.perf_counter() - t0
+
+    def cell(values):
+        lo, hi = min(values), max(values)
+        return f"{lo:.3f}" if lo == hi else f"{lo:.3f}-{hi:.3f}"
+
+    lines = ["transit share | lru ratio=1 | origin only ratio=1e-9"]
+    for share in (0.0,) + TRANSIT_SHARES:
+        lines.append(f"{share:g} | " + " | ".join(
+            cell(gains[p][share]) for p in placements))
+    lru0, origin0 = gains["lru"][0.0][0], gains["origin"][0.0][0]
+    assert lru0 * SHARE0_MARGIN <= origin0, (lru0, origin0)
+    for p in placements:
+        assert min(gains[p][8.0]) >= gains[p][0.0][0] * SHARE8_MARGIN, gains[p]
+    assert elapsed < 30.0
+    print("\n" + "\n".join(lines))
+    print(f"PASS criterion 10: at s = 0 origin-only gain / lru gain = "
+          f"{origin0 / lru0:.3f} >= {SHARE0_MARGIN}; smallest s = 8 gain / "
+          f"s = 0 gain = {min(gains['lru'][8.0]) / lru0:.3f} (lru), "
+          f"{min(gains['origin'][8.0]) / origin0:.3f} (origin) >= "
+          f"{SHARE8_MARGIN} ({elapsed:.1f}s)")

@@ -1117,13 +1117,13 @@ def test_future_day_replay_is_the_planners_rule_without_the_origin_bit():
     pairs = sorted(k for k, nbytes in dm.demand.items() if nbytes > 0)
     chunk_at = {c: i for i, c in enumerate(sorted({c for c, _ in pairs}))}
     origin_of = [at[origins[c[0]]] for c in chunk_at]
-    masks = placed_masks(placement.stored, at, chunk_at)
+    masks = placed_masks(placement.stored, at, chunk_at, len(chunk_at))
     clients = np.array([at[p] for _, p in pairs])
     rows = np.array([chunk_at[c] for c, _ in pairs])
 
     def served(origin_bit):
-        ids, table = holder_table([masks.get(i, 0) | origin_bit << o
-                                   for i, o in enumerate(origin_of)],
+        ids, table = holder_table([m | origin_bit << o
+                                   for m, o in zip(masks, origin_of)],
                                   len(pops))
         origin = np.array(origin_of)[rows]
         servers = redirect_closest(clients, origin, ids[rows], table,

@@ -148,6 +148,32 @@ def test_beale_cycling_instance():
     assert sol.objective == pytest.approx(-0.05, abs=1e-9)
 
 
+def test_duality_gap_is_relative_to_the_objective(monkeypatch):
+    # a ~1e-4 optimum, the size of plan-joint's alpha: a dual objective
+    # off by 1e-8 is a gap of 1e-4 relative, far above DUAL_TOL, though
+    # below it as an absolute difference
+    import scipy.optimize
+
+    lp = L.LinearProgram()
+    x = lp.add_var("x", obj=1.0)
+    lp.add_constraint({x: 1.0}, L.GE, 1e-4)
+    sol = L.solve_lp(lp)
+    assert sol.objective == pytest.approx(1e-4, rel=1e-12)
+    assert sol.duality_gap <= L.DUAL_TOL
+    linprog = scipy.optimize.linprog
+
+    def dual_off(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        # the row's dual value 1 + 1e-4 lifts the dual objective by 1e-8
+        res.ineqlin.marginals = res.ineqlin.marginals * (1 + 1e-4)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", dual_off)
+    with pytest.raises(L.SimplexError,
+                       match=r"^duality gap 9\.999e-05 exceeds"):
+        L.solve_lp(lp)
+
+
 def test_solve_lp_auto_method_by_size():
     small = L.LinearProgram()
     x = small.add_var("x", obj=1.0)

@@ -59,6 +59,22 @@ def test_replay_caches_refreshes_a_planned_copy_and_tracks_holders():
     assert misses == [1]
     assert masks == [0b10]  # the planned holder
     assert cached == [0b11, 0, 0b01]
+    # pop 1 stores chunk 2 by plan and caches nothing of it: its access
+    # is local, admits nothing and leaves every cached bit as it was
+    assert list(caches[1].resident) == [0]
+    misses, masks = replay_caches(caches, [1], [2], sizes, planned, cached)
+    assert misses == [] and masks == []
+    assert list(caches[1].resident) == [0] and caches[1].used == 1
+    assert cached == [0b11, 0, 0b01]
+    # chunk 3 is larger than pop 0's cache: it misses, evicts nothing and
+    # its cached bit stays clear; pop 0's copies of chunks 0 and 2 stay
+    sizes.append(3)
+    cached.append(0)
+    misses, masks = replay_caches(caches, [0, 0], [3, 3], sizes,
+                                  planned + [0], cached)
+    assert misses == [0, 1] and masks == [0, 0]
+    assert cached == [0b11, 0, 0b01, 0]
+    assert list(caches[0].resident) == [0, 2] and caches[0].used == 2
 
 
 class _ReferenceLru:
