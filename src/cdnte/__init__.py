@@ -16,8 +16,8 @@ from .topology import (Link, Topology, TopologyError, all_pairs_distances,
                        shortest_path_routes)
 from .traffic import (apply_routing, check_flow_conservation, mlu,
                       read_traffic_matrix, write_traffic_matrix)
-from .workload import (ContentObject, DemandMatrix, SynthParams, Trace,
-                       TraceError, aggregate_demand, chunk_objects,
+from .workload import (ChunkMap, ContentObject, DemandMatrix, SynthParams,
+                       Trace, TraceError, aggregate_demand,
                        generate_synthetic_trace, parse_catalog, parse_trace,
                        write_catalog, write_trace)
 

@@ -18,11 +18,11 @@ from .placement import (CacheState, Placement, induced_traffic_matrix,
                         plan_placement_optimized, replay_caches, split_hybrid)
 from .redirection import (holder_table, placed_masks, redirect_closest,
                           redirect_utilization_aware, serve_reason)
-from .traffic import (Routes, RoutingSolution, TrafficMatrix,
-                      check_flow_conservation, flat_ranges, link_loads,
-                      path_table, validate_traffic_matrix)
+from .traffic import (Routes, RoutingSolution, TrafficMatrix, byte_sums,
+                      check_flow_conservation, link_loads, path_table,
+                      validate_traffic_matrix)
 from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
-                       Trace, aggregate_demand, chunk_objects)
+                       Trace, aggregate_demand)
 
 PLACEMENTS = ("lru", "optimized", "future", "hybrid")
 ROUTINGS = ("inversecap", "min-mlu-prior-day", "min-mlu-future")
@@ -70,6 +70,10 @@ class SchemeSpec:
                 "(the realized matrix would depend on cache evolution)")
         if self.transit is not None and self.transit.mode not in TRANSIT_MODES:
             raise ValidationError(f"unknown transit mode {self.transit.mode!r}")
+        if self.name is not None and "," in self.name:
+            # the label is a field of every CSV row the scheme writes
+            raise ValidationError(f"bad scheme option name={self.name!r}: "
+                                  "a name must not contain a comma")
 
     def label(self) -> str:
         if self.name:
@@ -131,7 +135,7 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
     the planned-store and LRU-cache budgets per PoP. `split_hybrid` splits
     each PoP's budget, ratio * total chunked catalog bytes / pop count:
     `lru` caches all of it, `hybrid` its reserve, the others none of it."""
-    chunks = chunk_objects(catalog, scheme.chunk_size)
+    chunks = ChunkMap(catalog, scheme.chunk_size)
     pop_set = set(topo.pops)
     origins = {}
     for cid, obj in catalog.items():
@@ -205,42 +209,6 @@ def _check_routing(plans: PlanTable, topo, routing: RoutingSolution,
     return plans[key][2]
 
 
-def _expand(codes: np.ndarray, req_bytes: np.ndarray, content_ids: List[str],
-            chunks: ChunkMap, chunk_at: Dict[ChunkId, int],
-            expansions: Dict[Tuple[int, int], Tuple[List[int], List[int]]]
-            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows as chunk accesses, in trace order: the row, chunk index and
-    bytes of each access. `ChunkMap.request_chunks` runs once per distinct
-    (content, bytes), in order of first appearance, and `expansions`
-    keeps what it returned for later days."""
-    _, size_code = np.unique(req_bytes, return_inverse=True)
-    _, first, inverse = np.unique(codes * (int(size_code.max(initial=0)) + 1)
-                                  + size_code, return_index=True,
-                                  return_inverse=True)
-    pairs = list(zip(codes[first].tolist(), req_bytes[first].tolist()))
-    for k in np.argsort(first).tolist():
-        if pairs[k] not in expansions:
-            code, nbytes = pairs[k]
-            parts = chunks.request_chunks(content_ids[code], nbytes)
-            expansions[pairs[k]] = ([chunk_at[c] for c, _ in parts],
-                                    [b for _, b in parts])
-    parts = [expansions[pair] for pair in pairs]
-    counts = np.array([len(c) for c, _ in parts], dtype=np.int64)
-    flat_chunks = np.array([i for c, _ in parts for i in c], dtype=np.int64)
-    flat_bytes = np.array([b for _, bs in parts for b in bs], dtype=np.int64)
-    per_row = counts[inverse]
-    row = np.repeat(np.arange(len(codes)), per_row)
-    at = flat_ranges((np.cumsum(counts) - counts)[inverse], per_row)
-    return row, flat_chunks[at], flat_bytes[at]
-
-
-def _byte_sums(groups: np.ndarray, nbytes: np.ndarray, n: int) -> np.ndarray:
-    """Integer sums of `nbytes` per group 0 .. n - 1."""
-    sums = np.zeros(n, dtype=np.int64)
-    np.add.at(sums, groups, nbytes)
-    return sums
-
-
 # A day is replayed in blocks of whole intervals, of about this many rows
 # and at most this many intervals, so that the block's arrays stay small.
 _BLOCK_ROWS = 1 << 14
@@ -267,15 +235,11 @@ class _Replay:
         self.use_util_aware = scheme.redirection == "utilization-aware"
         self.collect_decisions = collect_decisions
         self.collect_matrices = collect_matrices
-        self.chunk_at = {chunk: i for i, chunk in enumerate(chunks.sizes)}
         self.sizes = list(chunks.sizes.values())
         self.caches: Optional[List[CacheState]] = None
         if any(cache_budgets.values()):
             self.caches = [CacheState(p, cache_budgets[p]) for p in topo.pops]
         self.cached = [0] * len(self.sizes)  # per chunk, pops caching it
-        # (chunk indices, bytes) of each (content code, bytes) request
-        self.expansions: Dict[Tuple[int, int],
-                              Tuple[List[int], List[int]]] = {}
         self.origin_of = np.array([topo.pop_at[origins[cid]]
                                    for cid in trace.content_ids],
                                   dtype=np.int64)
@@ -294,8 +258,8 @@ class _Replay:
         topo, n_pops = self.topo, len(self.topo.pops)
         # the day's planned holders of each chunk, as a holder table when
         # there are no caches
-        planned = placed_masks(placement.stored, topo.pop_at, self.chunk_at,
-                               len(self.sizes))
+        planned = placed_masks(placement.stored, topo.pop_at,
+                               self.chunks.index, len(self.sizes))
         if self.caches is None:
             planned = holder_table(planned, n_pops)
         tables = (routes, planned, transit)
@@ -329,9 +293,8 @@ class _Replay:
             first, begin = iv + 1, end
 
         # the realized matrix: the day's bytes per (server, client)
-        keys, inverse = np.unique(np.concatenate(commodities),
-                                  return_inverse=True)
-        realized = _byte_sums(inverse, np.concatenate(sums), len(keys))
+        keys, realized = byte_sums(np.concatenate(commodities),
+                                   np.concatenate(sums))
         ids = topo.pops
         return day_mlus, served, from_origin, {
             (ids[s], ids[c]): b * 8.0 / DAY_SECONDS
@@ -354,9 +317,8 @@ class _Replay:
 
         # expand: the chunk accesses in trace order
         codes = trace.contents[rows]
-        row, chunk, nbytes = _expand(codes, trace.nbytes[rows],
-                                     trace.content_ids, self.chunks,
-                                     self.chunk_at, self.expansions)
+        row, chunk, nbytes = self.chunks.expand(trace.content_ids, codes,
+                                                trace.nbytes[rows])
         client = np.searchsorted(ids, trace.pops[rows])[row]
         origin = self.origin_of[codes][row]
 
@@ -394,9 +356,8 @@ class _Replay:
 
         # integer bytes per (interval, server, client), in sorted order
         n_pairs = n_pops * n_pops
-        keys, inverse = np.unique(
-            (m_iv * n_pops + servers) * n_pops + m_client, return_inverse=True)
-        sums = _byte_sums(inverse, m_bytes, len(keys))
+        keys, sums = byte_sums((m_iv * n_pops + servers) * n_pops + m_client,
+                               m_bytes)
         key_iv, commodities = keys // n_pairs, keys % n_pairs
 
         # each interval's loads, the commodities in sorted order, then the

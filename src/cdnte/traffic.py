@@ -104,6 +104,20 @@ def flat_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
         + np.arange(int(counts.sum()))
 
 
+def byte_sums(groups: np.ndarray, nbytes: np.ndarray
+              ) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct `groups` in sorted order, and the integer sum of
+    `nbytes` (positive) in each. Raises ValueError when their total is
+    beyond int64, where a sum would wrap."""
+    if (nbytes.sum(dtype=np.float64) >= 2.0 ** 62
+            and sum(nbytes.tolist()) >= 2 ** 63):
+        raise ValueError("byte sums exceed the int64 range")
+    keys, inverse = np.unique(groups, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, inverse, nbytes)
+    return keys, sums
+
+
 @dataclass(eq=False)
 class Routes:
     """A routing by pop position, as flat rows. The route server->client

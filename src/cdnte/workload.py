@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from .traffic import byte_sums, flat_ranges
 
 ChunkId = Tuple[str, int]
 
@@ -105,10 +106,13 @@ class DemandMatrix:
 
 
 class ChunkMap:
-    """Chunked view of a catalog plus the request expansion rule.
+    """Chunked view of a catalog plus the request expansion rule, the one
+    that replay and demand aggregation both use (`expand`).
 
     An object of size S becomes ceil(S / chunk_size) chunks; the last chunk
     carries the remainder. chunk_size=None keeps one chunk per object.
+    Chunks are indexed by their position in `sizes`, which is their
+    sorted order (`index`).
     """
 
     def __init__(self, catalog: Catalog, chunk_size: Optional[int]):
@@ -118,20 +122,14 @@ class ChunkMap:
         self.sizes: Dict[ChunkId, int] = {}
         self.by_content: Dict[str, List[ChunkId]] = {}
         for cid in sorted(catalog):
-            obj = catalog[cid]
-            if chunk_size is None:
-                ids = [(cid, 0)]
-                self.sizes[(cid, 0)] = obj.size
-            else:
-                n = (obj.size + chunk_size - 1) // chunk_size
-                ids = []
-                remaining = obj.size
-                for k in range(n):
-                    size = min(chunk_size, remaining)
-                    ids.append((cid, k))
-                    self.sizes[(cid, k)] = size
-                    remaining -= size
-            self.by_content[cid] = ids
+            size = catalog[cid].size
+            step = chunk_size or size
+            self.by_content[cid] = [(cid, k) for k in range(-(-size // step))]
+            for k, chunk in enumerate(self.by_content[cid]):
+                self.sizes[chunk] = min(step, size - k * step)
+        self.index = {chunk: i for i, chunk in enumerate(self.sizes)}
+        # (chunk indices, bytes) of each (content id, bytes) request
+        self._expansions: Dict[Tuple[str, int], Tuple[List[int], List[int]]] = {}
 
     @property
     def total_bytes(self) -> int:
@@ -157,9 +155,33 @@ class ChunkMap:
                 f"request for {nbytes} bytes exceeds size of {content}")
         return out
 
-
-def chunk_objects(catalog: Catalog, chunk_size: Optional[int]) -> ChunkMap:
-    return ChunkMap(catalog, chunk_size)
+    def expand(self, content_ids: List[str], codes: np.ndarray,
+               nbytes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Requests as chunk accesses, in request order: request k asks
+        for the first `nbytes[k]` bytes of `content_ids[codes[k]]`.
+        Returns the request, chunk index and bytes of each access.
+        `request_chunks` runs once per distinct (content, bytes), in order
+        of first appearance, and the map keeps what it returned for later
+        calls."""
+        _, size_code = np.unique(nbytes, return_inverse=True)
+        _, first, inverse = np.unique(codes * (int(size_code.max(initial=0)) + 1)
+                                      + size_code, return_index=True,
+                                      return_inverse=True)
+        pairs = list(zip([content_ids[c] for c in codes[first].tolist()],
+                         nbytes[first].tolist()))
+        for k in np.argsort(first).tolist():
+            if pairs[k] not in self._expansions:
+                parts = self.request_chunks(*pairs[k])
+                self._expansions[pairs[k]] = ([self.index[c] for c, _ in parts],
+                                              [b for _, b in parts])
+        parts = [self._expansions[pair] for pair in pairs]
+        counts = np.array([len(c) for c, _ in parts], dtype=np.int64)
+        flat_chunks = np.array([i for c, _ in parts for i in c], dtype=np.int64)
+        flat_bytes = np.array([b for _, bs in parts for b in bs], dtype=np.int64)
+        per_row = counts[inverse]
+        row = np.repeat(np.arange(len(codes)), per_row)
+        at = flat_ranges((np.cumsum(counts) - counts)[inverse], per_row)
+        return row, flat_chunks[at], flat_bytes[at]
 
 
 def parse_catalog(text: str) -> Catalog:
@@ -513,20 +535,17 @@ def generate_synthetic_trace(params: SynthParams, topo) -> Tuple[Catalog, Trace]
 
 def aggregate_demand(trace: Trace, window: Tuple[float, float],
                      chunks: ChunkMap) -> DemandMatrix:
-    """Total bytes per (chunk, pop) over the half-open window [start, end).
-    Each distinct (content, bytes) request is expanded into chunks once."""
+    """Total bytes per (chunk, pop) over the half-open window [start, end),
+    in sorted (chunk, pop) order: the integer sums of the window's chunk
+    accesses (`ChunkMap.expand`)."""
     start, end = window
-    dm = DemandMatrix(start, end)
     rows = trace.span(start, end)
-    counts = Counter(zip(trace.contents[rows].tolist(),
-                         trace.nbytes[rows].tolist(),
-                         trace.pops[rows].tolist()))
-    expansions: Dict[Tuple[int, int], List[Tuple[ChunkId, int]]] = {}
-    for (code, nbytes, pop), n in sorted(counts.items()):
-        if (code, nbytes) not in expansions:
-            expansions[(code, nbytes)] = chunks.request_chunks(
-                trace.content_ids[code], nbytes)
-        for chunk, part in expansions[(code, nbytes)]:
-            key = (chunk, pop)
-            dm.demand[key] = dm.demand.get(key, 0) + n * part
-    return dm
+    row, chunk, nbytes = chunks.expand(trace.content_ids, trace.contents[rows],
+                                       trace.nbytes[rows])
+    pop_ids, pop = np.unique(trace.pops[rows], return_inverse=True)
+    n_pops = len(pop_ids)
+    keys, sums = byte_sums(chunk * n_pops + pop[row], nbytes)
+    chunk_ids, pop_ids = list(chunks.sizes), pop_ids.tolist()
+    return DemandMatrix(start, end, {
+        (chunk_ids[k // n_pops], pop_ids[k % n_pops]): b
+        for k, b in zip(keys.tolist(), sums.tolist())})

@@ -25,8 +25,8 @@ from cdnte.placement import (CacheState, Placement, induced_traffic_matrix,
                              plan_placement_optimized)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
 from cdnte.traffic import apply_routing, check_flow_conservation, mlu
-from cdnte.workload import (ContentObject, DemandMatrix, SynthParams,
-                            chunk_objects, generate_synthetic_trace)
+from cdnte.workload import (ChunkMap, ContentObject, DemandMatrix,
+                            SynthParams, generate_synthetic_trace)
 
 from conftest import (Row, make_parallel_paths, make_triangle, make_two_pop,
                       random_digraph, random_symmetric_topology,
@@ -113,7 +113,7 @@ def _tiny_instances(rng, count):
                 "link 0 2 10\norigin 0\n")
         n_chunks = rng.randint(1, 3)
         catalog = {f"c{k}": ContentObject(f"c{k}", 1) for k in range(n_chunks)}
-        chunks = chunk_objects(catalog, None)
+        chunks = ChunkMap(catalog, None)
         origins = {cid: topo.origin_pop for cid in catalog}
         demand = {}
         for cid in catalog:

@@ -6,6 +6,7 @@ import pytest
 
 from cdnte.cli import main
 from cdnte.config import ConfigError, parse_config
+from cdnte.engine import SchemeSpec, ValidationError
 
 TOPO = """
 pop 0 A
@@ -432,6 +433,20 @@ def test_storage_ratio_with_infinite_budget_names_the_ratio(tmp_path, capsys,
     assert main(["simulate", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: bad storage ratio 1e+308: ")
+
+
+def test_scheme_name_with_a_comma_is_rejected(tmp_path, capsys):
+    # a comma in the label would add a field to every CSV row it writes
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG +
+                      "scheme = lru inversecap closest ratio=1 name=a,b\n")
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad scheme option name='a,b': ")
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+    with pytest.raises(ValidationError, match="name='a,b'"):
+        SchemeSpec("lru", "inversecap", name="a,b").validate()
 
 
 @pytest.mark.parametrize("line, flag, key", [

@@ -16,8 +16,8 @@ from cdnte.redirection import holder_table, placed_masks, redirect_closest
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
-from cdnte.workload import (ContentObject, SynthParams, aggregate_demand,
-                            chunk_objects, generate_synthetic_trace)
+from cdnte.workload import (ChunkMap, ContentObject, SynthParams,
+                            aggregate_demand, generate_synthetic_trace)
 
 from conftest import (Row, ic_rank, random_digraph, random_symmetric_topology,
                       trace_from_rows)
@@ -164,7 +164,7 @@ def test_reported_mlu_matches_independent_recomputation(
         assert len(solves) == n_days  # the planner's routing is reused
 
     ic = shortest_path_routes(topo, inverse_cap_weights(topo))
-    chunks = chunk_objects(catalog, None)
+    chunks = ChunkMap(catalog, None)
     origins = {c: topo.origin_pop for c in catalog}
 
     def demand(day):
@@ -659,7 +659,7 @@ def _reference_replay(topo, catalog, reqs, scheme, interval_s, placed, route):
     loads. `route(day, realized)` gives the day's routing and transit loads
     from yesterday's realized matrix. Returns the decisions, the interval
     MLUs, the DayStats and each day's realized matrix in bit/s."""
-    chunks = chunk_objects(catalog, scheme.chunk_size)
+    chunks = ChunkMap(catalog, scheme.chunk_size)
     pops = list(topo.pops)
     origins = {c: (o.origin if o.origin is not None else topo.origin_pop)
                for c, o in catalog.items()}
@@ -756,7 +756,7 @@ def _route_by_rule(topo, catalog, trace, scheme, placed):
     """route(day, realized) for `_reference_replay`: the day's routing by
     the rule in run_experiment's docstring, rebuilt from the reported
     placements, and its transit loads."""
-    chunks = chunk_objects(catalog, scheme.chunk_size)
+    chunks = ChunkMap(catalog, scheme.chunk_size)
     origins = {c: (o.origin if o.origin is not None else topo.origin_pop)
                for c, o in catalog.items()}
     ic = shortest_path_routes(topo, inverse_cap_weights(topo))

@@ -10,8 +10,8 @@ from cdnte.placement import induced_traffic_matrix
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, check_flow_conservation, mlu
-from cdnte.workload import (ContentObject, DemandMatrix, SynthParams,
-                            chunk_objects, generate_synthetic_trace)
+from cdnte.workload import (ChunkMap, ContentObject, DemandMatrix,
+                            SynthParams, generate_synthetic_trace)
 
 from conftest import (MERGE_AND_SPLIT, make_parallel_paths, make_triangle,
                       make_two_pop,
@@ -442,7 +442,7 @@ def _origin_triangle():
 def test_joint_two_chunk_instance():
     topo = _origin_triangle()
     cat = {"A": ContentObject("A", 100), "B": ContentObject("B", 100)}
-    chunks = chunk_objects(cat, None)
+    chunks = ChunkMap(cat, None)
     origins = {"A": 2, "B": 2}
     dm = DemandMatrix(0.0, 86400.0, {(("A", 0), 0): 10**6, (("B", 0), 1): 10**6})
     budgets = {0: 100, 1: 100, 2: 100}
@@ -456,7 +456,7 @@ def test_joint_two_chunk_instance():
 def test_joint_full_storage_zero_alpha():
     topo = _origin_triangle()
     cat = {"A": ContentObject("A", 100), "B": ContentObject("B", 70)}
-    chunks = chunk_objects(cat, None)
+    chunks = ChunkMap(cat, None)
     origins = {"A": 2, "B": 2}
     dm = DemandMatrix(0.0, 3600.0, {(("A", 0), 0): 500, (("B", 0), 0): 300,
                                     (("A", 0), 1): 200})
@@ -468,7 +468,7 @@ def test_joint_full_storage_zero_alpha():
 def test_joint_zero_storage_reduces_to_origin_min_mlu():
     topo = _origin_triangle()
     cat = {"A": ContentObject("A", 100), "B": ContentObject("B", 70)}
-    chunks = chunk_objects(cat, None)
+    chunks = ChunkMap(cat, None)
     origins = {"A": 2, "B": 2}
     dm = DemandMatrix(0.0, 3600.0, {(("A", 0), 0): 5 * 10**8,
                                     (("B", 0), 1): 3 * 10**8,
@@ -550,7 +550,7 @@ def _aggregation_instances():
         topo = _origin_triangle()
         cat = {f"o{i}": ContentObject(f"o{i}", rng.randint(10, 100))
                for i in range(3)}
-        chunks = chunk_objects(cat, None)
+        chunks = ChunkMap(cat, None)
         origins = {cid: 2 for cid in cat}
         demand = {}
         for cid in cat:
@@ -578,7 +578,7 @@ def test_joint_relaxation_lower_bound_single_instance():
     # one unit-storage instance checked against exhaustive placements
     topo = _origin_triangle()
     cat = {c: ContentObject(c, 1) for c in ("A", "B")}
-    chunks = chunk_objects(cat, None)
+    chunks = ChunkMap(cat, None)
     origins = {"A": 2, "B": 2}
     dm = DemandMatrix(0.0, 1.0, {(("A", 0), 0): 8, (("B", 0), 0): 4,
                                  (("A", 0), 1): 6})
@@ -733,7 +733,7 @@ def _chunked_uneven_instance():
     topo = random_digraph(5, rng)
     cat = {f"o{i}": ContentObject(f"o{i}", rng.randint(1, 90), origin=i % 3)
            for i in range(6)}
-    chunks = chunk_objects(cat, 25)
+    chunks = ChunkMap(cat, 25)
     demand = {(chunk, pop): rng.randint(1, 10**6)
               for chunk in sorted(chunks.sizes) for pop in topo.pops
               if rng.random() < 0.5}

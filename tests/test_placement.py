@@ -10,7 +10,7 @@ from cdnte.placement import (CacheState, Placement, _SwapSearch,
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
-from cdnte.workload import ContentObject, DemandMatrix, chunk_objects
+from cdnte.workload import ChunkMap, ContentObject, DemandMatrix
 
 from conftest import random_digraph
 
@@ -145,7 +145,7 @@ def _origin_triangle():
 def _fixture_two_chunks():
     topo = _origin_triangle()
     cat = {"A": ContentObject("A", 100), "B": ContentObject("B", 100)}
-    chunks = chunk_objects(cat, None)
+    chunks = ChunkMap(cat, None)
     origins = {"A": 2, "B": 2}
     dm = DemandMatrix(0.0, 86400.0, {(("A", 0), 0): 10**6, (("B", 0), 1): 10**6})
     return topo, chunks, origins, dm
@@ -189,7 +189,7 @@ def test_plan_budgets_never_overflow():
     for _ in range(10):
         cat = {f"o{i}": ContentObject(f"o{i}", rng.randint(1, 40))
                for i in range(5)}
-        chunks = chunk_objects(cat, None)
+        chunks = ChunkMap(cat, None)
         origins = {cid: 2 for cid in cat}
         demand = {}
         for cid in cat:
@@ -223,7 +223,7 @@ def test_plan_future_same_input_same_output():
 def test_plan_future_disjoint_days_differ():
     topo = _origin_triangle()
     cat = {"A": ContentObject("A", 100), "B": ContentObject("B", 100)}
-    chunks = chunk_objects(cat, None)
+    chunks = ChunkMap(cat, None)
     origins = {"A": 2, "B": 2}
     day1 = DemandMatrix(0.0, 86400.0, {(("A", 0), 0): 10**6})
     day2 = DemandMatrix(86400.0, 2 * 86400.0, {(("B", 0), 0): 10**6})
@@ -279,7 +279,7 @@ def _equal_capacity_instances(rng, count):
         topo = random_digraph(rng.randint(4, 6), rng, caps=(1000,))
         catalog = {f"c{k}": ContentObject(f"c{k}", 1)
                    for k in range(rng.randint(2, 4))}
-        chunks = chunk_objects(catalog, None)
+        chunks = ChunkMap(catalog, None)
         origins = {cid: rng.choice(topo.pops) for cid in catalog}
         demand = {((cid, 0), pop): rng.randint(1, 9)
                   for cid in catalog for pop in topo.pops
@@ -349,7 +349,7 @@ def test_swap_search_loads_match_induced_matrix_after_every_move():
                   for cid in catalog for pop in topo.pops
                   if rng.random() < 0.5}
         if demand:
-            instances.append((topo, catalog, chunk_objects(catalog, None),
+            instances.append((topo, catalog, ChunkMap(catalog, None),
                               origins, DemandMatrix(0.0, 1.0, demand),
                               {p: rng.randint(0, 4) for p in topo.pops}))
     applied = 0

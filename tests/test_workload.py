@@ -1,12 +1,15 @@
 import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cdnte.workload import (ContentObject, SynthParams, TraceError,
-                            aggregate_demand, chunk_objects,
+from cdnte.workload import (DAY_SECONDS, ChunkMap, ContentObject, SynthParams,
+                            TraceError, aggregate_demand,
                             generate_synthetic_trace, parse_catalog,
                             parse_trace, write_catalog, write_trace)
 
@@ -66,15 +69,15 @@ def test_catalog_roundtrip():
 
 def test_chunking_identity_when_large():
     cat = {"a": ContentObject("a", 500), "b": ContentObject("b", 900)}
-    chunks = chunk_objects(cat, 1000)
+    chunks = ChunkMap(cat, 1000)
     assert chunks.sizes == {("a", 0): 500, ("b", 0): 900}
-    unchunked = chunk_objects(cat, None)
+    unchunked = ChunkMap(cat, None)
     assert unchunked.sizes == chunks.sizes
 
 
 def test_chunking_arithmetic():
     cat = {"a": ContentObject("a", 2500)}
-    chunks = chunk_objects(cat, 1000)
+    chunks = ChunkMap(cat, 1000)
     assert chunks.sizes == {("a", 0): 1000, ("a", 1): 1000, ("a", 2): 500}
     expansion = chunks.request_chunks("a", 1500)
     assert expansion == [(("a", 0), 1000), (("a", 1), 500)]
@@ -85,7 +88,7 @@ def test_chunking_conserves_bytes():
     for _ in range(20):
         cat = {f"o{i}": ContentObject(f"o{i}", rng.randint(1, 5000))
                for i in range(8)}
-        chunks = chunk_objects(cat, rng.randint(1, 2000))
+        chunks = ChunkMap(cat, rng.randint(1, 2000))
         for cid, obj in cat.items():
             assert sum(chunks.sizes[c] for c in chunks.by_content[cid]) == obj.size
             nbytes = rng.randint(1, obj.size)
@@ -94,7 +97,7 @@ def test_chunking_conserves_bytes():
 
 def test_aggregate_demand_examples():
     cat = {"a": ContentObject("a", 1000)}
-    chunks = chunk_objects(cat, None)
+    chunks = ChunkMap(cat, None)
     dm = aggregate_demand(trace_from_rows([]), (0, 100), chunks)
     assert dm.demand == {}
 
@@ -106,11 +109,17 @@ def test_aggregate_demand_examples():
     dm = aggregate_demand(reqs, (0, 100), chunks)
     assert dm.demand == {}  # half-open window excludes ts == end
 
+    # bytes whose total is beyond int64 are refused, not wrapped
+    cat, reqs = parse_trace("0,0,a,5000000000000000000\n"
+                            "1,0,a,5000000000000000000\n")
+    with pytest.raises(ValueError, match="int64"):
+        aggregate_demand(reqs, (0, 100), ChunkMap(cat, None))
+
 
 def test_aggregate_demand_additive_over_windows():
     rng = random.Random(5)
     cat = {f"o{i}": ContentObject(f"o{i}", 1000) for i in range(4)}
-    chunks = chunk_objects(cat, 300)
+    chunks = ChunkMap(cat, 300)
     reqs = trace_from_rows(
         (rng.uniform(0, 300), rng.choice([0, 1]), f"o{rng.randrange(4)}",
          rng.randint(1, 1000)) for _ in range(200))
@@ -121,6 +130,92 @@ def test_aggregate_demand_additive_over_windows():
     for k, v in b.items():
         merged[k] = merged.get(k, 0) + v
     assert merged == c
+
+
+@st.composite
+def _requests(draw):
+    """A catalog, a chunk size, a trace and a window. Sizes are scaled by
+    1 or 2**50 + 1, so that a float sum of the bytes would round; timestamps
+    lie on quarter days, so that rows tie; some requests may be larger
+    than their object."""
+    scale = draw(st.sampled_from([1, 2 ** 50 + 1]))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=5))
+    catalog = {f"o{i}": ContentObject(f"o{i}", n * scale)
+               for i, n in enumerate(sizes)}
+    chunk_size = draw(st.none() | st.integers(1, 12).map(lambda n: n * scale))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        i = draw(st.integers(0, len(sizes) - 1))
+        rows.append((draw(st.integers(0, 8)) * DAY_SECONDS / 4,
+                     draw(st.sampled_from([0, 3, 5])), f"o{i}",
+                     draw(st.integers(1, sizes[i])) * scale))
+    for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2)
+                  if rows else st.just([])):
+        ts, pop, cid, _ = rows[k]
+        rows[k] = (ts, pop, cid, catalog[cid].size + draw(st.integers(1, 3)))
+    # whole days, windows that cut a day, and windows after every row
+    start = draw(st.sampled_from([0.0, DAY_SECONDS, 3 * DAY_SECONDS])
+                 | st.floats(0, 3 * DAY_SECONDS))
+    length = draw(st.sampled_from([DAY_SECONDS, 2 * DAY_SECONDS])
+                  | st.floats(1, DAY_SECONDS))
+    return catalog, chunk_size, trace_from_rows(rows), (start, start + length)
+
+
+def _outcome(fn):
+    """What `fn()` returns, or the text of the ValueError it raises."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _per_row(chunks, trace, rows):
+    """The accesses (row, chunk, bytes) and the demand per (chunk, pop) of
+    the trace's `rows`, one `request_chunks` call per row."""
+    accesses, demand = [], Counter()
+    for k, (_, pop, cid, nbytes) in enumerate(list(trace.rows())[rows]):
+        for chunk, part in chunks.request_chunks(cid, nbytes):
+            accesses.append((k, chunk, part))
+            demand[(chunk, pop)] += part
+    return accesses, dict(demand)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_requests())
+def test_expand_and_aggregate_demand_match_a_per_row_loop(case):
+    catalog, chunk_size, trace, window = case
+    chunks = ChunkMap(catalog, chunk_size)
+    ids = list(chunks.sizes)
+    assert ids == sorted(ids) and chunks.index == {c: i for i, c in enumerate(ids)}
+    reference = ChunkMap(catalog, chunk_size)
+    calls = Counter()
+
+    def counted(cid, nbytes):
+        parts = reference.request_chunks(cid, nbytes)
+        calls[(cid, nbytes)] += 1  # an expansion that raised is not kept
+        return parts
+    chunks.request_chunks = counted
+
+    # the window's demand, then the whole trace's accesses, on one map
+    def demand():
+        dm = aggregate_demand(trace, window, chunks)
+        assert list(dm.demand) == sorted(dm.demand)
+        return dm.demand
+
+    def accesses():
+        row, chunk, nbytes = chunks.expand(trace.content_ids, trace.contents,
+                                           trace.nbytes)
+        return list(zip(row.tolist(), [ids[i] for i in chunk.tolist()],
+                        nbytes.tolist()))
+    assert _outcome(demand) == _outcome(
+        lambda: _per_row(reference, trace, trace.span(*window))[1])
+    everything = _outcome(accesses)
+    assert everything == _outcome(
+        lambda: _per_row(reference, trace, slice(None))[0])
+    assert set(calls.values()) <= {1}
+    if isinstance(everything, list):
+        assert set(calls) == set(zip([r[2] for r in trace.rows()],
+                                     trace.nbytes.tolist()))
 
 
 def test_generator_deterministic():
