@@ -2,9 +2,9 @@
 redirection and routing schemes on ISP backbone topologies, scored by
 maximum link utilization."""
 
-from .engine import (ComparisonTable, DayStats, MluReport, SchemeSpec,
-                     SweepRow, TransitSpec, ValidationError, compare_schemes,
-                     run_experiment, sweep_storage_ratio)
+from .engine import (DayStats, MluReport, SchemeSpec, TransitSpec,
+                     ValidationError, compare_schemes, run_experiment,
+                     sweep_storage_ratio)
 from .lp import (LinearProgram, LpSolution, SimplexError, build_joint_lp,
                  build_min_mlu_lp, solve_lp, solve_lp_auto,
                  solve_min_mlu_routing, write_lp_text)

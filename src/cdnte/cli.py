@@ -29,12 +29,20 @@ def _ensure_out(path: str) -> str:
     return path
 
 
+def _write(out: str, name: str, text: str) -> str:
+    """Write one output file `name` into the directory `out`; returns its
+    path."""
+    path = os.path.join(out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
+
+
 def _echo_config(cfg: ExperimentConfig, out_dir: str) -> None:
     lines = [cfg.raw_text.rstrip("\n"), "", "# effective settings",
              f"seed = {cfg.seed}", f"jobs = {cfg.jobs}",
              f"interval_s = {cfg.interval_s:g}"]
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(out_dir, "config.txt", "\n".join(lines) + "\n")
 
 
 def _load_workload(cfg: ExperimentConfig, topo):
@@ -77,10 +85,8 @@ def cmd_gen_trace(args) -> int:
     topo = _load_topology(cfg)
     catalog, trace = _load_workload(cfg, topo)
     out = _ensure_out(cfg.out_dir)
-    with open(os.path.join(out, "trace.csv"), "w", encoding="utf-8") as fh:
-        fh.write(write_trace(trace))
-    with open(os.path.join(out, "catalog.csv"), "w", encoding="utf-8") as fh:
-        fh.write(write_catalog(catalog))
+    _write(out, "trace.csv", write_trace(trace))
+    _write(out, "catalog.csv", write_catalog(catalog))
     _echo_config(cfg, out)
     print(f"wrote {len(trace)} requests, {len(catalog)} objects to {out}")
     return 0
@@ -94,10 +100,8 @@ def _dump_lps(cfg: ExperimentConfig, topo, catalog, trace, out: str) -> None:
     joint = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
     tm = induced_traffic_matrix(dm, Placement(), origins, topo)
     minmlu = lp_mod.build_min_mlu_lp(topo, tm)
-    with open(os.path.join(out, "joint_day0.lp"), "w", encoding="utf-8") as fh:
-        fh.write(lp_mod.write_lp_text(joint))
-    with open(os.path.join(out, "minmlu_day0.lp"), "w", encoding="utf-8") as fh:
-        fh.write(lp_mod.write_lp_text(minmlu))
+    _write(out, "joint_day0.lp", lp_mod.write_lp_text(joint))
+    _write(out, "minmlu_day0.lp", lp_mod.write_lp_text(minmlu))
 
 
 def cmd_simulate(args) -> int:
@@ -112,44 +116,33 @@ def cmd_simulate(args) -> int:
     if args.dump_lp:
         _dump_lps(cfg, topo, catalog, trace, out)
 
-    # the decision and placement dumps describe the first run
-    reports = []
+    # one list of runs: the schemes, or every scheme's sweep; the decision
+    # and placement dumps describe the first run
+    schemes = engine_mod.distinct_labels(cfg.schemes)
     if cfg.storage_ratios:
-        sweep_lines = ["scheme,storage_ratio,mean_daily_p99_mlu"]
-        plans = {}  # shared by every sweep of this invocation
-        # one label per sweep, so that no two runs share one
-        for i, scheme in enumerate(engine_mod.distinct_labels(cfg.schemes)):
-            rows = engine_mod.sweep_storage_ratio(
-                topo, catalog, trace, scheme, cfg.storage_ratios,
-                interval_s=cfg.interval_s, jobs=cfg.jobs,
-                collect_decisions=args.decision_log and i == 0,
-                collect_placements=args.dump_placements and i == 0,
-                plans=plans)
-            for row in rows:
-                sweep_lines.append(f"{scheme.label()},{row.ratio:.10g},"
-                                   f"{row.mean_daily_p99:.10g}")
-                reports.append(row.report)
-        with open(os.path.join(out, "sweep.csv"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(sweep_lines) + "\n")
+        sweeps = [(s.label(), ratio) for s in schemes
+                  for ratio in cfg.storage_ratios]
+        runs = [run for s in schemes
+                for run in engine_mod.sweep_runs(s, cfg.storage_ratios)]
     else:
-        table = engine_mod.compare_schemes(
-            topo, catalog, trace, cfg.schemes, interval_s=cfg.interval_s,
-            jobs=cfg.jobs, collect_decisions=args.decision_log,
-            collect_placements=args.dump_placements)
-        reports = table.reports
-        with open(os.path.join(out, "comparison.csv"), "w", encoding="utf-8") as fh:
-            fh.write(engine_mod.comparison_csv(table))
+        runs = schemes
+    reports = engine_mod.compare_schemes(
+        topo, catalog, trace, runs, interval_s=cfg.interval_s, jobs=cfg.jobs,
+        collect_decisions=args.decision_log,
+        collect_placements=args.dump_placements)
 
-    with open(os.path.join(out, "report.csv"), "w", encoding="utf-8") as fh:
-        fh.write(engine_mod.report_csv(reports))
-    with open(os.path.join(out, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(engine_mod.summary_csv(reports))
+    if cfg.storage_ratios:
+        _write(out, "sweep.csv", engine_mod.sweep_csv(
+            [(*run, rep) for run, rep in zip(sweeps, reports)]))
+    else:
+        _write(out, "comparison.csv", engine_mod.comparison_csv(reports))
+    _write(out, "report.csv", engine_mod.report_csv(reports))
+    _write(out, "summary.csv", engine_mod.summary_csv(reports))
     if args.decision_log:
-        with open(os.path.join(out, "decisions.csv"), "w", encoding="utf-8") as fh:
-            fh.write(engine_mod.decisions_csv(reports[0]))
+        _write(out, "decisions.csv", engine_mod.decisions_csv(reports[0]))
     if args.dump_placements:
-        with open(os.path.join(out, "placements.csv"), "w", encoding="utf-8") as fh:
-            fh.write(engine_mod.placements_csv(reports[0].placements))
+        _write(out, "placements.csv",
+               engine_mod.placements_csv(reports[0].placements))
     print(f"wrote reports for {len(reports)} runs to {out}")
     return 0
 
@@ -184,9 +177,8 @@ def cmd_solve_placement(args) -> int:
                           chunks)
     placement = plan_placement(dm, topo, budgets, chunks, origins)
     out = _ensure_out(cfg.out_dir)
-    with open(os.path.join(out, "placements.csv"), "w", encoding="utf-8") as fh:
-        fh.write(engine_mod.placements_csv(
-            engine_mod.placement_rows(day, placement)))
+    _write(out, "placements.csv", engine_mod.placements_csv(
+        engine_mod.placement_rows(day, placement)))
     stored = sum(len(v) for v in placement.stored.values())
     print(f"placed {stored} chunk copies across {len(placement.stored)} pops")
     return 0
@@ -195,7 +187,7 @@ def cmd_solve_placement(args) -> int:
 def cmd_report(args) -> int:
     with open(args.intervals, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "scheme,day,interval_start_s,mlu":
+    if not lines or lines[0] != engine_mod.REPORT_HEADER:
         raise ValidationError("not an interval report CSV")
     series = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -211,14 +203,10 @@ def cmd_report(args) -> int:
             raise ValidationError(f"report line {lineno}: {exc}") from None
     out_lines = ["scheme,day,p99_mlu,mean_mlu"]
     for (scheme, day) in sorted(series):
-        vals = series[(scheme, day)]
-        p99 = engine_mod.percentile_99(vals)
-        out_lines.append(f"{scheme},{day},{p99:.10g},"
-                         f"{sum(vals) / len(vals):.10g}")
-    out = _ensure_out(args.out or ".")
-    path = os.path.join(out, "summary_rederived.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out_lines) + "\n")
+        p99, mean = engine_mod.p99_and_mean(series[(scheme, day)])
+        out_lines.append(f"{scheme},{day},{p99:.10g},{mean:.10g}")
+    path = _write(_ensure_out(args.out or "."), "summary_rederived.csv",
+                  "\n".join(out_lines) + "\n")
     print(f"wrote {path}")
     return 0
 

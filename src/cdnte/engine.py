@@ -19,8 +19,8 @@ from .placement import (CacheState, Placement, induced_traffic_matrix,
 from .redirection import (holder_table, placed_masks, redirect_closest,
                           redirect_utilization_aware, serve_reason)
 from .traffic import (Routes, RoutingSolution, TrafficMatrix, byte_sums,
-                      check_flow_conservation, link_loads, path_table,
-                      validate_traffic_matrix)
+                      check_flow_conservation, exact_total, link_loads,
+                      path_table, validate_traffic_matrix)
 from .workload import (DAY_SECONDS, Catalog, ChunkId, ChunkMap, DemandMatrix,
                        Trace, aggregate_demand)
 
@@ -115,13 +115,12 @@ class MluReport:
         return sum(d.p99_mlu for d in self.days) / len(self.days)
 
 
-def percentile_99(values: List[float]) -> float:
-    """Nearest-rank 99th percentile."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    idx = max(0, math.ceil(0.99 * len(ordered)) - 1)
-    return ordered[idx]
+def p99_and_mean(mlus: List[float]) -> Tuple[float, float]:
+    """A day's MLU statistics from its interval MLUs (at least one): the
+    nearest-rank 99th percentile and the mean."""
+    ordered = sorted(mlus)
+    return (ordered[max(0, math.ceil(0.99 * len(ordered)) - 1)],
+            sum(mlus) / len(mlus))
 
 
 def _chunk_label(chunk: ChunkId) -> str:
@@ -259,7 +258,7 @@ class _Replay:
         # the day's planned holders of each chunk, as a holder table when
         # there are no caches
         planned = placed_masks(placement.stored, topo.pop_at,
-                               self.chunks.index, len(self.sizes))
+                               self.chunks.index)
         if self.caches is None:
             planned = holder_table(planned, n_pops)
         tables = (routes, planned, transit)
@@ -383,8 +382,8 @@ class _Replay:
                     trace.timestamps[rows][row].tolist(), client.tolist(),
                     chunk.tolist(), server_of.tolist(), origin.tolist()))
 
-        from_origin = int(m_bytes[servers == m_origin].sum())
-        return mlus, int(nbytes.sum()), from_origin, commodities, sums
+        from_origin = exact_total(m_bytes[servers == m_origin])
+        return mlus, exact_total(nbytes), from_origin, commodities, sums
 
 
 def run_experiment(topo, catalog: Catalog, trace: Trace,
@@ -510,8 +509,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
             origin_fraction = day_origin / day_served
         else:
             hit_ratio, origin_fraction = 1.0, 0.0
-        report.days.append(DayStats(day, percentile_99(day_mlus),
-                                    sum(day_mlus) / len(day_mlus),
+        report.days.append(DayStats(day, *p99_and_mean(day_mlus),
                                     hit_ratio, origin_fraction))
         total_served += day_served
         total_origin += day_origin
@@ -544,19 +542,22 @@ def _run_task(task, plans: Optional[PlanTable] = None) -> MluReport:
                           collect_placements=placements, plans=plans)
 
 
-def _run_all(topo, catalog: Catalog, trace: Trace,
-             schemes: List[SchemeSpec], interval_s: float, jobs: int,
-             collect_decisions: bool, collect_placements: bool,
-             plans: Optional[PlanTable]) -> List[MluReport]:
-    """One report per scheme, in order, from min(jobs, runs) worker
-    processes if above 1. Only the first run collects decisions and
-    placements. Runs in this process share `plans` (a new table if None);
-    each worker process plans for itself, which gives the same results.
-    Labels are made distinct by `distinct_labels`."""
-    schemes = distinct_labels(schemes)
+def compare_schemes(topo, catalog: Catalog, trace: Trace,
+                    schemes: List[SchemeSpec], interval_s: float = 300.0,
+                    jobs: int = 1, collect_decisions: bool = False,
+                    collect_placements: bool = False,
+                    plans: Optional[PlanTable] = None) -> List[MluReport]:
+    """Run every scheme on the identical trace: one report per scheme, in
+    order, from min(jobs, runs) worker processes if above 1. Only the
+    first run collects decisions and placements. Runs in this process
+    share `plans` (a new table if None); each worker process plans for
+    itself, which gives the same results. Labels are made distinct by
+    `distinct_labels`."""
+    if not schemes:
+        raise ValidationError("need at least one scheme")
     tasks = [(topo, catalog, trace, s, interval_s,
               collect_decisions and i == 0, collect_placements and i == 0)
-             for i, s in enumerate(schemes)]
+             for i, s in enumerate(distinct_labels(schemes))]
     # the pool starts all its workers at once, needed or not
     workers = min(jobs, len(tasks))
     if workers > 1:
@@ -567,47 +568,21 @@ def _run_all(topo, catalog: Catalog, trace: Trace,
     return [_run_task(t, plans) for t in tasks]
 
 
-@dataclass
-class ComparisonTable:
-    schemes: List[str]
-    days: List[int]
-    p99: Dict[str, List[float]]          # scheme label -> per-day p99
-    ratio_vs_first: Dict[str, List[float]]
-    reports: List[MluReport]
-
-
-def compare_schemes(topo, catalog: Catalog, trace: Trace,
-                    schemes: List[SchemeSpec], interval_s: float = 300.0,
-                    jobs: int = 1, collect_decisions: bool = False,
-                    collect_placements: bool = False) -> ComparisonTable:
-    """Run every scheme on the identical trace and align per-day p99 MLU
-    columns plus ratios against the first scheme. The collect flags apply
-    to the first scheme's run."""
-    if not schemes:
-        raise ValidationError("need at least one scheme")
-    reports = _run_all(topo, catalog, trace, schemes, interval_s, jobs,
-                       collect_decisions, collect_placements, None)
-    days = [d.day for d in reports[0].days]
-    p99 = {rep.scheme: [d.p99_mlu for d in rep.days] for rep in reports}
-    base = p99[reports[0].scheme]
-    ratios = {}
-    for rep in reports:
-        row = []
-        for val, ref in zip(p99[rep.scheme], base):
-            if ref > 0:
-                row.append(val / ref)
-            else:
-                row.append(1.0 if val == 0 else math.inf)
-        ratios[rep.scheme] = row
-    return ComparisonTable([rep.scheme for rep in reports], days, p99,
-                           ratios, reports)
-
-
-@dataclass
-class SweepRow:
-    ratio: float
-    mean_daily_p99: float
-    report: MluReport
+def sweep_runs(template: SchemeSpec, ratios: List[float]) -> List[SchemeSpec]:
+    """The scheme template once per storage ratio, named
+    "<label>@r<ratio>", and "#<position>" after that if two share a
+    name; per-PoP budget is ratio * total chunked catalog bytes / pop
+    count."""
+    if not ratios:
+        raise ValidationError("storage ratio list must not be empty")
+    if any(r <= 0 for r in ratios):
+        raise ValidationError("storage ratios must be positive")
+    if list(ratios) != sorted(ratios):
+        raise ValidationError("storage ratios must be ascending")
+    return distinct_labels([
+        dataclasses.replace(template, storage_ratio=ratio,
+                            name=f"{template.label()}@r{ratio:g}")
+        for ratio in ratios])
 
 
 def sweep_storage_ratio(topo, catalog: Catalog, trace: Trace,
@@ -615,32 +590,22 @@ def sweep_storage_ratio(topo, catalog: Catalog, trace: Trace,
                         interval_s: float = 300.0, jobs: int = 1,
                         collect_decisions: bool = False,
                         collect_placements: bool = False,
-                        plans: Optional[PlanTable] = None) -> List[SweepRow]:
-    """Run the scheme template once per storage ratio; per-PoP budget is
-    ratio * total chunked catalog bytes / pop count. The collect flags
-    apply to the run at the first ratio. Sweeps on the same trace may
-    share one plan table, `plans`."""
-    if not ratios:
-        raise ValidationError("storage ratio list must not be empty")
-    if any(r <= 0 for r in ratios):
-        raise ValidationError("storage ratios must be positive")
-    if list(ratios) != sorted(ratios):
-        raise ValidationError("storage ratios must be ascending")
-    schemes = [dataclasses.replace(template, storage_ratio=ratio,
-                                   name=f"{template.label()}@r{ratio:g}")
-               for ratio in ratios]
-    reports = _run_all(topo, catalog, trace, schemes, interval_s, jobs,
-                       collect_decisions, collect_placements, plans)
-    return [SweepRow(ratio, rep.mean_daily_p99(), rep)
-            for ratio, rep in zip(ratios, reports)]
+                        plans: Optional[PlanTable] = None) -> List[MluReport]:
+    """`compare_schemes` on the template's `sweep_runs`: one report per
+    ratio, in order."""
+    return compare_schemes(topo, catalog, trace, sweep_runs(template, ratios),
+                           interval_s, jobs, collect_decisions,
+                           collect_placements, plans)
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (plot-ready formats)
+# CSV emission (plot-ready formats), derived from the runs' reports
+
+REPORT_HEADER = "scheme,day,interval_start_s,mlu"
 
 
 def report_csv(reports: List[MluReport]) -> str:
-    lines = ["scheme,day,interval_start_s,mlu"]
+    lines = [REPORT_HEADER]
     for rep in reports:
         for day, start, value in rep.intervals:
             lines.append(f"{rep.scheme},{day},{start:.10g},{value:.10g}")
@@ -657,18 +622,31 @@ def summary_csv(reports: List[MluReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def comparison_csv(table: ComparisonTable) -> str:
+def comparison_csv(reports: List[MluReport]) -> str:
+    """Each day's p99 MLU of every run side by side, each with its ratio
+    to the first run's (1 where both are 0, inf where only that is)."""
     head = ["day"]
-    for scheme in table.schemes:
-        head.append(f"p99[{scheme}]")
-        head.append(f"ratio[{scheme}]")
+    for rep in reports:
+        head += [f"p99[{rep.scheme}]", f"ratio[{rep.scheme}]"]
     lines = [",".join(head)]
-    for i, day in enumerate(table.days):
-        row = [str(day)]
-        for scheme in table.schemes:
-            row.append(f"{table.p99[scheme][i]:.10g}")
-            row.append(f"{table.ratio_vs_first[scheme][i]:.10g}")
+    for i, base in enumerate(reports[0].days):
+        row = [str(base.day)]
+        for rep in reports:
+            val, ref = rep.days[i].p99_mlu, base.p99_mlu
+            if ref > 0:
+                ratio = val / ref
+            else:
+                ratio = 1.0 if val == 0 else math.inf
+            row += [f"{val:.10g}", f"{ratio:.10g}"]
         lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def sweep_csv(rows: List[Tuple[str, float, MluReport]]) -> str:
+    """One line per swept run, from (template label, ratio, report)."""
+    lines = ["scheme,storage_ratio,mean_daily_p99_mlu"]
+    for label, ratio, rep in rows:
+        lines.append(f"{label},{ratio:.10g},{rep.mean_daily_p99():.10g}")
     return "\n".join(lines) + "\n"
 
 

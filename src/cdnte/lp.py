@@ -332,9 +332,8 @@ def build_joint_lp(topo, dm, budgets: Dict[int, int], chunks,
     destination may always merge. Demand is converted to average rates
     over the demand window.
     """
-    rates = {key: nbytes * 8.0 / dm.window_seconds
-             for key, nbytes in dm.demand.items() if nbytes > 0}
-    demanded = sorted(rates)
+    rates = dm.rates()
+    demanded = list(rates)
     chunk_list = sorted({chunk for chunk, _ in demanded})
     clients = sorted({pop for _, pop in demanded})
     store_pops = sorted(p for p in topo.pops if budgets.get(p, 0) > 0)

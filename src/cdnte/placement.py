@@ -120,17 +120,14 @@ class _DemandPairs:
     def __init__(self, dm: DemandMatrix, topo, origins: Dict[str, int]):
         self.topo = topo
         at = topo.pop_at
-        window = dm.window_seconds
-        self.rates: Dict[Tuple[ChunkId, int], float] = {}
+        self.rates = dm.rates()
         self.chunk_ids: List[ChunkId] = []
         pair_chunk, clients = [], []
-        for (chunk, pop), nbytes in sorted(dm.demand.items()):
-            if nbytes > 0:
-                if not self.chunk_ids or self.chunk_ids[-1] != chunk:
-                    self.chunk_ids.append(chunk)
-                self.rates[(chunk, pop)] = nbytes * 8.0 / window
-                pair_chunk.append(len(self.chunk_ids) - 1)
-                clients.append(at[pop])
+        for chunk, pop in self.rates:
+            if not self.chunk_ids or self.chunk_ids[-1] != chunk:
+                self.chunk_ids.append(chunk)
+            pair_chunk.append(len(self.chunk_ids) - 1)
+            clients.append(at[pop])
         self.pair_chunk = np.array(pair_chunk, dtype=np.int64)
         self.clients = np.array(clients, dtype=np.int64)
         self.pair_rates = list(self.rates.values())
@@ -142,8 +139,8 @@ class _DemandPairs:
         """The holders in `stored` (pop id -> chunks) as a bool matrix, a
         row per chunk row and a column per pop position."""
         ids, table = holder_table(
-            placed_masks(stored, self.topo.pop_at, self.row,
-                         len(self.chunk_ids)), len(self.topo.pops))
+            placed_masks(stored, self.topo.pop_at, self.row),
+            len(self.topo.pops))
         return table[ids]
 
     def closest(self, holds: np.ndarray, pairs=slice(None)) -> np.ndarray:

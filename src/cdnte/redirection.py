@@ -31,12 +31,13 @@ def serve_reason(client: int, server: int, origin: int) -> str:
 
 
 def placed_masks(stored: Dict[int, Iterable[Hashable]],
-                 pop_at: Dict[int, int], chunk_at: Dict[Hashable, int],
-                 n_chunks: int) -> List[int]:
-    """A list with, per chunk index 0 .. n_chunks - 1 (`chunk_at` of the
-    chunk), the bitmask of the positions of the PoPs whose `stored` set
-    (pop id -> chunks) holds it. Chunks without an index are left out."""
-    masks = [0] * n_chunks
+                 pop_at: Dict[int, int], chunk_at: Dict[Hashable, int]
+                 ) -> List[int]:
+    """A list with, per chunk index 0 .. len(chunk_at) - 1 (`chunk_at` of
+    the chunk), the bitmask of the positions of the PoPs whose `stored`
+    set (pop id -> chunks) holds it. Chunks without an index are left
+    out."""
+    masks = [0] * len(chunk_at)
     for pop, held in stored.items():
         bit = 1 << pop_at[pop]
         for chunk in held:

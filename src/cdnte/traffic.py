@@ -104,13 +104,21 @@ def flat_ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
         + np.arange(int(counts.sum()))
 
 
+def exact_total(nbytes: np.ndarray) -> int:
+    """The exact sum of `nbytes` (non-negative int64) as a Python int: the
+    int64 sum while the float estimate is below 2^62, so it cannot wrap,
+    else the sum of Python ints."""
+    if nbytes.sum(dtype=np.float64) < 2.0 ** 62:
+        return int(nbytes.sum())
+    return sum(nbytes.tolist())
+
+
 def byte_sums(groups: np.ndarray, nbytes: np.ndarray
               ) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct `groups` in sorted order, and the integer sum of
     `nbytes` (positive) in each. Raises ValueError when their total is
     beyond int64, where a sum would wrap."""
-    if (nbytes.sum(dtype=np.float64) >= 2.0 ** 62
-            and sum(nbytes.tolist()) >= 2 ** 63):
+    if exact_total(nbytes) >= 2 ** 63:
         raise ValueError("byte sums exceed the int64 range")
     keys, inverse = np.unique(groups, return_inverse=True)
     sums = np.zeros(len(keys), dtype=np.int64)

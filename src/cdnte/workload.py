@@ -97,8 +97,12 @@ class DemandMatrix:
         if self.end <= self.start:
             raise ValueError("demand window end must be after start")
 
-    def total_bytes(self) -> int:
-        return sum(self.demand.values())
+    def rates(self) -> Dict[Tuple[ChunkId, int], float]:
+        """Each (chunk, pop) with positive bytes, in sorted order, and its
+        average rate in bit/s over the window."""
+        window = self.window_seconds
+        return {key: nbytes * 8.0 / window
+                for key, nbytes in sorted(self.demand.items()) if nbytes > 0}
 
     @property
     def window_seconds(self) -> float:

@@ -346,8 +346,8 @@ def test_criterion_7_lru_gap_shrinks_with_storage(default_plans):
         topo, catalog, requests,
         SchemeSpec("future", "min-mlu-future", "closest"), ratios, INTERVAL_S,
         plans=plans)
-    lru_series = [row.mean_daily_p99 for row in lru_rows]
-    fut_series = [row.mean_daily_p99 for row in fut_rows]
+    lru_series = [rep.mean_daily_p99() for rep in lru_rows]
+    fut_series = [rep.mean_daily_p99() for rep in fut_rows]
     assert all(v > 0 for v in fut_series)
     gap_series = [l / f for l, f in zip(lru_series, fut_series)]
     elapsed = time.perf_counter() - t0

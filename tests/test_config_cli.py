@@ -696,3 +696,54 @@ def test_sweep_with_a_repeated_ratio_labels_each_run(tmp_path):
     labels = list(dict.fromkeys(row.split(",")[0] for row in rows))
     assert labels == ["lru+inversecap+closest+r1@r1#0",
                       "lru+inversecap+closest+r1@r1#1"]
+
+
+def test_sweeps_run_in_one_pool(tmp_path, monkeypatch):
+    # every scheme's sweep is one list of runs for one pool; the jobs
+    # count leaves the outputs as they are, and "#<position>" counts
+    # within each scheme's sweep
+    from concurrent import futures
+    pools = []
+
+    class CountedPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountedPool)
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg = SYNTH_CFG + ("scheme = optimized inversecap closest\n"
+                       "storage_ratios = 1,1,2\n")
+    cfg_path = _write(tmp_path, "exp.cfg", cfg)
+    written = {}
+    for jobs in (2, 1):
+        out = str(tmp_path / f"jobs{jobs}")
+        assert main(["simulate", "--config", cfg_path, "--out", out,
+                     "--jobs", str(jobs)]) == 0
+        written[jobs] = [open(os.path.join(out, name)).read() for name in
+                         ("report.csv", "summary.csv", "sweep.csv")]
+    assert pools == [2]
+    assert written[2] == written[1]
+    rows = written[1][0].splitlines()[1:]
+    labels = list(dict.fromkeys(row.split(",")[0] for row in rows))
+    assert labels == [f"{template}@r{ratio}" for template in (
+        "lru+inversecap+closest+r1", "optimized+inversecap+closest+r1")
+        for ratio in ("1#0", "1#1", "2#2")]
+
+
+def test_byte_totals_beyond_int64_stay_exact(tmp_path):
+    # two 5e18-byte requests, one at the origin and one a miss served by
+    # it: the day's 1e19 bytes pass 2^63, which an int64 sum would wrap
+    _write(tmp_path, "topo.txt", TOPO)
+    _write(tmp_path, "trace.csv", "timestamp_s,pop_id,content_id,bytes\n"
+           "10,0,x,5000000000000000000\n20,1,x,5000000000000000000\n")
+    cfg_path = _write(tmp_path, "exp.cfg", """
+topology = topo.txt
+trace = trace.csv
+interval_s = 3600
+scheme = lru inversecap closest ratio=1
+""")
+    out = str(tmp_path / "run")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 0
+    summary = open(os.path.join(out, "summary.csv")).read().splitlines()
+    assert [row.split(",")[4:] for row in summary[1:]] == [["0.5", "0.5"]]

@@ -304,13 +304,15 @@ def test_compare_schemes_single_and_duplicate():
     topo = _origin_triangle()
     catalog, reqs = _daily_trace(2)
     scheme = SchemeSpec("lru", "inversecap", "closest", storage_ratio=1.0)
-    table = compare_schemes(topo, catalog, reqs, [scheme], 3600.0)
-    assert all(r == 1.0 for r in table.ratio_vs_first[table.schemes[0]])
+    reports = compare_schemes(topo, catalog, reqs, [scheme], 3600.0)
+    rows = comparison_csv(reports).splitlines()[1:]
+    assert all(float(row.split(",")[2]) == 1.0 for row in rows)
     dup = [SchemeSpec("lru", "inversecap", "closest", storage_ratio=1.0),
            SchemeSpec("lru", "inversecap", "closest", storage_ratio=1.0)]
-    table2 = compare_schemes(topo, catalog, reqs, dup, 3600.0)
-    a, b = table2.schemes
-    assert table2.p99[a] == table2.p99[b]
+    reports2 = compare_schemes(topo, catalog, reqs, dup, 3600.0)
+    a, b = (rep.scheme for rep in reports2)
+    assert [d.p99_mlu for d in reports2[0].days] == \
+        [d.p99_mlu for d in reports2[1].days]
     # the runs are told apart; the caller's specs keep their names
     assert (a, b) == ("lru+inversecap+closest+r1#0",
                       "lru+inversecap+closest+r1#1")
@@ -329,7 +331,7 @@ def test_sweep_validation_and_full_replication_column(monkeypatch):
         sweep_storage_ratio(topo, catalog, reqs, template, [-1.0], 3600.0)
     rows = sweep_storage_ratio(topo, catalog, reqs, template, [4.0], 3600.0)
     assert len(rows) == 1
-    for day, _, value in rows[0].report.intervals:
+    for day, _, value in rows[0].intervals:
         if day >= 1:
             assert value == 0.0
 
@@ -437,8 +439,9 @@ def test_compare_schemes_parallel_jobs_match_sequential():
                                       storage_ratio=1.0),
                            SchemeSpec("optimized", "inversecap", "closest",
                                       storage_ratio=2.0)], 3600.0, jobs=2)
-    assert seq.p99 == par.p99
-    assert [r.intervals for r in seq.reports] == [r.intervals for r in par.reports]
+    assert [(r.scheme, [d.p99_mlu for d in r.days]) for r in seq] == \
+        [(r.scheme, [d.p99_mlu for d in r.days]) for r in par]
+    assert [r.intervals for r in seq] == [r.intervals for r in par]
 
 
 def test_jobs_capped_at_the_number_of_runs(monkeypatch):
@@ -466,9 +469,10 @@ def test_jobs_capped_at_the_number_of_runs(monkeypatch):
     schemes = [SchemeSpec("lru", "inversecap", "closest", storage_ratio=1.0),
                SchemeSpec("optimized", "inversecap", "closest",
                           storage_ratio=2.0)]
-    table = compare_schemes(topo, catalog, reqs, schemes, 3600.0, jobs=10_000)
+    reports = compare_schemes(topo, catalog, reqs, schemes, 3600.0,
+                              jobs=10_000)
     assert asked == [2]
-    assert len(table.reports) == 2
+    assert len(reports) == 2
     compare_schemes(topo, catalog, reqs, schemes[:1], 3600.0, jobs=10_000)
     assert asked == [2]  # one run needs no pool
 
@@ -481,12 +485,10 @@ def test_sweep_storage_ratio_parallel_jobs_match_sequential():
                               3600.0, jobs=1)
     par = sweep_storage_ratio(topo, catalog, reqs, template, [0.5, 2.0],
                               3600.0, jobs=2)
-    assert [(r.ratio, r.mean_daily_p99) for r in seq] == \
-        [(r.ratio, r.mean_daily_p99) for r in par]
-    assert report_csv([r.report for r in seq]) == \
-        report_csv([r.report for r in par])
-    assert summary_csv([r.report for r in seq]) == \
-        summary_csv([r.report for r in par])
+    assert [(r.scheme, r.mean_daily_p99()) for r in seq] == \
+        [(r.scheme, r.mean_daily_p99()) for r in par]
+    assert report_csv(seq) == report_csv(par)
+    assert summary_csv(seq) == summary_csv(par)
 
 
 def test_transit_combined_mode_runs():
@@ -579,9 +581,10 @@ def test_compare_schemes_plans_each_program_once(monkeypatch):
     monkeypatch.setattr(engine_mod, "plan_placement_optimized", counted)
     topo = _origin_triangle()
     catalog, reqs = _shifting_trace(3)
-    table = compare_schemes(topo, catalog, reqs, _planner_vs_oracle(), 3600.0)
+    reports = compare_schemes(topo, catalog, reqs, _planner_vs_oracle(),
+                              3600.0)
     assert len(calls) == 3
-    for scheme, rep in zip(_planner_vs_oracle(), table.reports):
+    for scheme, rep in zip(_planner_vs_oracle(), reports):
         own = run_experiment(topo, catalog, reqs, scheme, 3600.0)
         assert report_csv([rep]) == report_csv([own])
         assert summary_csv([rep]) == summary_csv([own])
@@ -626,8 +629,8 @@ def test_compare_schemes_shared_plans_match_parallel_jobs():
                           jobs=1)
     par = compare_schemes(topo, catalog, reqs, _planner_vs_oracle(), 3600.0,
                           jobs=2)
-    assert report_csv(seq.reports) == report_csv(par.reports)
-    assert summary_csv(seq.reports) == summary_csv(par.reports)
+    assert report_csv(seq) == report_csv(par)
+    assert summary_csv(seq) == summary_csv(par)
     assert comparison_csv(seq) == comparison_csv(par)
 
 
@@ -1117,7 +1120,7 @@ def test_future_day_replay_is_the_planners_rule_without_the_origin_bit():
     pairs = sorted(k for k, nbytes in dm.demand.items() if nbytes > 0)
     chunk_at = {c: i for i, c in enumerate(sorted({c for c, _ in pairs}))}
     origin_of = [at[origins[c[0]]] for c in chunk_at]
-    masks = placed_masks(placement.stored, at, chunk_at, len(chunk_at))
+    masks = placed_masks(placement.stored, at, chunk_at)
     clients = np.array([at[p] for _, p in pairs])
     rows = np.array([chunk_at[c] for c, _ in pairs])
 
