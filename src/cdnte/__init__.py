@@ -4,7 +4,7 @@ maximum link utilization."""
 
 from .engine import (DayStats, MluReport, SchemeSpec, TransitSpec,
                      ValidationError, compare_schemes, run_experiment,
-                     sweep_storage_ratio)
+                     sweep_runs)
 from .lp import (LinearProgram, LpSolution, SimplexError, build_joint_lp,
                  build_min_mlu_lp, solve_lp, solve_lp_auto,
                  solve_min_mlu_routing, write_lp_text)

@@ -171,9 +171,11 @@ def parse_config(text: str, base_dir: str = ".") -> ExperimentConfig:
             f"bad lp_backend {values['lp_backend']!r}: only auto is accepted; "
             "the bundled simplex was removed and HiGHS solves every program")
     if "storage_ratios" in values:
+        # the key switches simulate to sweep mode, so every entry, and at
+        # least one, must be a number
         try:
             cfg.storage_ratios = [finite_float(v) for v in
-                                  values["storage_ratios"].split(",") if v.strip()]
+                                  values["storage_ratios"].split(",")]
         except ValueError:
             raise ConfigError("bad storage_ratios list") from None
 

@@ -98,13 +98,12 @@ class DayStats:
 
 @dataclass
 class MluReport:
+    """One run's per-interval MLUs and per-day statistics, and the first
+    run's decisions, placements and interval matrices if collected."""
     scheme: str
-    interval_s: float
-    intervals: List[Tuple[int, float, float]]  # (day, start_s, mlu)
-    days: List[DayStats]
-    hit_ratio: float
-    origin_fraction: float
-    mean_mlu: float
+    # (day, start_s, mlu)
+    intervals: List[Tuple[int, float, float]] = field(default_factory=list)
+    days: List[DayStats] = field(default_factory=list)
     decisions: List[Tuple[float, int, str, int, str]] = field(default_factory=list)
     placements: List[Tuple[int, int, ChunkId]] = field(default_factory=list)
     interval_matrices: List[Dict[Tuple[int, int], int]] = field(default_factory=list)
@@ -247,13 +246,12 @@ class _Replay:
         self.order = topo.ic_order
 
     def day(self, day: int, placement: Placement, routes: Routes,
-            transit: np.ndarray, report: MluReport
-            ) -> Tuple[List[float], int, int, TrafficMatrix]:
+            transit: np.ndarray, report: MluReport) -> TrafficMatrix:
         """Replay one day on `routes`, with the `transit` loads by link
-        position. Appends its intervals, and its decisions and interval
-        matrices if collected, to `report`. Returns the interval MLUs, the
-        bytes served, the bytes the origin served, and the realized matrix
-        in bit/s."""
+        position. Appends its intervals and its `DayStats`, and its
+        decisions and interval matrices if collected, to `report`; a day
+        that served no bytes has hit ratio 1 and origin fraction 0.
+        Returns the realized matrix in bit/s."""
         topo, n_pops = self.topo, len(self.topo.pops)
         # the day's planned holders of each chunk, as a holder table when
         # there are no caches
@@ -291,14 +289,19 @@ class _Replay:
             sums.append(b_sums)
             first, begin = iv + 1, end
 
+        if served > 0:
+            shares = ((served - from_origin) / served, from_origin / served)
+        else:
+            shares = (1.0, 0.0)
+        report.days.append(DayStats(day, *p99_and_mean(day_mlus), *shares))
+
         # the realized matrix: the day's bytes per (server, client)
         keys, realized = byte_sums(np.concatenate(commodities),
                                    np.concatenate(sums))
         ids = topo.pops
-        return day_mlus, served, from_origin, {
-            (ids[s], ids[c]): b * 8.0 / DAY_SECONDS
-            for (s, c), b in zip((divmod(k, n_pops) for k in keys.tolist()),
-                                 realized.tolist())}
+        pairs = (divmod(k, n_pops) for k in keys.tolist())
+        return {(ids[s], ids[c]): b * 8.0 / DAY_SECONDS
+                for (s, c), b in zip(pairs, realized.tolist())}
 
     def _block(self, day: int, rows: slice, starts: List[float],
                ends: List[float], tables: tuple, report: MluReport):
@@ -392,8 +395,13 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                    collect_placements: bool = False,
                    collect_matrices: bool = False,
                    plans: Optional[PlanTable] = None) -> MluReport:
-    """Replay a trace under one scheme and report per-interval MLU plus
-    daily statistics. Deterministic for identical inputs.
+    """Replay a trace under one scheme, a day at a time: plan, route,
+    replay. The report holds every interval's MLU and each day's
+    `DayStats` (p99 and mean MLU, hit ratio and origin fraction of the
+    day's bytes), plus the request decisions, the daily placements and
+    the per-interval byte matrices when `collect_decisions`,
+    `collect_placements` and `collect_matrices` ask for them.
+    Deterministic for identical inputs.
 
     Each day's placement and routing follow one rule:
 
@@ -459,8 +467,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     combined_transit = (scheme.transit is not None
                         and scheme.transit.mode == "combined")
     transit_tm = scheme.transit.tm if scheme.transit is not None else {}
-    report = MluReport(scheme.label(), interval_s, [], [], 0.0, 0.0, 0.0)
-    total_served = total_origin = 0
+    report = MluReport(scheme.label())
     prev_dm: Optional[DemandMatrix] = None  # yesterday's; None for lru
     prev_realized: TrafficMatrix = {}
 
@@ -502,27 +509,8 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                              else topo.ic_paths, transit_tm)
         if collect_placements:
             report.placements.extend(placement_rows(day, placement))
-        day_mlus, day_served, day_origin, realized = replay.day(
-            day, placement, routes, transit, report)
-        if day_served > 0:
-            hit_ratio = (day_served - day_origin) / day_served
-            origin_fraction = day_origin / day_served
-        else:
-            hit_ratio, origin_fraction = 1.0, 0.0
-        report.days.append(DayStats(day, *p99_and_mean(day_mlus),
-                                    hit_ratio, origin_fraction))
-        total_served += day_served
-        total_origin += day_origin
+        prev_realized = replay.day(day, placement, routes, transit, report)
         prev_dm = dm
-        prev_realized = realized
-
-    if total_served > 0:
-        report.hit_ratio = (total_served - total_origin) / total_served
-        report.origin_fraction = total_origin / total_served
-    else:
-        report.hit_ratio, report.origin_fraction = 1.0, 0.0
-    all_mlus = [v for _, _, v in report.intervals]
-    report.mean_mlu = sum(all_mlus) / len(all_mlus) if all_mlus else 0.0
     return report
 
 
@@ -533,13 +521,6 @@ def distinct_labels(schemes: List[SchemeSpec]) -> List[SchemeSpec]:
         return list(schemes)
     return [dataclasses.replace(s, name=f"{lab}#{i}")
             for i, (s, lab) in enumerate(zip(schemes, labels))]
-
-
-def _run_task(task, plans: Optional[PlanTable] = None) -> MluReport:
-    topo, catalog, trace, scheme, interval_s, decisions, placements = task
-    return run_experiment(topo, catalog, trace, scheme, interval_s,
-                          collect_decisions=decisions,
-                          collect_placements=placements, plans=plans)
 
 
 def compare_schemes(topo, catalog: Catalog, trace: Trace,
@@ -555,17 +536,18 @@ def compare_schemes(topo, catalog: Catalog, trace: Trace,
     `distinct_labels`."""
     if not schemes:
         raise ValidationError("need at least one scheme")
-    tasks = [(topo, catalog, trace, s, interval_s,
-              collect_decisions and i == 0, collect_placements and i == 0)
-             for i, s in enumerate(distinct_labels(schemes))]
+    # run_experiment's positional arguments, one tuple per run
+    runs = [(topo, catalog, trace, s, interval_s,
+             collect_decisions and i == 0, collect_placements and i == 0)
+            for i, s in enumerate(distinct_labels(schemes))]
     # the pool starts all its workers at once, needed or not
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(runs))
     if workers > 1:
         from concurrent import futures
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_task, tasks))
+            return list(pool.map(run_experiment, *zip(*runs)))
     plans = {} if plans is None else plans
-    return [_run_task(t, plans) for t in tasks]
+    return [run_experiment(*run, plans=plans) for run in runs]
 
 
 def sweep_runs(template: SchemeSpec, ratios: List[float]) -> List[SchemeSpec]:
@@ -583,19 +565,6 @@ def sweep_runs(template: SchemeSpec, ratios: List[float]) -> List[SchemeSpec]:
         dataclasses.replace(template, storage_ratio=ratio,
                             name=f"{template.label()}@r{ratio:g}")
         for ratio in ratios])
-
-
-def sweep_storage_ratio(topo, catalog: Catalog, trace: Trace,
-                        template: SchemeSpec, ratios: List[float],
-                        interval_s: float = 300.0, jobs: int = 1,
-                        collect_decisions: bool = False,
-                        collect_placements: bool = False,
-                        plans: Optional[PlanTable] = None) -> List[MluReport]:
-    """`compare_schemes` on the template's `sweep_runs`: one report per
-    ratio, in order."""
-    return compare_schemes(topo, catalog, trace, sweep_runs(template, ratios),
-                           interval_s, jobs, collect_decisions,
-                           collect_placements, plans)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import pytest
 from cdnte import lp as L
 from cdnte import parse_topology
 from cdnte.cli import main as cli_main
-from cdnte.engine import (SchemeSpec, TransitSpec, run_experiment,
-                          sweep_storage_ratio)
+from cdnte.engine import (SchemeSpec, TransitSpec, compare_schemes,
+                          run_experiment, sweep_runs)
 from cdnte.placement import (CacheState, Placement, induced_traffic_matrix,
                              plan_placement_optimized)
 from cdnte.topology import inverse_cap_weights, shortest_path_routes
@@ -338,14 +338,14 @@ def test_criterion_7_lru_gap_shrinks_with_storage(default_plans):
     t0 = time.perf_counter()
     topo, catalog, requests, plans = default_plans
     ratios = [0.25, 0.5, 1.0, 2.0, 4.0]
-    lru_rows = sweep_storage_ratio(
+    lru_rows = compare_schemes(
         topo, catalog, requests,
-        SchemeSpec("lru", "inversecap", "closest"), ratios, INTERVAL_S,
-        plans=plans)
-    fut_rows = sweep_storage_ratio(
+        sweep_runs(SchemeSpec("lru", "inversecap", "closest"), ratios),
+        INTERVAL_S, plans=plans)
+    fut_rows = compare_schemes(
         topo, catalog, requests,
-        SchemeSpec("future", "min-mlu-future", "closest"), ratios, INTERVAL_S,
-        plans=plans)
+        sweep_runs(SchemeSpec("future", "min-mlu-future", "closest"), ratios),
+        INTERVAL_S, plans=plans)
     lru_series = [rep.mean_daily_p99() for rep in lru_rows]
     fut_series = [rep.mean_daily_p99() for rep in fut_rows]
     assert all(v > 0 for v in fut_series)

@@ -435,6 +435,19 @@ def test_storage_ratio_with_infinite_budget_names_the_ratio(tmp_path, capsys,
     assert err.startswith("error: bad storage ratio 1e+308: ")
 
 
+@pytest.mark.parametrize("line", ["storage_ratios =", "storage_ratios = 1,,2"])
+def test_storage_ratios_with_an_empty_entry_is_rejected(tmp_path, capsys,
+                                                        line):
+    # the key switches simulate to sweep mode: an empty value must not run
+    # compare mode, and an empty entry must not be dropped
+    _write(tmp_path, "topo.txt", TOPO)
+    cfg_path = _write(tmp_path, "exp.cfg", SYNTH_CFG + line + "\n")
+    assert main(["simulate", "--config", cfg_path]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: bad storage_ratios list")
+    assert not (tmp_path / "results").exists()
+
+
 def test_scheme_name_with_a_comma_is_rejected(tmp_path, capsys):
     # a comma in the label would add a field to every CSV row it writes
     _write(tmp_path, "topo.txt", TOPO)

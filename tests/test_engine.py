@@ -7,10 +7,11 @@ import pytest
 
 from cdnte import lp as lp_mod
 from cdnte import parse_topology
-from cdnte.engine import (PLACEMENTS, ROUTINGS, DayStats, SchemeSpec,
-                          TransitSpec, ValidationError, compare_schemes,
-                          comparison_csv, report_csv, run_experiment,
-                          scheme_inputs, summary_csv, sweep_storage_ratio)
+from cdnte.engine import (PLACEMENTS, REDIRECTIONS, ROUTINGS, DayStats,
+                          SchemeSpec, TransitSpec, ValidationError,
+                          compare_schemes, comparison_csv, report_csv,
+                          run_experiment, scheme_inputs, summary_csv,
+                          sweep_runs)
 from cdnte.placement import Placement, induced_traffic_matrix
 from cdnte.redirection import holder_table, placed_masks, redirect_closest
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
@@ -19,8 +20,8 @@ from cdnte.traffic import apply_routing, mlu
 from cdnte.workload import (ChunkMap, ContentObject, SynthParams,
                             aggregate_demand, generate_synthetic_trace)
 
-from conftest import (Row, ic_rank, random_digraph, random_symmetric_topology,
-                      trace_from_rows)
+from conftest import (Row, ic_rank, make_triangle, random_digraph,
+                      random_symmetric_topology, trace_from_rows)
 
 
 def _origin_triangle():
@@ -109,9 +110,28 @@ def test_hit_plus_origin_is_one():
         rep = run_experiment(topo, catalog, reqs,
                              SchemeSpec(placement, "inversecap", "closest",
                                         storage_ratio=1.0), 3600.0)
-        assert rep.hit_ratio + rep.origin_fraction == 1.0
         for d in rep.days:
             assert d.hit_ratio + d.origin_fraction == 1.0
+
+
+@pytest.mark.parametrize("redirection", REDIRECTIONS)
+def test_a_day_with_no_requests_has_full_hits_and_transit_load(redirection):
+    # requests on days 0 and 2 only: day 1 serves no bytes, so it reads
+    # hit 1 and origin 0, and its MLU is the transit's alone, 1 kbit/s on
+    # a 1 Mbit/s link
+    topo = make_triangle(caps=(1, 1, 1))
+    catalog = {c: ContentObject(c, 1000) for c in ("A", "B")}
+    reqs = trace_from_rows((day * 86400.0 + 100.0 + 10.0 * k, pop, c, 1000)
+                           for day in (0, 2)
+                           for k, (pop, c) in enumerate([(1, "A"), (2, "B")]))
+    scheme = SchemeSpec("lru", "inversecap", redirection, storage_ratio=1.0,
+                        transit=TransitSpec({(0, 1): 1e3}, "combined"))
+    rep = run_experiment(topo, catalog, reqs, scheme, 3600.0)
+    assert [d.day for d in rep.days] == [0, 1, 2]
+    empty = rep.days[1]
+    assert (empty.hit_ratio, empty.origin_fraction) == (1.0, 0.0)
+    assert empty.p99_mlu == pytest.approx(0.001, rel=1e-12)
+    assert rep.days[0].origin_fraction > 0.0
 
 
 _VALID_PAIRS = [(p, r) for p in PLACEMENTS for r in ROUTINGS
@@ -248,7 +268,8 @@ def test_min_mlu_prior_day_routing_runs():
                          SchemeSpec("optimized", "min-mlu-prior-day",
                                     "closest", storage_ratio=1e-9), 3600.0)
     assert len(rep.days) == 3
-    assert rep.origin_fraction == 1.0  # zero budgets: everything from origin
+    # zero budgets: everything from origin
+    assert [d.origin_fraction for d in rep.days] == [1.0, 1.0, 1.0]
 
 
 def test_transit_overlay_adds_load():
@@ -324,12 +345,13 @@ def test_sweep_validation_and_full_replication_column(monkeypatch):
     catalog, reqs = _daily_trace(2)
     template = SchemeSpec("optimized", "inversecap", "closest")
     with pytest.raises(ValidationError):
-        sweep_storage_ratio(topo, catalog, reqs, template, [], 3600.0)
+        sweep_runs(template, [])
     with pytest.raises(ValidationError):
-        sweep_storage_ratio(topo, catalog, reqs, template, [2.0, 1.0], 3600.0)
+        sweep_runs(template, [2.0, 1.0])
     with pytest.raises(ValidationError):
-        sweep_storage_ratio(topo, catalog, reqs, template, [-1.0], 3600.0)
-    rows = sweep_storage_ratio(topo, catalog, reqs, template, [4.0], 3600.0)
+        sweep_runs(template, [-1.0])
+    rows = compare_schemes(topo, catalog, reqs, sweep_runs(template, [4.0]),
+                           3600.0)
     assert len(rows) == 1
     for day, _, value in rows[0].intervals:
         if day >= 1:
@@ -349,7 +371,8 @@ def test_sweep_validation_and_full_replication_column(monkeypatch):
     template = SchemeSpec("hybrid", "min-mlu-prior-day", "utilization-aware",
                           chunk_size=500, hybrid_reserve=0.25,
                           transit=transit)
-    sweep_storage_ratio(topo, catalog, reqs, template, [0.5, 2.0], 3600.0)
+    compare_schemes(topo, catalog, reqs, sweep_runs(template, [0.5, 2.0]),
+                    3600.0)
     assert [(s.storage_ratio, s.name) for s in seen] == [
         (0.5, f"{template.label()}@r0.5"), (2.0, f"{template.label()}@r2")]
     for s in seen:
@@ -460,8 +483,8 @@ def test_jobs_capped_at_the_number_of_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(futures, "ProcessPoolExecutor", FakePool)
     topo = _origin_triangle()
@@ -481,10 +504,9 @@ def test_sweep_storage_ratio_parallel_jobs_match_sequential():
     topo = _origin_triangle()
     catalog, reqs = _daily_trace(2)
     template = SchemeSpec("optimized", "inversecap", "closest")
-    seq = sweep_storage_ratio(topo, catalog, reqs, template, [0.5, 2.0],
-                              3600.0, jobs=1)
-    par = sweep_storage_ratio(topo, catalog, reqs, template, [0.5, 2.0],
-                              3600.0, jobs=2)
+    runs = sweep_runs(template, [0.5, 2.0])
+    seq = compare_schemes(topo, catalog, reqs, runs, 3600.0, jobs=1)
+    par = compare_schemes(topo, catalog, reqs, runs, 3600.0, jobs=2)
     assert [(r.scheme, r.mean_daily_p99()) for r in seq] == \
         [(r.scheme, r.mean_daily_p99()) for r in par]
     assert report_csv(seq) == report_csv(par)

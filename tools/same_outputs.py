@@ -11,7 +11,12 @@ package). Run from anywhere; the configs are:
 * three-schemes: on plan-joint's inputs, a utilization-aware hybrid
   first (so its decisions are logged), a min-MLU hybrid and a chunked LRU;
 * sweep: on plan-joint's inputs, two scheme templates swept over the
-  storage ratios 1,1,2 with two jobs.
+  storage ratios 1,1,2 with two jobs;
+* routing-rules: on plan-joint's inputs with a transit matrix, one scheme
+  per day-routing case the configs above leave out: min-MLU on
+  yesterday's realized matrix, on today's demand over yesterday's
+  placement, on the planner's matrix plus `combined` transit, and
+  utilization-aware redirection with `inversecap` transit.
 
 For each config, each tree runs `cdnte simulate --decision-log
 --dump-placements` and then `cdnte report` on its report.csv, with one
@@ -49,7 +54,15 @@ EXTRA = {
         "scheme = lru inversecap utilization-aware chunk_mb=4",
         "scheme = optimized min-mlu-prior-day closest",
         "storage_ratios = 1,1,2", "jobs = 2"],
+    "routing-rules": [
+        "scheme = future min-mlu-prior-day closest ratio=2",
+        "scheme = optimized min-mlu-future closest ratio=2",
+        "scheme = optimized min-mlu-prior-day closest ratio=2 "
+        "transit=transit.csv:combined",
+        "scheme = lru inversecap utilization-aware ratio=1 "
+        "transit=transit.csv:inversecap"],
 }
+WITH_TRANSIT = {"routing-rules"}  # EXTRA configs that read transit.csv
 
 
 def write_configs(work: str) -> dict:
@@ -66,7 +79,8 @@ def write_configs(work: str) -> dict:
     for name, lines in EXTRA.items():
         directory = os.path.join(work, name)
         inputs.write_inputs(directory, inputs.FIXED_SEED,
-                            joint["requests_per_day"], joint["days"], False)
+                            joint["requests_per_day"], joint["days"],
+                            name in WITH_TRANSIT)
         base = ["topology = topo.txt", "trace = trace.csv",
                 "catalog = catalog.csv", f"interval_s = {run.INTERVAL_S:g}"]
         configs[name] = os.path.join(directory, "exp.cfg")
