@@ -17,10 +17,8 @@ from . import topology as topo_mod
 from .config import ConfigError, ExperimentConfig, load_config, resolve_pop_weights
 from .engine import ValidationError, scheme_inputs
 from .placement import Placement, induced_traffic_matrix, plan_placement
-from .traffic import (finite_float, link_loads, path_table,
-                      read_traffic_matrix)
-from .workload import (DAY_SECONDS, aggregate_demand,
-                       generate_synthetic_trace, parse_catalog, parse_trace,
+from .traffic import finite_float, link_loads, read_traffic_matrix
+from .workload import (generate_synthetic_trace, parse_catalog, parse_trace,
                        write_catalog, write_trace)
 
 
@@ -96,7 +94,7 @@ def _dump_lps(cfg: ExperimentConfig, topo, catalog, trace, out: str) -> None:
     """Debug dump: the day-0 joint program and the min-MLU program on the
     origin-to-client matrix, in LP text format."""
     chunks, origins, budgets, _ = scheme_inputs(topo, catalog, cfg.schemes[0])
-    dm = aggregate_demand(trace, (0.0, DAY_SECONDS), chunks)
+    dm = engine_mod._demand({}, trace, 0, chunks)
     joint = lp_mod.build_joint_lp(topo, dm, budgets, chunks, origins)
     tm = induced_traffic_matrix(dm, Placement(), origins, topo)
     minmlu = lp_mod.build_min_mlu_lp(topo, tm)
@@ -155,7 +153,8 @@ def cmd_solve_routing(args) -> int:
     for (s, t) in tm:
         if s not in topo.names or t not in topo.names:
             raise ValidationError(f"matrix references unknown pop in {(s, t)}")
-    routes = path_table(topo, lp_mod.solve_min_mlu_routing(topo, tm))
+    routes = engine_mod._check_routing(
+        {}, topo, lp_mod.solve_min_mlu_routing(topo, tm), "routing")
     value = float((link_loads(topo, routes, tm) / routes.capacities).max())
     print(f"alpha = {value:.6g}")
     return 0
@@ -173,8 +172,7 @@ def cmd_solve_placement(args) -> int:
     if not 0 <= day < trace.days:
         raise ValidationError(f"--day {day} is outside the trace's days "
                               f"0..{trace.days - 1}")
-    dm = aggregate_demand(trace, (day * DAY_SECONDS, (day + 1) * DAY_SECONDS),
-                          chunks)
+    dm = engine_mod._demand({}, trace, day, chunks)
     placement = plan_placement(dm, topo, budgets, chunks, origins)
     out = _ensure_out(cfg.out_dir)
     _write(out, "placements.csv", engine_mod.placements_csv(

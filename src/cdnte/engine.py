@@ -157,14 +157,15 @@ def scheme_inputs(topo, catalog: Catalog, scheme: SchemeSpec
 PlanTable = Dict[tuple, tuple]
 
 
-def _demand(plans: PlanTable, trace: Trace, window: Tuple[float, float],
+def _demand(plans: PlanTable, trace: Trace, day: int,
             chunks: ChunkMap) -> DemandMatrix:
-    """aggregate_demand, looked up first in `plans` under the trace, the
-    window and the chunk size. For a valid catalog the chunk size alone
-    fixes how a request expands into chunks. The entry keeps the trace,
-    so no other trace can take its id while the entry exists."""
-    key = ("demand", id(trace), window, chunks.chunk_size)
+    """aggregate_demand over day `day`, looked up first in `plans` under
+    the trace, the day and the chunk size. For a valid catalog the chunk
+    size alone fixes how a request expands into chunks. The entry keeps
+    the trace, so no other trace can take its id while the entry exists."""
+    key = ("demand", id(trace), day, chunks.chunk_size)
     if key not in plans:
+        window = (day * DAY_SECONDS, (day + 1) * DAY_SECONDS)
         plans[key] = (trace, aggregate_demand(trace, window, chunks))
     return plans[key][1]
 
@@ -189,18 +190,18 @@ def _plan(plans: PlanTable, dm: DemandMatrix, topo, budgets: Dict[int, int],
 
 
 def _check_routing(plans: PlanTable, topo, routing: RoutingSolution,
-                   day: int) -> Routes:
+                   what: str) -> Routes:
     """check_flow_conservation, then the routing's `Routes`, once per
     routing object and topology in `plans` (the InverseCap routes' are the
     topology's own): routings are only read, so one that passed still
     does. The entry keeps both, so no other object can take their ids. A
-    routing that fails exits with SimplexError naming the day."""
+    routing that fails exits with SimplexError: `what`, then the commodity."""
     key = ("checked", id(routing), id(topo))
     if key not in plans:
         try:
             check_flow_conservation(routing, topo)
         except ValueError as exc:
-            raise lp_mod.SimplexError(f"day {day} routing: {exc}") from None
+            raise lp_mod.SimplexError(f"{what}: {exc}") from None
         plans[key] = (routing, topo, topo.ic_paths
                       if routing is topo.ic_routes else
                       path_table(topo, routing))
@@ -472,10 +473,9 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
     prev_realized: TrafficMatrix = {}
 
     for day in range(trace.days):
-        window = (day * DAY_SECONDS, (day + 1) * DAY_SECONDS)
         dm: Optional[DemandMatrix] = None
         if scheme.placement != "lru":
-            dm = _demand(plans, trace, window, chunks)
+            dm = _demand(plans, trace, day, chunks)
 
         # the day's placement and routing, by the rule in the docstring
         plan_dm = dm if scheme.placement == "future" else prev_dm
@@ -504,7 +504,7 @@ def run_experiment(topo, catalog: Catalog, trace: Trace,
                     for k, rate in scheme.transit.tm.items():
                         tm[k] = tm.get(k, 0.0) + rate
                 routing = lp_mod.solve_min_mlu_routing(topo, tm)
-        routes = _check_routing(plans, topo, routing, day)
+        routes = _check_routing(plans, topo, routing, f"day {day} routing")
         transit = link_loads(topo, routes if combined_transit
                              else topo.ic_paths, transit_tm)
         if collect_placements:

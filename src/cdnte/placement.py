@@ -136,21 +136,33 @@ class _DemandPairs:
         self.row = {c: k for k, c in enumerate(self.chunk_ids)}
 
     def holders(self, stored: Dict[int, Set[ChunkId]]) -> np.ndarray:
-        """The holders in `stored` (pop id -> chunks) as a bool matrix, a
-        row per chunk row and a column per pop position."""
+        """The holders in `stored` (pop id -> chunks) and each chunk's
+        origin, a bool row per chunk row and a column per pop position.
+        No PoP stores or drops a chunk it is the origin of."""
         ids, table = holder_table(
             placed_masks(stored, self.topo.pop_at, self.row),
             len(self.topo.pops))
-        return table[ids]
+        table = table[ids]
+        table[np.arange(len(table)), self.origin_at] = True
+        return table
 
     def closest(self, holds: np.ndarray, pairs=slice(None)) -> np.ndarray:
         """The server of each pair in `pairs` by `redirect_closest`, the
-        chunk's holders its row of `holds` plus its origin."""
-        with_origin = holds.copy()
-        with_origin[np.arange(len(holds)), self.origin_at] = True
+        chunk's holders its row of `holds`."""
         rows = self.pair_chunk[pairs]
         return redirect_closest(self.clients[pairs], self.origin_at[rows],
-                                rows, with_origin, self.topo.ic_order)
+                                rows, holds, self.topo.ic_order)
+
+    def ranked(self, pop: int, x_vals) -> List[ChunkId]:
+        """The planner's one chunk order at `pop`: the demanded chunks
+        whose origin is another PoP, by decreasing relaxed x (`x_vals`,
+        0 when absent), then higher local rate, then lower chunk id."""
+        p = self.topo.pop_at[pop]
+        return sorted(
+            (c for c, o in zip(self.chunk_ids, self.origin_at.tolist())
+             if o != p),
+            key=lambda c: (-x_vals.get((c, pop), 0.0),
+                           -self.rates.get((c, pop), 0.0), c))
 
 
 def induced_traffic_matrix(dm: DemandMatrix, placement: Placement,
@@ -171,24 +183,17 @@ def induced_traffic_matrix(dm: DemandMatrix, placement: Placement,
             for k, rate in zip(keys.tolist(), rates.tolist())}
 
 
-def _round_placement(lp: lp_mod.LinearProgram, sol, dm: DemandMatrix,
-                     budgets: Dict[int, int], chunks: ChunkMap) -> Placement:
+def _round_placement(pairs: _DemandPairs, budgets: Dict[int, int],
+                     chunks: ChunkMap, x_vals) -> Placement:
     """Greedy rounding of the relaxed placement: per PoP, admit chunks in
-    decreasing x (ties: higher local demand, then lower chunk id) while
-    they fit the budget. Never overflows a budget."""
-    x = lp.meta["x"]
-    by_pop: Dict[int, List[Tuple[float, int, ChunkId]]] = {}
-    for (chunk, j), idx in x.items():
-        val = float(sol.array[idx])
-        if val > 1e-9:
-            local = dm.demand.get((chunk, j), 0)
-            by_pop.setdefault(j, []).append((val, local, chunk))
+    the `ranked` order while they fit the budget, skipping those with x
+    <= 1e-9. Never overflows a budget."""
     stored: Dict[int, Set[ChunkId]] = {}
-    for j, entries in by_pop.items():
-        entries.sort(key=lambda e: (-e[0], -e[1], e[2]))
-        room = budgets[j]
+    for j, room in budgets.items():
         chosen = set()
-        for _, _, chunk in entries:
+        for chunk in pairs.ranked(j, x_vals):
+            if x_vals.get((chunk, j), 0.0) <= 1e-9:
+                break  # so is every later x
             size = chunks.sizes[chunk]
             if size <= room:
                 chosen.add(chunk)
@@ -208,8 +213,8 @@ class _SwapSearch(_DemandPairs):
     (`induced_traffic_matrix`'s servers) routed on InverseCap paths.
 
     The surrogate is kept in arrays, with pops indexed in ascending id
-    order: per-chunk holder rows, which `closest` resolves with replay's
-    `redirect_closest` and the origin counted as a holder, the rank
+    order: per-chunk holder rows with the origin's bit set, which
+    `closest` resolves with replay's `redirect_closest`, the rank
     matrix `Topology.ic_rank_matrix`, the rows of the InverseCap
     `Topology.ic_paths` and a float64 link-load vector, which
     `Routes.add_loads` sums. A move re-serves only the demand pairs whose
@@ -227,7 +232,6 @@ class _SwapSearch(_DemandPairs):
         super().__init__(dm, topo, origins)
         self.budgets = budgets
         self.chunks = chunks
-        self.origins = origins
         self.x_vals = x_vals
         self.n = len(topo.pops)
         self.rank = topo.ic_rank_matrix
@@ -322,12 +326,8 @@ class _SwapSearch(_DemandPairs):
         admitted = sorted(self.stored.get(pop, ()))
         used = sum(self.chunks.sizes[c] for c in admitted)
         room = self.budgets[pop] - used
-        candidates = sorted(
-            (c for c in self.chunk_ids
-             if c not in self.stored.get(pop, ())
-             and self.origins[c[0]] != pop),
-            key=lambda c: (-self.x_vals.get((c, pop), 0.0),
-                           -self.rates.get((c, pop), 0.0), c))
+        candidates = [c for c in self.ranked(pop, self.x_vals)
+                      if c not in self.stored.get(pop, ())]
         gains = self._gains(p)
         after_drop = {d: self._moved(self.loads, self._losses(d, p))
                       for d in admitted}
@@ -367,8 +367,9 @@ def plan_placement(dm: DemandMatrix, topo, budgets: Dict[int, int],
     sol = lp_mod.solve_lp_auto(lp)
     if sol.status != "optimal":
         raise lp_mod.SimplexError(f"joint program ended {sol.status}")
-    placement = _round_placement(lp, sol, dm, budgets, chunks)
     x_vals = {key: float(sol.array[idx]) for key, idx in lp.meta["x"].items()}
+    placement = _round_placement(_DemandPairs(dm, topo, origins), budgets,
+                                 chunks, x_vals)
     search = _SwapSearch(topo, dm, budgets, chunks, origins,
                          placement.stored, x_vals)
     return Placement(search.run())

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -222,6 +223,27 @@ origin 0
 
     bad = _write(tmp_path, "bad.csv", "src_pop,dst_pop,rate_mbps\n0,zap\n")
     assert main(["solve-routing", topo_path, bad]) == 1
+
+
+def test_solve_routing_rejects_a_routing_that_breaks_conservation(
+        tmp_path, monkeypatch, capsys):
+    # solve-routing checks the routing it prints alpha for, as simulate
+    # does: a commodity that loses half its flow exits 2 naming it
+    from cdnte import lp as lp_mod
+    real = lp_mod.solve_min_mlu_routing
+
+    def halved(topo, tm):
+        routing = real(topo, tm)
+        routing[(0, 1)] = {lid: f / 2 for lid, f in routing[(0, 1)].items()}
+        return routing
+
+    monkeypatch.setattr(lp_mod, "solve_min_mlu_routing", halved)
+    topo_path = _write(tmp_path, "topo.txt", TOPO)
+    tm_path = _write(tmp_path, "tm.csv", "src_pop,dst_pop,rate_mbps\n0,1,10\n")
+    assert main(["solve-routing", topo_path, tm_path]) == 2
+    captured = capsys.readouterr()
+    assert "alpha" not in captured.out
+    assert re.search(r"routing: .*\(0, 1\)", captured.err)
 
 
 def test_solve_placement_cli(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdnte import lp as L
 from cdnte import parse_topology
+from cdnte import placement as placement_mod
 from cdnte.placement import (CacheState, Placement, _SwapSearch,
-                             induced_traffic_matrix, plan_placement_optimized,
-                             replay_caches, split_hybrid)
+                             induced_traffic_matrix, plan_placement,
+                             plan_placement_optimized, replay_caches,
+                             split_hybrid)
 from cdnte.topology import (all_pairs_distances, inverse_cap_weights,
                             shortest_path_routes)
 from cdnte.traffic import apply_routing, mlu
@@ -205,6 +210,60 @@ def test_plan_budgets_never_overflow():
         for pop, stored in placement.stored.items():
             used = sum(chunks.sizes[c] for c in stored)
             assert used <= budgets[pop]
+
+
+@st.composite
+def _planner_instances(draw):
+    """A joint instance on a random 3-8 pop digraph: objects of 1-40
+    bytes, whole or in chunks of 16, each with its own origin; random
+    (chunk, pop) demand, some of it zero bytes; budgets of 0-80 bytes."""
+    n = draw(st.integers(3, 8))
+    topo = random_digraph(n, random.Random(draw(st.integers(0, 2**32))))
+    sizes = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    catalog = {f"o{k}": ContentObject(f"o{k}", size)
+               for k, size in enumerate(sizes)}
+    chunks = ChunkMap(catalog, draw(st.sampled_from([None, 16])))
+    origins = {cid: draw(st.sampled_from(topo.pops)) for cid in catalog}
+    demand = draw(st.dictionaries(
+        st.tuples(st.sampled_from(sorted(chunks.sizes)),
+                  st.sampled_from(topo.pops)),
+        st.integers(0, 10**6), min_size=1, max_size=24))
+    budgets = {p: draw(st.integers(0, 80)) for p in topo.pops}
+    return topo, chunks, origins, DemandMatrix(0.0, 3600.0, demand), budgets
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_planner_instances())
+def test_planner_properties(instance):
+    # the planner keeps every budget, stores only chunks somebody demands
+    # away from their origin, gives the same plan twice, and its swap
+    # search never ends above the rounded placement's surrogate
+    topo, chunks, origins, dm, budgets = instance
+    rounded = []
+    real = placement_mod._round_placement
+
+    def capture(*args):
+        rounded.append(real(*args))
+        return rounded[-1]
+
+    with mock.patch.object(placement_mod, "_round_placement", capture):
+        first = plan_placement(dm, topo, budgets, chunks, origins)
+    again = plan_placement(dm, topo, budgets, chunks, origins)
+    assert first.stored == again.stored
+    demanded = {chunk for (chunk, _), nbytes in dm.demand.items() if nbytes}
+    for pop, stored in first.stored.items():
+        assert sum(chunks.sizes[c] for c in stored) <= budgets[pop]
+        assert stored <= demanded
+        assert all(origins[c[0]] != pop for c in stored)
+    if not rounded:  # nothing to plan: no budget or no demand
+        assert first.stored == {}
+        return
+
+    def surrogate(stored):
+        return _SwapSearch(topo, dm, budgets, chunks, origins, stored,
+                           {}).value
+
+    assert surrogate(first.stored) <= surrogate(rounded[0].stored)
 
 
 # The `future` placement is plan_placement_optimized fed the upcoming day's
